@@ -15,7 +15,7 @@ from .metrics import ConvergenceTrace, DivergenceError, TraceRecord, \
     relative_primal_error
 from .pdbfw_l1 import ConfigurationError, SolverConfig, SolverState, solve
 from .pdbfw_trace import ApproximationError, LmoAuditRecord, LowRankFactor, \
-    MatrixState, approx_lowrank_prox, solve_trace
+    approx_lowrank_prox, solve_trace
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,6 @@ __all__ = [
     "LossModel",
     "LowRankFactor",
     "MatrixQuadraticLoss",
-    "MatrixState",
     "ParseError",
     "PortableRng",
     "Regularizer",

@@ -148,24 +148,18 @@ def _run_one(solver: str, spec: RunSpec, dataset: Dataset):
     reg = Regularizer(mu=mu)
     if spec.constraint == "trace":
         loss = MatrixQuadraticLoss(B=dataset.labels)
-        s = spec.s if spec.s is not None else min(10, d, loss.n_tasks)
-        cfg = pdbfw_l1.SolverConfig(radius=spec.radius, s=s, k=spec.k,
-                                    eta=spec.eta, delta=spec.delta,
-                                    max_iters=spec.max_iters,
-                                    gap_tol=spec.gap_tol)
-        _, _, trace = pdbfw_trace.solve_trace(dataset.matrix, loss, reg, cfg)
-        return trace
-    if spec.loss == "smooth_hinge":
-        loss = smooth_hinge_loss(dataset.labels)
+        s_default, call = min(10, d, loss.n_tasks), pdbfw_trace.solve_trace
     else:
-        loss = quadratic_loss(dataset.labels)
+        make_loss = (smooth_hinge_loss if spec.loss == "smooth_hinge"
+                     else quadratic_loss)
+        loss = make_loss(dataset.labels)
+        s_default, call = min(10, d), pdbfw_l1.solve
     if solver == "pdbfw":
-        s = spec.s if spec.s is not None else min(10, d)
-        cfg = pdbfw_l1.SolverConfig(radius=spec.radius, s=s, k=spec.k,
-                                    eta=spec.eta, delta=spec.delta,
-                                    max_iters=spec.max_iters,
-                                    gap_tol=spec.gap_tol)
-        _, _, trace = pdbfw_l1.solve(dataset.matrix, loss, reg, cfg)
+        cfg = pdbfw_l1.SolverConfig(
+            radius=spec.radius, s=spec.s if spec.s is not None else s_default,
+            k=spec.k, eta=spec.eta, delta=spec.delta,
+            max_iters=spec.max_iters, gap_tol=spec.gap_tol)
+        _, _, trace = call(dataset.matrix, loss, reg, cfg)
         return trace
     cfg = BaselineConfig(kind=solver, radius=spec.radius,
                          max_iters=spec.max_iters, seed=spec.seed,
@@ -229,11 +223,11 @@ def _read_trace_csv(path: str):
 
 
 def compare(output_dir: str) -> int:
-    """Tabulate virtual time to reach primal accuracy thresholds.
+    """Tabulate virtual time to reach relative primal accuracy thresholds.
 
-    Accuracy is measured against the best final primal value across all
-    solver CSVs found in the directory; a dash marks thresholds a solver
-    never reached.
+    A threshold t is reached once primal - p_star <= t |p_star|, where
+    p_star is the best final primal value across all solver CSVs found in
+    the directory; a dash marks thresholds a solver never reached.
     """
     try:
         names = sorted(f for f in os.listdir(output_dir) if f.endswith(".csv"))
@@ -258,7 +252,8 @@ def compare(output_dir: str) -> int:
         cells = [solver]
         for threshold in GAP_THRESHOLDS:
             hit = next((seconds for _, seconds, primal, *_ in rows
-                        if primal - p_star <= threshold), None)
+                        if primal - p_star <= threshold * abs(p_star)),
+                       None)
             cells.append("—" if hit is None else f"{hit:.6f}")
         cells.append(repr(rows[-1][2]))
         print("".join(c.ljust(w) for c, w in zip(cells, widths)))
@@ -292,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mu", type=float, default=None,
                        help="l2 regularization weight (default 10/n)")
     run_p.add_argument("--s", type=int, default=None,
-                       help="primal sparsity/rank budget (default min(10, d))")
+                       help="primal sparsity/rank budget (default min(10, d), "
+                       "or min(10, d, c) for --constraint trace)")
     run_p.add_argument("--k", type=int, default=None,
                        help="dual block size (default from theory)")
     run_p.add_argument("--eta", type=float, default=None,

@@ -258,9 +258,3 @@ def primal_objective(m: LossModel, g: Regularizer, A: SparseDesignMatrix,
     if m.n != A.n_rows:
         raise ValueError("loss sample count does not match matrix rows")
     return m.mean_value(A.matvec(x)) + g.value(x)
-
-
-def primal_objective_from_predictions(m, g: Regularizer, w: np.ndarray,
-                                      x: np.ndarray) -> float:
-    """P(x) evaluated from cached predictions w = Ax (no matrix product)."""
-    return m.mean_value(w) + g.value(x)

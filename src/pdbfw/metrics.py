@@ -142,15 +142,3 @@ def relative_primal_error(trace: ConvergenceTrace, p_star: float) -> np.ndarray:
     if p_star <= 0:
         raise ValueError(f"p_star must be positive, got {p_star}")
     return (trace.primals() - p_star) / p_star
-
-
-def analysis_gap(primal: float, dual: float, saddle_value: float,
-                 beta: float, alpha: float) -> float:
-    """Diagnostic weighted gap max{1, beta/alpha - 1} * Delta_p + Delta_d.
-
-    Delta_p = P(x) - saddle_value and Delta_d = saddle_value - D(y) against a
-    caller-supplied saddle value from a high-accuracy reference solve. Not
-    used for stopping (the computable P - D is); exposed for analysis only.
-    """
-    weight = max(1.0, beta / alpha - 1.0)
-    return weight * (primal - saddle_value) + (saddle_value - dual)

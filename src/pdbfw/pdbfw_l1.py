@@ -1,4 +1,5 @@
-"""Block primal-dual Frank-Wolfe solver for l1-ball-constrained ERM.
+"""Block primal-dual Frank-Wolfe solver for l1-ball-constrained ERM, and the
+block loop it shares with the trace-norm solver.
 
 Each iteration performs an s-sparse primal Frank-Wolfe step against the
 proximal linearization of the Lagrangian, maintains w = Ax through the
@@ -6,6 +7,9 @@ touched columns, then greedily updates the k dual coordinates with the
 largest proximal displacement (Gauss-Southwell-r rule) and maintains
 z = A'y through the touched rows. Per-iteration arithmetic is proportional
 to the nonzeros of the s columns and k rows actually touched.
+
+Only the steps, the dual certificate and the support count depend on the
+constraint set; `pdbfw_trace` supplies its own and runs the same loop.
 """
 
 from __future__ import annotations
@@ -42,8 +46,7 @@ class SolverConfig:
       delta = (1/k) / ( L/(mu n beta) + (5 beta R)/(2 alpha mu n^2) (1 + 4 L/mu) )
               with 4 -> 8 and R the spectral bound in the trace case
 
-    mu is carried for run provenance; the Regularizer passed to solve() is
-    authoritative and a mismatch is rejected.
+    mu and L come from the Regularizer passed to the solver.
     """
 
     radius: float
@@ -51,10 +54,8 @@ class SolverConfig:
     k: int = None
     eta: float = None
     delta: float = None
-    mu: float = None
     max_iters: int = 1000
     gap_tol: float = DEFAULT_GAP_TOL
-    eps_target: float = None  # trace solver only; defaults to gap_tol
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -86,35 +87,46 @@ def default_delta(k: int, n: int, beta: float, alpha: float, R: float,
     return delta
 
 
-def resolve_l1(cfg: SolverConfig, A: SparseDesignMatrix, loss: LossModel,
-               reg: Regularizer) -> SolverConfig:
-    """Fill in eta, k, delta defaults for Algorithm's l1 variant."""
-    if cfg.mu is not None and not math.isclose(cfg.mu, reg.mu,
-                                               rel_tol=1e-12):
-        raise ConfigurationError(
-            f"config mu={cfg.mu} disagrees with regularizer mu={reg.mu}")
-    n, d = A.n_rows, A.n_cols
-    if cfg.s > d:
-        raise ValueError(f"s={cfg.s} exceeds feature dimension {d}")
+def resolve(cfg: SolverConfig, A: SparseDesignMatrix, loss, reg: Regularizer,
+            k_default: float, delta_terms) -> SolverConfig:
+    """Fill in the eta, k and delta defaults of a block solver.
+
+    The constraint set supplies the unclamped default `k_default` and
+    `delta_terms(k)`, the (R, curvature_factor) pair of `default_delta`,
+    which is only evaluated when delta is left unset.
+    """
+    if loss.n != A.n_rows:
+        raise ValueError("loss sample count does not match matrix rows")
+    n = A.n_rows
     eta = cfg.eta if cfg.eta is not None else reg.mu / (2.0 * reg.l_smooth)
     if not 0.0 < eta <= 1.0:
         raise ConfigurationError(f"resolved eta={eta} outside (0, 1]")
-    k = cfg.k if cfg.k is not None else max(1, min(n, math.ceil(n * cfg.s / d)))
+    k = cfg.k if cfg.k is not None else max(1, min(n, math.ceil(k_default)))
     if k > n:
         raise ValueError(f"k={k} exceeds sample count {n}")
-    if cfg.delta is not None:
-        delta = cfg.delta
-    else:
-        delta = default_delta(k, n, loss.beta, loss.alpha,
-                              A.max_row_norm_sq, reg, curvature_factor=4.0)
-    return replace(cfg, eta=eta, k=k, delta=delta, mu=reg.mu,
-                   eps_target=cfg.eps_target if cfg.eps_target is not None
-                   else cfg.gap_tol)
+    delta = cfg.delta
+    if delta is None:
+        R, curvature_factor = delta_terms(k)
+        delta = default_delta(k, n, loss.beta, loss.alpha, R, reg,
+                              curvature_factor)
+    return replace(cfg, eta=eta, k=k, delta=delta)
+
+
+def l1_defaults(cfg: SolverConfig, A: SparseDesignMatrix):
+    """The l1 ball's arguments to `resolve`, after checking s against d."""
+    n, d = A.n_rows, A.n_cols
+    if cfg.s > d:
+        raise ValueError(f"s={cfg.s} exceeds feature dimension {d}")
+    return n * cfg.s / d, lambda k: (A.max_row_norm_sq, 4.0)
 
 
 @dataclass
 class SolverState:
-    """Mutable iterates of one run: x, y and the caches w = Ax, z = A'y."""
+    """Mutable iterates of one run: x, y and the caches w = Ax, z = A'y.
+
+    Vectors for the l1 ball; d x c and n x c matrices for the trace-norm
+    ball with c tasks.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -124,13 +136,15 @@ class SolverState:
     flops: int = 0
 
     @classmethod
-    def zeros(cls, n: int, d: int) -> "SolverState":
-        return cls(x=np.zeros(d), y=np.zeros(n), w=np.zeros(n), z=np.zeros(d))
+    def zeros(cls, n: int, d: int, c: int = None) -> "SolverState":
+        tasks = () if c is None else (c,)
+        return cls(x=np.zeros((d, *tasks)), y=np.zeros((n, *tasks)),
+                   w=np.zeros((n, *tasks)), z=np.zeros((d, *tasks)))
 
 
 def primal_step(state: SolverState, cfg: SolverConfig, A: SparseDesignMatrix,
                 loss: LossModel, reg: Regularizer) -> SparseUpdate:
-    """Sparse Frank-Wolfe primal update; returns x_tilde for w maintenance.
+    """Sparse Frank-Wolfe primal update; maintains w through x_tilde.
 
     Minimizes <c, v - x> + (L eta / 2)||v - x||^2 over the s-sparse l1 ball
     with c = z/n + grad g(x), whose exact solution is the sparse l1 prox of
@@ -142,6 +156,8 @@ def primal_step(state: SolverState, cfg: SolverConfig, A: SparseDesignMatrix,
     x_tilde = sparse_l1_prox(v, cfg.radius, cfg.s)
     state.x *= 1.0 - eta
     state.x[x_tilde.indices] += eta * x_tilde.values
+    state.w = apply_sparse_col_product(A, x_tilde, state.w, 1.0 - eta, eta)
+    state.flops += int(A.col_nnz[x_tilde.indices].sum())
     return x_tilde
 
 
@@ -154,7 +170,38 @@ def dual_step(state: SolverState, cfg: SolverConfig, A: SparseDesignMatrix,
     dy = diff[rows]
     state.y[rows] = y_tilde[rows]
     state.z = apply_row_slice_transpose(A, rows, dy, state.z)
+    state.flops += int(A.row_nnz[rows].sum())
     return rows
+
+
+def block_loop(A: SparseDesignMatrix, loss, reg: Regularizer,
+               rc: SolverConfig, state: SolverState, primal, dual,
+               certificate, support):
+    """Alternate `primal` and `dual` steps on `state` until the recorded gap
+    is <= rc.gap_tol or rc.max_iters steps have run; returns (x, y, trace).
+
+    `certificate(A, loss, reg, y, radius, z)` is the dual objective over the
+    constraint set and `support(x)` the size recorded for the iterate.
+    """
+    trace = ConvergenceTrace()
+    t0 = time.perf_counter()
+
+    def record():
+        primal_value = loss.mean_value(state.w) + reg.value(state.x)
+        dual_value = certificate(A, loss, reg, state.y, rc.radius, state.z)
+        trace.append(state.iteration, time.perf_counter() - t0, primal_value,
+                     dual_value, state.flops, support(state.x))
+        return trace.final.gap
+
+    gap = record()
+    for t in range(1, rc.max_iters + 1):
+        if gap <= rc.gap_tol:
+            break
+        state.iteration = t
+        primal(state, rc, A, loss, reg)
+        dual(state, rc, A, loss)
+        gap = record()
+    return state.x, state.y, trace
 
 
 def solve(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
@@ -180,31 +227,7 @@ def solve(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
         One record per iteration including iteration 0; flop counts cover
         the column/row-restricted products only.
     """
-    if loss.n != A.n_rows:
-        raise ValueError("loss sample count does not match matrix rows")
-    rc = resolve_l1(cfg, A, loss, reg)
-    n, d = A.n_rows, A.n_cols
-    state = SolverState.zeros(n, d)
-    trace = ConvergenceTrace()
-    t0 = time.perf_counter()
-
-    def record():
-        primal = loss.mean_value(state.w) + reg.value(state.x)
-        dual = dual_objective(A, loss, reg, state.y, rc.radius, z=state.z)
-        trace.append(state.iteration, time.perf_counter() - t0, primal, dual,
-                     state.flops, int(np.count_nonzero(state.x)))
-        return trace.final.gap
-
-    gap = record()
-    for t in range(1, rc.max_iters + 1):
-        if gap <= rc.gap_tol:
-            break
-        state.iteration = t
-        x_tilde = primal_step(state, rc, A, loss, reg)
-        state.w = apply_sparse_col_product(A, x_tilde, state.w,
-                                           1.0 - rc.eta, rc.eta)
-        state.flops += int(A.col_nnz[x_tilde.indices].sum())
-        rows = dual_step(state, rc, A, loss)
-        state.flops += int(A.row_nnz[rows].sum())
-        gap = record()
-    return state.x, state.y, trace
+    rc = resolve(cfg, A, loss, reg, *l1_defaults(cfg, A))
+    state = SolverState.zeros(A.n_rows, A.n_cols)
+    return block_loop(A, loss, reg, rc, state, primal_step, dual_step,
+                      dual_objective, np.count_nonzero)

@@ -4,15 +4,16 @@ The primal step replaces the sparse l1 prox with a rank-s spectral prox
 (top-s SVD of the shifted iterate, then l1 projection of the singular
 values), computed by block power iteration so the per-iteration cost stays
 O(nds + ncs) instead of a full decomposition. The dual step updates the k
-rows with the largest proximal displacement in Euclidean norm.
+rows with the largest proximal displacement in Euclidean norm. Both steps
+run in the block loop of `pdbfw_l1`, on matrix iterates.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +21,8 @@ from .core_linalg import (SparseDesignMatrix, project_l1_ball,
                           top_k_by_magnitude)
 from .data_io import PortableRng
 from .losses import MatrixQuadraticLoss, Regularizer
-from .metrics import ConvergenceTrace, dual_objective_trace
-from .pdbfw_l1 import ConfigurationError, SolverConfig, default_delta
+from .metrics import dual_objective_trace
+from .pdbfw_l1 import SolverConfig, SolverState, block_loop, resolve
 
 # block power iteration limits (oversampled by 4 over the rank budget)
 POWER_OVERSAMPLE = 4
@@ -67,34 +68,6 @@ class LowRankFactor:
                    right=np.zeros((c, 0)))
 
 
-@dataclass
-class MatrixState:
-    """Iterates of one trace-norm run: X, Y and caches W = AX, Z = A'Y."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    W: np.ndarray
-    Z: np.ndarray
-    iteration: int = 0
-    flops: int = 0
-
-    @classmethod
-    def zeros(cls, n: int, d: int, c: int) -> "MatrixState":
-        return cls(X=np.zeros((d, c)), Y=np.zeros((n, c)),
-                   W=np.zeros((n, c)), Z=np.zeros((d, c)))
-
-
-@dataclass(frozen=True)
-class TraceAssumptions:
-    """Constants entering the trace-norm dual step default."""
-
-    beta: float
-    alpha: float
-    r_k: float
-    mu: float
-    l_smooth: float
-
-
 @dataclass(frozen=True)
 class LmoAuditRecord:
     """One primal low-rank prox call: achieved objective vs. the exact one."""
@@ -126,7 +99,6 @@ def compute_r_k(A: SparseDesignMatrix, k: int, exact_limit: int = 2000) -> float
 
 
 def approx_lowrank_prox(M: np.ndarray, radius: float, s: int,
-                        gamma: float = 0.5, eps: float = 0.0,
                         max_sweeps: int = POWER_MAX_SWEEPS,
                         tol: float = POWER_TOL) -> LowRankFactor:
     """Rank-s spectral prox of M onto the trace-norm ball.
@@ -135,8 +107,7 @@ def approx_lowrank_prox(M: np.ndarray, radius: float, s: int,
     kept singular values onto the l1 ball of the given radius. The triplets
     come from oversampled block power iteration run to a relative SVD
     residual of `tol`, so the result is exact to working precision whenever
-    the iteration converges; gamma and eps state the approximation contract
-    the output is audited against, they do not loosen the computation.
+    the iteration converges.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -191,76 +162,55 @@ def _subproblem_value(G: np.ndarray, X: np.ndarray, V: np.ndarray,
     return float(np.vdot(G, diff)) + 0.5 * l_eta * float(np.vdot(diff, diff))
 
 
-def resolve_trace(cfg: SolverConfig, A: SparseDesignMatrix,
-                  loss: MatrixQuadraticLoss, reg: Regularizer) -> SolverConfig:
-    """Fill in eta, k, delta defaults for the trace-norm variant."""
-    if cfg.mu is not None and not math.isclose(cfg.mu, reg.mu, rel_tol=1e-12):
-        raise ConfigurationError(
-            f"config mu={cfg.mu} disagrees with regularizer mu={reg.mu}")
+def trace_defaults(cfg: SolverConfig, A: SparseDesignMatrix, c: int):
+    """The trace-norm ball's arguments to `resolve`, after checking s
+    against min(d, c); R is the restricted spectral bound r_k."""
     n, d = A.n_rows, A.n_cols
-    c = loss.n_tasks
     if cfg.s > min(d, c):
         raise ValueError(f"rank budget s={cfg.s} exceeds min(d, c)={min(d, c)}")
-    eta = cfg.eta if cfg.eta is not None else reg.mu / (2.0 * reg.l_smooth)
-    if not 0.0 < eta <= 1.0:
-        raise ConfigurationError(f"resolved eta={eta} outside (0, 1]")
-    if cfg.k is not None:
-        k = cfg.k
-    else:
-        k = max(1, min(n, math.ceil(n * cfg.s * (1.0 / c + 1.0 / d))))
-    if k > n:
-        raise ValueError(f"k={k} exceeds sample count {n}")
-    if cfg.delta is not None:
-        delta = cfg.delta
-    else:
-        r_k = compute_r_k(A, k)
-        delta = default_delta(k, n, loss.beta, loss.alpha, r_k, reg,
-                              curvature_factor=8.0)
-    return replace(cfg, eta=eta, k=k, delta=delta, mu=reg.mu,
-                   eps_target=cfg.eps_target if cfg.eps_target is not None
-                   else cfg.gap_tol)
+    return (n * cfg.s * (1.0 / c + 1.0 / d),
+            lambda k: (compute_r_k(A, k), 8.0))
 
 
-def primal_step_trace(state: MatrixState, cfg: SolverConfig,
+def primal_step_trace(state: SolverState, cfg: SolverConfig,
                       A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
                       reg: Regularizer, audit: list = None) -> LowRankFactor:
     """Rank-s Frank-Wolfe primal update; maintains W through the factor."""
     n = A.n_rows
-    d, c = state.X.shape
+    d, c = state.x.shape
     eta = cfg.eta
     l_eta = reg.l_smooth * eta
-    G = state.Z / n + reg.grad(state.X)
-    M = state.X - G / l_eta
-    factor = approx_lowrank_prox(M, cfg.radius, cfg.s, gamma=0.5,
-                                 eps=cfg.eps_target / 8.0)
+    G = state.z / n + reg.grad(state.x)
+    M = state.x - G / l_eta
+    factor = approx_lowrank_prox(M, cfg.radius, cfg.s)
     r = factor.rank
     if audit is not None:
         V = factor.to_dense()
         v_star = _exact_lowrank_prox_dense(M, cfg.radius, cfg.s)
         audit.append(LmoAuditRecord(
-            l_value=_subproblem_value(G, state.X, V, l_eta),
-            l_star=_subproblem_value(G, state.X, v_star, l_eta),
-            gamma=0.5, eps=cfg.eps_target / 8.0))
-    state.X *= 1.0 - eta
-    state.W *= 1.0 - eta
+            l_value=_subproblem_value(G, state.x, V, l_eta),
+            l_star=_subproblem_value(G, state.x, v_star, l_eta),
+            gamma=0.5, eps=cfg.gap_tol / 8.0))
+    state.x *= 1.0 - eta
+    state.w *= 1.0 - eta
     if r > 0:
-        state.X += eta * factor.to_dense()
+        state.x += eta * factor.to_dense()
         AU = A.matvec(factor.left)  # n x r through the sparse layout
-        state.W += eta * ((AU * factor.singular) @ factor.right.T)
+        state.w += eta * ((AU * factor.singular) @ factor.right.T)
         state.flops += A.nnz * r + n * r * c + d * r * c
     return factor
 
 
-def dual_step_trace(state: MatrixState, cfg: SolverConfig,
+def dual_step_trace(state: SolverState, cfg: SolverConfig,
                     A: SparseDesignMatrix,
                     loss: MatrixQuadraticLoss) -> np.ndarray:
     """Greedy k-row dual ascent; updates Y and Z, returns the rows."""
-    Y_tilde = loss.dual_prox(state.W, state.Y, cfg.delta, A.n_rows)
-    diff = Y_tilde - state.Y
+    Y_tilde = loss.dual_prox(state.w, state.y, cfg.delta, A.n_rows)
+    diff = Y_tilde - state.y
     rows = top_k_by_magnitude(np.linalg.norm(diff, axis=1), cfg.k)
     dY = diff[rows]
-    state.Y[rows] = Y_tilde[rows]
-    state.Z = state.Z + A.row_submatrix_t_dot(rows, dY)
+    state.y[rows] = Y_tilde[rows]
+    state.z = state.z + A.row_submatrix_t_dot(rows, dY)
     state.flops += int(A.row_nnz[rows].sum()) * loss.n_tasks
     return rows
 
@@ -278,35 +228,15 @@ def solve_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
 
     Parameters mirror the l1 solver; `loss` carries the n x c matrix targets.
     When `lmo_audit` is a list, every low-rank prox call appends an
-    LmoAuditRecord comparing its objective against the exact dense-SVD oracle.
+    LmoAuditRecord comparing its objective against the exact dense-SVD oracle,
+    with additive slack gap_tol / 8.
 
     Returns (X, Y, trace). The trace's support column records the numerical
-    rank of X. Convergence is to within eps_target of the optimum (the
-    approximate prox leaves an additive floor), so gap_tol should not be set
-    below eps_target.
+    rank of X.
     """
-    if loss.n != A.n_rows:
-        raise ValueError("loss sample count does not match matrix rows")
-    rc = resolve_trace(cfg, A, loss, reg)
-    n, d = A.n_rows, A.n_cols
     c = loss.n_tasks
-    state = MatrixState.zeros(n, d, c)
-    trace = ConvergenceTrace()
-    t0 = time.perf_counter()
-
-    def record():
-        primal = loss.mean_value(state.W) + reg.value(state.X)
-        dual = dual_objective_trace(A, loss, reg, state.Y, rc.radius, Z=state.Z)
-        trace.append(state.iteration, time.perf_counter() - t0, primal, dual,
-                     state.flops, _numerical_rank(state.X))
-        return trace.final.gap
-
-    gap = record()
-    for t in range(1, rc.max_iters + 1):
-        if gap <= rc.gap_tol:
-            break
-        state.iteration = t
-        primal_step_trace(state, rc, A, loss, reg, audit=lmo_audit)
-        dual_step_trace(state, rc, A, loss)
-        gap = record()
-    return state.X, state.Y, trace
+    rc = resolve(cfg, A, loss, reg, *trace_defaults(cfg, A, c))
+    state = SolverState.zeros(A.n_rows, A.n_cols, c)
+    primal = functools.partial(primal_step_trace, audit=lmo_audit)
+    return block_loop(A, loss, reg, rc, state, primal, dual_step_trace,
+                      dual_objective_trace, _numerical_rank)

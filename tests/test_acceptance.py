@@ -21,17 +21,16 @@ import numpy as np
 
 from pdbfw.baselines import BaselineConfig, solve_baseline
 from pdbfw.cli import main as cli_main
-from pdbfw.core_linalg import (SparseDesignMatrix, apply_sparse_col_product,
-                               sparse_l1_prox)
+from pdbfw.core_linalg import SparseDesignMatrix, sparse_l1_prox
 from pdbfw.data_io import PortableRng, SyntheticSpec, generate_synthetic
 from pdbfw.losses import (MatrixQuadraticLoss, Regularizer, conjugate_value,
                           dual_prox_step, loss_derivative, loss_value,
                           quadratic_loss, smooth_hinge_loss)
 from pdbfw.metrics import project_nuclear_ball
-from pdbfw.pdbfw_l1 import (SolverConfig, SolverState, dual_step, primal_step,
-                            resolve_l1, solve)
-from pdbfw.pdbfw_trace import (MatrixState, dual_step_trace, primal_step_trace,
-                               resolve_trace, solve_trace)
+from pdbfw.pdbfw_l1 import (SolverConfig, SolverState, dual_step, l1_defaults,
+                            primal_step, resolve, solve)
+from pdbfw.pdbfw_trace import (dual_step_trace, primal_step_trace, solve_trace,
+                               trace_defaults)
 
 # (name, trace) pairs appended by the tests below; swept by criterion 9
 _ALL_TRACES = []
@@ -293,14 +292,12 @@ def test_criterion_07_cache_maintenance_after_100_iterations():
     A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
     loss = smooth_hinge_loss(np.where(rng.uniforms(n) > 0.5, 1.0, -1.0))
     reg = Regularizer(mu=0.2)
-    cfg = resolve_l1(SolverConfig(radius=2.0, s=5, k=10, delta=1.0),
-                     A, loss, reg)
+    cfg = SolverConfig(radius=2.0, s=5, k=10, delta=1.0)
+    cfg = resolve(cfg, A, loss, reg, *l1_defaults(cfg, A))
     state = SolverState.zeros(n, d)
     for t in range(1, 101):
         state.iteration = t
-        x_tilde = primal_step(state, cfg, A, loss, reg)
-        state.w = apply_sparse_col_product(A, x_tilde, state.w,
-                                           1.0 - cfg.eta, cfg.eta)
+        primal_step(state, cfg, A, loss, reg)
         dual_step(state, cfg, A, loss)
     assert _relative_distance(state.w, A.matvec(state.x)) <= 1e-9
     assert _relative_distance(state.z, A.rmatvec(state.y)) <= 1e-9
@@ -310,16 +307,16 @@ def test_criterion_07_cache_maintenance_after_100_iterations():
     rng = PortableRng(701)
     A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
     mloss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
-    mcfg = resolve_trace(SolverConfig(radius=5.0, s=3, k=12, delta=2.0),
-                         A, mloss, reg)
-    mstate = MatrixState.zeros(n, d, c)
+    mcfg = SolverConfig(radius=5.0, s=3, k=12, delta=2.0)
+    mcfg = resolve(mcfg, A, mloss, reg, *trace_defaults(mcfg, A, c))
+    mstate = SolverState.zeros(n, d, c)
     for t in range(1, 101):
         mstate.iteration = t
         primal_step_trace(mstate, mcfg, A, mloss, reg)
         dual_step_trace(mstate, mcfg, A, mloss)
     dense = A.to_dense()
-    assert _relative_distance(mstate.W, dense @ mstate.X) <= 1e-8
-    assert _relative_distance(mstate.Z, dense.T @ mstate.Y) <= 1e-8
+    assert _relative_distance(mstate.w, dense @ mstate.x) <= 1e-8
+    assert _relative_distance(mstate.z, dense.T @ mstate.y) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

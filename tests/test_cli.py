@@ -208,6 +208,21 @@ def test_compare_marks_unreached_thresholds(tmp_path, capsys):
     assert "—" not in good_line
 
 
+def test_compare_thresholds_are_relative_to_best_primal(tmp_path, capsys):
+    # p_star = 24: the 1e-2 threshold allows primal - p_star <= 0.24, so
+    # 24.2 at t=0 already reaches it; 24.001 is within 1e-4 but not 1e-6
+    out = str(tmp_path / "res")
+    os.makedirs(out)
+    with open(os.path.join(out, "pdbfw.csv"), "w") as handle:
+        handle.write(CSV_HEADER + "\n0,0.0,24.2,0.0,24.2,0,0\n"
+                     "1,0.5,24.001,23.9,0.101,500000000,1\n"
+                     "2,1.0,24.0,24.0,0.0,1000000000,1\n")
+    assert compare(out) == EXIT_OK
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("pdbfw"))
+    assert line.split()[1:4] == ["0.000000", "0.500000", "1.000000"]
+
+
 def test_compare_missing_directory(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "absent")]) == EXIT_USAGE
     assert "cannot read" in capsys.readouterr().err

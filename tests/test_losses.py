@@ -6,8 +6,7 @@ from numpy.testing import assert_allclose
 from pdbfw.core_linalg import SparseDesignMatrix
 from pdbfw.losses import (LossModel, MatrixQuadraticLoss, Regularizer,
                           conjugate_value, dual_prox_step, loss_derivative,
-                          loss_value, primal_objective,
-                          primal_objective_from_predictions, quadratic_loss,
+                          loss_value, primal_objective, quadratic_loss,
                           smooth_hinge_loss)
 
 
@@ -205,8 +204,6 @@ def test_primal_objective_matches_manual_sum():
     manual = np.mean([hinge_scalar(float(dense[i] @ x) * labels[i])
                       for i in range(5)]) + 0.15 * float(x @ x)
     assert primal_objective(m, g, A, x) == pytest.approx(manual, abs=1e-12)
-    assert primal_objective_from_predictions(m, g, dense @ x, x) == pytest.approx(
-        manual, abs=1e-12)
 
 
 # -------------------------------------------------------------- regularizer

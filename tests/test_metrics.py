@@ -15,8 +15,8 @@ from pdbfw.core_linalg import SparseDesignMatrix
 from pdbfw.data_io import PortableRng
 from pdbfw.losses import (MatrixQuadraticLoss, Regularizer, quadratic_loss,
                           smooth_hinge_loss)
-from pdbfw.metrics import (ConvergenceTrace, DivergenceError, analysis_gap,
-                           dual_objective, dual_objective_trace, duality_gap,
+from pdbfw.metrics import (ConvergenceTrace, DivergenceError, dual_objective,
+                           dual_objective_trace, duality_gap,
                            project_nuclear_ball, relative_primal_error)
 
 
@@ -327,12 +327,3 @@ def test_relative_primal_error_rejects_nonpositive_reference():
         relative_primal_error(tr, 0.0)
     with pytest.raises(ValueError, match="p_star"):
         relative_primal_error(tr, -1.0)
-
-
-def test_analysis_gap_weighting():
-    # [DERIVED] weight = max(1, 3/1 - 1) = 2; 2*(2.0-0.5) + (0.5-(-1.0)) = 4.5
-    assert analysis_gap(2.0, -1.0, 0.5, beta=3.0, alpha=1.0) == \
-        pytest.approx(4.5, abs=0.0)
-    # beta = alpha collapses the weight to 1: plain primal + dual distance
-    assert analysis_gap(2.0, -1.0, 0.5, beta=1.0, alpha=1.0) == \
-        pytest.approx(3.0, abs=0.0)

@@ -13,8 +13,8 @@ from pdbfw.data_io import PortableRng
 from pdbfw.losses import Regularizer, quadratic_loss, smooth_hinge_loss
 from pdbfw.metrics import DivergenceError
 from pdbfw.pdbfw_l1 import (ConfigurationError, SolverConfig, SolverState,
-                            default_delta, dual_step, primal_step, resolve_l1,
-                            solve)
+                            default_delta, dual_step, l1_defaults, primal_step,
+                            resolve, solve)
 
 
 def _random_instance(seed, n, d, kind="quadratic"):
@@ -27,6 +27,10 @@ def _random_instance(seed, n, d, kind="quadratic"):
     return A, loss
 
 
+def _resolve(cfg, A, loss, reg):
+    return resolve(cfg, A, loss, reg, *l1_defaults(cfg, A))
+
+
 # ---------------------------------------------------------------------------
 # Single steps, frozen
 
@@ -35,7 +39,8 @@ def test_primal_step_frozen_example():
     # [DERIVED] n=2, z=(-8,2,0), x=0, mu=L=1, eta=1/2, radius 1, s=1:
     #   c = z/n = (-4,1,0); v = -c/(L eta) = (8,-2,0);
     #   the 1-sparse prox keeps coordinate 0 clipped to the ball: (1,0,0);
-    #   x <- (1-eta) x + eta x_tilde = (0.5, 0, 0).
+    #   x <- (1-eta) x + eta x_tilde = (0.5, 0, 0); w = Ax = (0.5, 0.5)
+    #   costs the 2 nonzeros of column 0.
     A = SparseDesignMatrix.from_dense(np.ones((2, 3)))
     reg = Regularizer(mu=1.0)
     cfg = SolverConfig(radius=1.0, s=1, eta=0.5, delta=1.0, k=1)
@@ -45,6 +50,8 @@ def test_primal_step_frozen_example():
     np.testing.assert_array_equal(state.x, [0.5, 0.0, 0.0])
     assert x_tilde.indices.tolist() == [0]
     np.testing.assert_array_equal(x_tilde.values, [1.0])
+    np.testing.assert_array_equal(state.w, [0.5, 0.5])
+    assert state.flops == 2
 
 
 def test_dual_step_tie_break_picks_first_rows():
@@ -59,6 +66,7 @@ def test_dual_step_tie_break_picks_first_rows():
     # y_tilde = (delta/n) w / (1 + delta/n) = 0.25/1.25 = 0.2 on chosen rows
     np.testing.assert_allclose(state.y, [0.2, 0.2, 0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(state.z, [0.2, 0.2, 0.0, 0.0], atol=1e-15)
+    assert state.flops == 2  # one nonzero in each chosen row
 
 
 def test_dual_step_only_touches_selected_rows():
@@ -121,13 +129,12 @@ def _box_bounds(labels):
 def test_iterates_stay_feasible_hinge():
     A, loss = _random_instance(60, 20, 15, kind="hinge")
     reg = Regularizer(mu=0.2)
-    cfg = resolve_l1(SolverConfig(radius=1.5, s=3), A, loss, reg)
+    cfg = _resolve(SolverConfig(radius=1.5, s=3), A, loss, reg)
     state = SolverState.zeros(20, 15)
     lo, hi = _box_bounds(loss.targets)
     for t in range(1, 101):
         state.iteration = t
         x_tilde = primal_step(state, cfg, A, loss, reg)
-        state.w = A.matvec(state.x)
         dual_step(state, cfg, A, loss)
         assert np.abs(state.x).sum() <= cfg.radius * (1 + 1e-12)
         assert np.all(state.y >= lo - 1e-12)
@@ -139,15 +146,12 @@ def test_cache_maintenance_matches_dense_products():
     # w and z are maintained incrementally; compare against fresh products
     A, loss = _random_instance(70, 25, 18)
     reg = Regularizer(mu=0.4)
-    cfg = resolve_l1(SolverConfig(radius=2.0, s=4, k=6, delta=1.0),
-                     A, loss, reg)
+    cfg = _resolve(SolverConfig(radius=2.0, s=4, k=6, delta=1.0),
+                   A, loss, reg)
     state = SolverState.zeros(25, 18)
-    from pdbfw.core_linalg import apply_sparse_col_product
     for t in range(1, 101):
         state.iteration = t
-        x_tilde = primal_step(state, cfg, A, loss, reg)
-        state.w = apply_sparse_col_product(A, x_tilde, state.w,
-                                           1.0 - cfg.eta, cfg.eta)
+        primal_step(state, cfg, A, loss, reg)
         dual_step(state, cfg, A, loss)
     np.testing.assert_allclose(state.w, A.matvec(state.x),
                                rtol=0, atol=1e-9)
@@ -244,45 +248,36 @@ def test_divergence_error_names_iteration():
 def test_resolve_fills_theory_defaults():
     A, loss = _random_instance(99, 20, 10)
     reg = Regularizer(mu=0.5)
-    rc = resolve_l1(SolverConfig(radius=1.0, s=3), A, loss, reg)
+    rc = _resolve(SolverConfig(radius=1.0, s=3), A, loss, reg)
     assert rc.eta == pytest.approx(0.5)  # mu/(2L) with L = mu
     assert rc.k == math.ceil(20 * 3 / 10)
     want_delta = default_delta(rc.k, 20, loss.beta, loss.alpha,
                                A.max_row_norm_sq, reg, curvature_factor=4.0)
     assert rc.delta == pytest.approx(want_delta, rel=1e-15)
-    assert rc.eps_target == rc.gap_tol
-    assert rc.mu == reg.mu
 
 
 def test_resolve_respects_overrides():
     A, loss = _random_instance(99, 20, 10)
     reg = Regularizer(mu=0.5)
-    rc = resolve_l1(SolverConfig(radius=1.0, s=3, k=7, eta=0.25, delta=2.0),
-                    A, loss, reg)
+    rc = _resolve(SolverConfig(radius=1.0, s=3, k=7, eta=0.25, delta=2.0),
+                  A, loss, reg)
     assert (rc.k, rc.eta, rc.delta) == (7, 0.25, 2.0)
-
-
-def test_resolve_rejects_mu_mismatch():
-    A, loss = _random_instance(99, 8, 5)
-    with pytest.raises(ConfigurationError, match="disagrees"):
-        resolve_l1(SolverConfig(radius=1.0, s=1, mu=0.3), A, loss,
-                   Regularizer(mu=0.5))
 
 
 def test_resolve_rejects_oversized_budgets():
     A, loss = _random_instance(99, 8, 5)
     reg = Regularizer(mu=0.5)
     with pytest.raises(ValueError, match="exceeds feature dimension"):
-        resolve_l1(SolverConfig(radius=1.0, s=6), A, loss, reg)
+        _resolve(SolverConfig(radius=1.0, s=6), A, loss, reg)
     with pytest.raises(ValueError, match="exceeds sample count"):
-        resolve_l1(SolverConfig(radius=1.0, s=1, k=9), A, loss, reg)
+        _resolve(SolverConfig(radius=1.0, s=1, k=9), A, loss, reg)
 
 
 def test_resolve_rejects_degenerate_eta():
     A, loss = _random_instance(99, 8, 5)
     reg = Regularizer(mu=3.0, l_smooth=1.0)  # mu/(2L) = 1.5 > 1
     with pytest.raises(ConfigurationError, match="eta"):
-        resolve_l1(SolverConfig(radius=1.0, s=1), A, loss, reg)
+        _resolve(SolverConfig(radius=1.0, s=1), A, loss, reg)
 
 
 def test_default_delta_rejects_degenerate_result():

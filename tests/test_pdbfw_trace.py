@@ -11,13 +11,13 @@ from pdbfw.core_linalg import SparseDesignMatrix
 from pdbfw.data_io import PortableRng, SyntheticSpec, generate_synthetic
 from pdbfw.losses import MatrixQuadraticLoss, Regularizer, quadratic_loss
 from pdbfw.metrics import project_nuclear_ball
-from pdbfw.pdbfw_l1 import ConfigurationError, SolverConfig, SolverState
+from pdbfw.pdbfw_l1 import SolverConfig, SolverState, resolve
 from pdbfw.pdbfw_l1 import dual_step as dual_step_vector
 from pdbfw.pdbfw_trace import (ApproximationError, LmoAuditRecord,
-                               LowRankFactor, MatrixState,
-                               _exact_lowrank_prox_dense, approx_lowrank_prox,
-                               compute_r_k, dual_step_trace,
-                               primal_step_trace, resolve_trace, solve_trace)
+                               LowRankFactor, _exact_lowrank_prox_dense,
+                               approx_lowrank_prox, compute_r_k,
+                               dual_step_trace, primal_step_trace,
+                               solve_trace, trace_defaults)
 
 
 def _spectrum_matrix(rng, d, c, spectrum):
@@ -26,6 +26,10 @@ def _spectrum_matrix(rng, d, c, spectrum):
     U, _ = np.linalg.qr(rng.normals(d * r).reshape(d, r))
     V, _ = np.linalg.qr(rng.normals(c * r).reshape(c, r))
     return (U * np.asarray(spectrum)) @ V.T
+
+
+def _resolve(cfg, A, loss, reg):
+    return resolve(cfg, A, loss, reg, *trace_defaults(cfg, A, loss.n_tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +143,8 @@ def test_dual_step_trace_single_task_matches_vector_rule():
     A = SparseDesignMatrix.from_dense(dense)
     cfg = SolverConfig(radius=1.0, s=1, eta=0.5, delta=0.9, k=3)
 
-    mstate = MatrixState.zeros(n, d, 1)
-    mstate.W = w.reshape(n, 1).copy()
+    mstate = SolverState.zeros(n, d, 1)
+    mstate.w = w.reshape(n, 1).copy()
     rows_m = dual_step_trace(mstate, cfg, A, MatrixQuadraticLoss(B=b.reshape(n, 1)))
 
     vstate = SolverState.zeros(n, d)
@@ -148,8 +152,9 @@ def test_dual_step_trace_single_task_matches_vector_rule():
     rows_v = dual_step_vector(vstate, cfg, A, quadratic_loss(b))
 
     np.testing.assert_array_equal(np.sort(rows_m), np.sort(rows_v))
-    np.testing.assert_allclose(mstate.Y[:, 0], vstate.y, atol=1e-14)
-    np.testing.assert_allclose(mstate.Z[:, 0], vstate.z, atol=1e-14)
+    np.testing.assert_allclose(mstate.y[:, 0], vstate.y, atol=1e-14)
+    np.testing.assert_allclose(mstate.z[:, 0], vstate.z, atol=1e-14)
+    assert mstate.flops == vstate.flops
 
 
 def test_dual_step_trace_maintains_z():
@@ -158,11 +163,11 @@ def test_dual_step_trace_maintains_z():
     A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     cfg = SolverConfig(radius=1.0, s=1, eta=0.5, delta=1.3, k=4)
-    state = MatrixState.zeros(n, d, c)
+    state = SolverState.zeros(n, d, c)
     for _ in range(5):
-        state.W = state.W + rng.normals(n * c).reshape(n, c)
+        state.w = state.w + rng.normals(n * c).reshape(n, c)
         dual_step_trace(state, cfg, A, loss)
-    np.testing.assert_allclose(state.Z, A.to_dense().T @ state.Y, atol=1e-10)
+    np.testing.assert_allclose(state.z, A.to_dense().T @ state.y, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +180,18 @@ def test_primal_step_trace_rank_and_cache_maintenance():
     A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     reg = Regularizer(mu=0.3)
-    cfg = resolve_trace(SolverConfig(radius=4.0, s=2, k=8, delta=2.0),
-                        A, loss, reg)
-    state = MatrixState.zeros(n, d, c)
+    cfg = _resolve(SolverConfig(radius=4.0, s=2, k=8, delta=2.0),
+                   A, loss, reg)
+    state = SolverState.zeros(n, d, c)
     for t in range(1, 31):
         state.iteration = t
         factor = primal_step_trace(state, cfg, A, loss, reg)
         assert factor.rank <= cfg.s
         dual_step_trace(state, cfg, A, loss)
-        sv = np.linalg.svd(state.X, compute_uv=False)
+        sv = np.linalg.svd(state.x, compute_uv=False)
         assert sv.sum() <= cfg.radius * (1 + 1e-9)
-    np.testing.assert_allclose(state.W, A.to_dense() @ state.X, atol=1e-8)
-    np.testing.assert_allclose(state.Z, A.to_dense().T @ state.Y, atol=1e-8)
+    np.testing.assert_allclose(state.w, A.to_dense() @ state.x, atol=1e-8)
+    np.testing.assert_allclose(state.z, A.to_dense().T @ state.y, atol=1e-8)
 
 
 def test_primal_step_trace_audit_against_exact_oracle():
@@ -195,9 +200,9 @@ def test_primal_step_trace_audit_against_exact_oracle():
     A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     reg = Regularizer(mu=0.5)
-    cfg = resolve_trace(SolverConfig(radius=2.0, s=2, k=5, delta=1.0,
-                                     eps_target=1e-8), A, loss, reg)
-    state = MatrixState.zeros(n, d, c)
+    cfg = _resolve(SolverConfig(radius=2.0, s=2, k=5, delta=1.0,
+                                gap_tol=1e-8), A, loss, reg)
+    state = SolverState.zeros(n, d, c)
     audit = []
     for t in range(1, 11):
         state.iteration = t
@@ -206,6 +211,7 @@ def test_primal_step_trace_audit_against_exact_oracle():
     assert len(audit) == 10
     for rec in audit:
         assert rec.l_star <= 1e-12  # exact subproblem value is never positive
+        assert rec.eps == cfg.gap_tol / 8.0
         assert rec.satisfied()
 
 
@@ -258,27 +264,18 @@ def test_resolve_trace_defaults():
     A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     reg = Regularizer(mu=0.5)
-    rc = resolve_trace(SolverConfig(radius=1.0, s=2), A, loss, reg)
+    rc = _resolve(SolverConfig(radius=1.0, s=2), A, loss, reg)
     assert rc.eta == pytest.approx(0.5)
     assert rc.k == min(n, math.ceil(n * 2 * (1 / c + 1 / d)))
     assert rc.delta > 0.0
-    assert rc.eps_target == rc.gap_tol
 
 
 def test_resolve_trace_rejects_oversized_rank_budget():
     A = SparseDesignMatrix.from_dense(np.eye(5))
     loss = MatrixQuadraticLoss(B=np.zeros((5, 3)))
     with pytest.raises(ValueError, match="rank budget"):
-        resolve_trace(SolverConfig(radius=1.0, s=4), A, loss,
-                      Regularizer(mu=1.0))
-
-
-def test_resolve_trace_rejects_mu_mismatch():
-    A = SparseDesignMatrix.from_dense(np.eye(5))
-    loss = MatrixQuadraticLoss(B=np.zeros((5, 3)))
-    with pytest.raises(ConfigurationError, match="disagrees"):
-        resolve_trace(SolverConfig(radius=1.0, s=1, mu=0.7), A, loss,
-                      Regularizer(mu=1.0))
+        _resolve(SolverConfig(radius=1.0, s=4), A, loss,
+                 Regularizer(mu=1.0))
 
 
 # ---------------------------------------------------------------------------
