@@ -197,6 +197,19 @@ def sparse_l1_prox(v: np.ndarray, radius: float, s: int) -> SparseUpdate:
     return SparseUpdate(indices=support[keep], values=proj[keep])
 
 
+def _slice_positions(indptr: np.ndarray, sel: np.ndarray):
+    """Storage positions of the slices `sel` of a compressed layout, laid end
+    to end in the order of `sel`, and the length of each slice.
+
+    `sel` must be non-empty and in range; repeated entries repeat their slice.
+    """
+    starts, ends = indptr[sel], indptr[sel + 1]
+    counts = ends - starts
+    offsets = np.cumsum(counts)
+    pos = np.arange(offsets[-1]) + np.repeat(ends - offsets, counts)
+    return pos, counts
+
+
 def apply_sparse_col_product(A: SparseDesignMatrix, dx: SparseUpdate,
                              w: np.ndarray, scale_old: float,
                              scale_new: float) -> np.ndarray:
@@ -209,9 +222,9 @@ def apply_sparse_col_product(A: SparseDesignMatrix, dx: SparseUpdate,
     if dx.indices.min() < 0 or dx.indices.max() >= A.n_cols:
         raise ValueError("update indices out of column range")
     csc = A._csc
-    for j, val in zip(dx.indices, dx.values):
-        lo, hi = csc.indptr[j], csc.indptr[j + 1]
-        out[csc.indices[lo:hi]] += scale_new * val * csc.data[lo:hi]
+    pos, counts = _slice_positions(csc.indptr, dx.indices)
+    np.add.at(out, csc.indices[pos],
+              np.repeat(scale_new * dx.values, counts) * csc.data[pos])
     return out
 
 
@@ -230,7 +243,6 @@ def apply_row_slice_transpose(A: SparseDesignMatrix, rows: np.ndarray,
     if rows.min() < 0 or rows.max() >= A.n_rows:
         raise ValueError("row indices out of range")
     csr = A._csr
-    for i, coeff in zip(rows, dy):
-        lo, hi = csr.indptr[i], csr.indptr[i + 1]
-        out[csr.indices[lo:hi]] += coeff * csr.data[lo:hi]
+    pos, counts = _slice_positions(csr.indptr, rows)
+    np.add.at(out, csr.indices[pos], np.repeat(dy, counts) * csr.data[pos])
     return out

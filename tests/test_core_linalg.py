@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from pdbfw import pdbfw_l1
 from pdbfw.core_linalg import (SparseDesignMatrix, SparseUpdate,
                                apply_row_slice_transpose,
                                apply_sparse_col_product, project_l1_ball,
                                sparse_l1_prox, top_k_by_magnitude)
+from pdbfw.data_io import PortableRng
+from pdbfw.losses import Regularizer, smooth_hinge_loss
 
 
 def bisect_project(v, radius, iters=200):
@@ -291,6 +294,168 @@ def test_apply_row_slice_transpose_validates_shapes():
     with pytest.raises(ValueError):
         apply_row_slice_transpose(A, np.array([0, 1]), np.array([1.0]),
                                   np.zeros(4))
+
+
+def test_apply_sparse_col_product_rejects_out_of_range_columns():
+    A, _ = small_matrix()
+    for bad in (-1, 4):
+        update = SparseUpdate(indices=np.array([0, bad]),
+                              values=np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="column range"):
+            apply_sparse_col_product(A, update, np.zeros(3), 1.0, 1.0)
+
+
+def test_apply_sparse_col_product_rejects_wrong_w_shape():
+    A, _ = small_matrix()
+    update = SparseUpdate(indices=np.array([0]), values=np.array([1.0]))
+    for w in (np.zeros(4), np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="w has shape"):
+            apply_sparse_col_product(A, update, w, 1.0, 1.0)
+
+
+def test_apply_row_slice_transpose_rejects_out_of_range_rows():
+    A, _ = small_matrix()
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="row indices out of range"):
+            apply_row_slice_transpose(A, np.array([bad, 0]),
+                                      np.array([1.0, 1.0]), np.zeros(4))
+
+
+def test_repeated_slices_add_once_per_occurrence():
+    # a buffered `out[idx] += ...` over the gathered entries would keep only
+    # the last of two writes to one position; each repeat must add again
+    A, dense = small_matrix()
+    z = np.array([1.0, 0.0, -1.0, 2.0])
+    got = apply_row_slice_transpose(A, np.array([0, 0, 2]),
+                                    np.array([0.5, 0.25, -1.0]), z)
+    np.testing.assert_array_equal(got, z + 0.75 * dense[0] - dense[2])
+    w = np.array([1.0, -1.0, 2.0])
+    update = SparseUpdate(indices=np.array([3, 1, 3]),
+                          values=np.array([2.0, 1.0, 2.0]))
+    got = apply_sparse_col_product(A, update, w, 1.0, 1.0)
+    np.testing.assert_array_equal(
+        got, w + 4.0 * dense[:, 3] + dense[:, 1])
+
+
+# The per-slice loops the vectorized kernels replaced. The kernels must give
+# the same bits: they form the same products and add them into the output one
+# at a time, in the same order.
+
+def col_product_oracle(A, dx, w, scale_old, scale_new):
+    out = scale_old * w
+    csc = A._csc
+    for j, val in zip(dx.indices, dx.values):
+        lo, hi = csc.indptr[j], csc.indptr[j + 1]
+        out[csc.indices[lo:hi]] += scale_new * val * csc.data[lo:hi]
+    return out
+
+
+def row_transpose_oracle(A, rows, dy, z):
+    out = z.copy()
+    csr = A._csr
+    for i, coeff in zip(np.asarray(rows, dtype=np.int64), dy):
+        lo, hi = csr.indptr[i], csr.indptr[i + 1]
+        out[csr.indices[lo:hi]] += coeff * csr.data[lo:hi]
+    return out
+
+
+@st.composite
+def sparse_designs(draw):
+    """A small design with entries over eight decades, at least one empty
+    row and one empty column, and a seeded dense copy."""
+    n, d = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    dense = np.where(rng.random((n, d)) < density,
+                     rng.normal(size=(n, d))
+                     * 10.0 ** rng.integers(-4, 5, size=(n, d)), 0.0)
+    dense[draw(st.integers(0, n - 1))] = 0.0
+    dense[:, draw(st.integers(0, d - 1))] = 0.0
+    return SparseDesignMatrix.from_dense(dense), rng
+
+
+coefficients = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_designs(), st.data())
+def test_apply_sparse_col_product_bit_identical_to_loop(design, data):
+    A, rng = design
+    cols = data.draw(st.lists(st.integers(0, A.n_cols - 1), max_size=12))
+    dx = SparseUpdate(indices=np.array(cols, dtype=np.int64),
+                      values=np.array(data.draw(st.lists(
+                          coefficients, min_size=len(cols),
+                          max_size=len(cols))), dtype=np.float64))
+    scale_old, scale_new = data.draw(coefficients), data.draw(coefficients)
+    w = rng.normal(size=A.n_rows)
+    w_before = w.copy()
+    got = apply_sparse_col_product(A, dx, w, scale_old, scale_new)
+    expect = col_product_oracle(A, dx, w, scale_old, scale_new)
+    assert np.array_equal(got, expect)
+    assert np.array_equal(w, w_before)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_designs(), st.data())
+def test_apply_row_slice_transpose_bit_identical_to_loop(design, data):
+    A, rng = design
+    rows = np.array(data.draw(st.lists(st.integers(0, A.n_rows - 1),
+                                       max_size=12)), dtype=np.int64)
+    dy = np.array(data.draw(st.lists(coefficients, min_size=rows.size,
+                                     max_size=rows.size)), dtype=np.float64)
+    z = rng.normal(size=A.n_cols)
+    z_before = z.copy()
+    got = apply_row_slice_transpose(A, rows, dy, z)
+    assert np.array_equal(got, row_transpose_oracle(A, rows, dy, z))
+    assert np.array_equal(z, z_before)
+
+
+@pytest.mark.parametrize("sel", [[], [1], [2], [3, 0, 3, 1], [2, 2]])
+def test_update_kernels_match_loop_on_edge_selections(sel):
+    # column 2 of the design and row 1 are empty; [1] is a one-column update
+    dense = np.array([[1.0, 0.0, 0.0, 2.5],
+                      [0.0, 0.0, 0.0, 0.0],
+                      [-3.0, 1e-3, 0.0, 7.0],
+                      [0.0, 4.0, 0.0, -1e5]])
+    A = SparseDesignMatrix.from_dense(dense)
+    idx = np.array(sel, dtype=np.int64)
+    coef = np.linspace(-1.3, 2.1, idx.size)
+    base = np.array([0.1, -0.2, 0.3, 1e7])
+    dx = SparseUpdate(indices=idx, values=coef)
+    assert np.array_equal(apply_sparse_col_product(A, dx, base, 0.9, 0.1),
+                          col_product_oracle(A, dx, base, 0.9, 0.1))
+    assert np.array_equal(apply_row_slice_transpose(A, idx, coef, base),
+                          row_transpose_oracle(A, idx, coef, base))
+
+
+def test_solve_trace_unchanged_against_loop_kernels(monkeypatch):
+    n, d = 60, 150
+    rng = PortableRng(7)
+    flat = np.flatnonzero(rng.uniforms(n * d) < 0.08)
+    r, c = flat // d, flat % d
+    keep = (r % 17 != 5) & (c % 23 != 4)  # leave a few rows and columns empty
+    A = SparseDesignMatrix.from_coo(n, d, r[keep], c[keep],
+                                    rng.normals(int(keep.sum())))
+    assert A.row_nnz.min() == 0 and A.col_nnz.min() == 0
+    loss = smooth_hinge_loss(np.where(rng.uniforms(n) > 0.5, 1.0, -1.0))
+    cfg = pdbfw_l1.SolverConfig(radius=2.0, s=12, k=20, delta=50.0,
+                                max_iters=60, gap_tol=1e-12)
+
+    def run():
+        x, y, trace = pdbfw_l1.solve(A, loss, Regularizer(mu=0.1), cfg)
+        rows = [(r.iteration, r.primal, r.dual, r.gap, r.flops, r.support)
+                for r in trace.records]
+        return x, y, rows
+
+    x, y, rows = run()
+    monkeypatch.setattr(pdbfw_l1, "apply_sparse_col_product",
+                        col_product_oracle)
+    monkeypatch.setattr(pdbfw_l1, "apply_row_slice_transpose",
+                        row_transpose_oracle)
+    x_loop, y_loop, rows_loop = run()
+    assert len(rows) > 10
+    assert rows == rows_loop
+    assert np.array_equal(x, x_loop) and np.array_equal(y, y_loop)
 
 
 def test_sparse_update_dense_roundtrip():
