@@ -75,6 +75,21 @@ class SparseDesignMatrix:
         out = self._csr.T @ np.asarray(y, dtype=np.float64)
         return np.asarray(out)
 
+    def row(self, i: int):
+        """(column indices, values) of row i's nonzeros, as views into the
+        CSR layout; callers must not write to them."""
+        lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
+        return self._csr.indices[lo:hi], self._csr.data[lo:hi]
+
+    def divide_rows(self, divisors) -> "SparseDesignMatrix":
+        """The matrix with row i divided by divisors[i], built on the CSR
+        nonzeros without densifying."""
+        csr = self._csr
+        data = csr.data / np.repeat(np.asarray(divisors, dtype=np.float64),
+                                    self.row_nnz)
+        return SparseDesignMatrix(
+            sp.csr_matrix((data, csr.indices, csr.indptr), shape=self.shape))
+
     def row_dot(self, i: int, x: np.ndarray) -> float:
         """a_i' x touching only row i's nonzeros."""
         lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]

@@ -197,11 +197,10 @@ def write_libsvm(dataset: Dataset, destination: Union[str, TextIO]) -> None:
     else:
         handle, owned = destination, False
     try:
-        dense = dataset.matrix.to_dense()
         for i in range(dataset.matrix.n_rows):
             parts = [repr(float(dataset.labels[i]))]
-            for j in np.flatnonzero(dense[i]):
-                parts.append(f"{j + 1}:{float(dense[i, j])!r}")
+            for j, value in zip(*dataset.matrix.row(i)):
+                parts.append(f"{j + 1}:{float(value)!r}")
             handle.write(" ".join(parts) + "\n")
     finally:
         if owned:
@@ -209,11 +208,12 @@ def write_libsvm(dataset: Dataset, destination: Union[str, TextIO]) -> None:
 
 
 def normalize_rows(dataset: Dataset) -> Dataset:
-    """Scale every nonzero row to unit Euclidean norm. Idempotent."""
-    dense = dataset.matrix.to_dense()
-    norms = np.linalg.norm(dense, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    matrix = SparseDesignMatrix.from_dense(dense / safe[:, None])
+    """Scale every nonzero row to unit Euclidean norm. Idempotent.
+
+    Works on the nonzeros alone, with the norms cached at construction.
+    """
+    norms = np.sqrt(dataset.matrix.row_norms_sq)
+    matrix = dataset.matrix.divide_rows(np.where(norms > 0.0, norms, 1.0))
     meta = dataset.meta._replace(nnz=matrix.nnz)
     return Dataset(matrix=matrix, labels=dataset.labels.copy(), meta=meta)
 

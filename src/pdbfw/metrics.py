@@ -118,12 +118,21 @@ def dual_objective(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
 def dual_objective_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
                          reg: Regularizer, Y: np.ndarray, radius: float,
                          Z: np.ndarray = None) -> float:
-    """Matrix analog of dual_objective over the trace-norm ball."""
+    """Matrix analog of dual_objective over the trace-norm ball.
+
+    The inner minimizer is project_nuclear_ball(C, radius) with
+    C = -Z/(n mu): it keeps the singular vectors of C and maps its singular
+    values sv to p = project_l1_ball(sv, radius). Both terms of the inner
+    value are then spectral, (mu/2)||X||^2 = (mu/2) p.p and
+    <Z, X>/n = -mu <C, X> = -mu sv.p, so only the singular values are needed.
+    """
     n = A.n_rows
+    mu = reg.mu
     if Z is None:
         Z = A.rmatvec(Y)
-    X_hat = project_nuclear_ball(-Z / (n * reg.mu), radius)
-    return (reg.value(X_hat) + float(np.vdot(Z, X_hat)) / n
+    sv = np.linalg.svd(-Z / (n * mu), compute_uv=False)
+    p = project_l1_ball(sv, radius)
+    return (0.5 * mu * float(p @ p) - mu * float(sv @ p)
             - loss.conjugate_sum(Y) / n)
 
 

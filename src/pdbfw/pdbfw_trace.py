@@ -98,6 +98,17 @@ def compute_r_k(A: SparseDesignMatrix, k: int, exact_limit: int = 2000) -> float
     return A.spectral_norm_sq()
 
 
+@functools.lru_cache(maxsize=16)
+def _power_start(c: int, b: int) -> np.ndarray:
+    """Orthonormal c x b start block of the power iteration, read-only.
+
+    It depends on the shape alone, so it is drawn and QR-factored once.
+    """
+    Q, _ = np.linalg.qr(PortableRng(_POWER_SEED).normals(c * b).reshape(c, b))
+    Q.flags.writeable = False
+    return Q
+
+
 def approx_lowrank_prox(M: np.ndarray, radius: float, s: int,
                         max_sweeps: int = POWER_MAX_SWEEPS,
                         tol: float = POWER_TOL) -> LowRankFactor:
@@ -120,9 +131,7 @@ def approx_lowrank_prox(M: np.ndarray, radius: float, s: int,
     if scale == 0.0:
         return LowRankFactor.zero(d, c)
 
-    b = min(s_eff + POWER_OVERSAMPLE, d, c)
-    start = PortableRng(_POWER_SEED).normals(c * b).reshape(c, b)
-    Q, _ = np.linalg.qr(start)
+    Q = _power_start(c, min(s_eff + POWER_OVERSAMPLE, d, c))
     residual = np.inf
     left = sv = right = None
     for sweep in range(max_sweeps):

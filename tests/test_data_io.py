@@ -10,6 +10,7 @@ import io
 import numpy as np
 import pytest
 
+from pdbfw.core_linalg import SparseDesignMatrix
 from pdbfw.data_io import (Dataset, DatasetMeta, ParseError, PortableRng,
                            SyntheticSpec, generate_synthetic, normalize_rows,
                            parse_libsvm, write_libsvm)
@@ -239,6 +240,82 @@ def test_normalize_rows_copies_labels():
     out = normalize_rows(ds)
     out.labels[0] = 99.0
     assert ds.labels[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Sparse inputs are never densified
+
+_WIDE_D = 10 ** 7
+
+
+def _refuse_dense(monkeypatch):
+    def refuse(self):
+        raise AssertionError(
+            f"to_dense called on a {self.n_rows}x{self.n_cols} design")
+    monkeypatch.setattr(SparseDesignMatrix, "to_dense", refuse)
+
+
+def _very_sparse_dataset():
+    # 3 x 10^7 design with 5 nonzeros and an empty middle row; its dense
+    # copy would take 240 MB
+    matrix = SparseDesignMatrix.from_coo(
+        3, _WIDE_D, np.array([0, 0, 0, 2, 2]),
+        np.array([4, 123_456, _WIDE_D - 1, 0, _WIDE_D - 2]),
+        np.array([3.0, -4.0, 12.0, 0.5, -1e-3]))
+    return Dataset(matrix=matrix, labels=np.array([1.0, -1.0, 0.25]),
+                   meta=DatasetMeta("wide", 3, _WIDE_D, matrix.nnz))
+
+
+def test_normalize_rows_never_densifies(monkeypatch):
+    ds = _very_sparse_dataset()
+    _refuse_dense(monkeypatch)
+    out = normalize_rows(ds)
+    # [DERIVED] row 0 is (3, -4, 12) with norm 13; the empty row stays empty
+    cols, vals = out.matrix.row(0)
+    np.testing.assert_array_equal(cols, [4, 123_456, _WIDE_D - 1])
+    np.testing.assert_array_equal(vals, [3.0 / 13.0, -4.0 / 13.0, 12.0 / 13.0])
+    assert out.matrix.row(1)[0].size == 0
+    np.testing.assert_allclose(out.matrix.row_norms_sq, [1.0, 0.0, 1.0],
+                               rtol=1e-15)
+    assert out.matrix.shape == (3, _WIDE_D)
+    assert out.meta.nnz == 5
+
+
+def test_write_libsvm_never_densifies(monkeypatch):
+    ds = _very_sparse_dataset()
+    _refuse_dense(monkeypatch)
+    sink = io.StringIO()
+    write_libsvm(ds, sink)
+    assert sink.getvalue() == ("1.0 5:3.0 123457:-4.0 10000000:12.0\n"
+                               "-1.0\n"
+                               "0.25 1:0.5 9999999:-0.001\n")
+
+
+def _dense_route_text(dataset):
+    """Oracle: the writer's text built from the dense rows."""
+    dense = dataset.matrix.to_dense()
+    lines = []
+    for i in range(dense.shape[0]):
+        parts = [repr(float(dataset.labels[i]))]
+        for j in np.flatnonzero(dense[i]):
+            parts.append(f"{j + 1}:{float(dense[i, j])!r}")
+        lines.append(" ".join(parts) + "\n")
+    return "".join(lines)
+
+
+def test_write_libsvm_text_matches_dense_route():
+    rng = PortableRng(41)
+    for trial in range(6):
+        n, d = 12, 40
+        keep = rng.uniforms(n * d).reshape(n, d) < 0.05 + 0.15 * trial
+        values = rng.normals(n * d).reshape(n, d) * 10.0 ** (trial - 3)
+        matrix = SparseDesignMatrix.from_dense(np.where(keep, values, 0.0))
+        ds = Dataset(matrix=matrix, labels=rng.normals(n),
+                     meta=DatasetMeta("m", n, d, matrix.nnz))
+        for data in (ds, normalize_rows(ds)):
+            sink = io.StringIO()
+            write_libsvm(data, sink)
+            assert sink.getvalue() == _dense_route_text(data)
 
 
 # ---------------------------------------------------------------------------

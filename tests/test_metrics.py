@@ -4,11 +4,15 @@ Oracle notes:
   - the nuclear projection is checked against an independent spectrum
     bisection (solve for the soft-threshold level directly);
   - the inner minimization of the dual objective is checked against SLSQP on
-    the positive/negative split formulation of the l1 ball.
+    the positive/negative split formulation of the l1 ball;
+  - the trace-norm dual objective, which works from singular values alone,
+    is checked against the dense route: project -Z/(n mu) onto the ball with
+    project_nuclear_ball and evaluate the inner objective at that matrix.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from pdbfw.core_linalg import SparseDesignMatrix
@@ -306,6 +310,71 @@ def test_dual_objective_trace_accepts_precomputed_z():
     Z = A.rmatvec(Y)
     assert dual_objective_trace(A, loss, reg, Y, 1.0, Z=Z) == \
         dual_objective_trace(A, loss, reg, Y, 1.0)
+
+
+def _dense_route_dual_trace(A, loss, reg, Y, radius, Z):
+    """Oracle: D(Y) through the dense minimizer X_hat; returns the value and
+    its inner part, the objective at X_hat before the conjugate term."""
+    n = A.n_rows
+    X_hat = project_nuclear_ball(-Z / (n * reg.mu), radius)
+    inner = reg.value(X_hat) + float(np.vdot(Z, X_hat)) / n
+    return inner - loss.conjugate_sum(Y) / n, inner
+
+
+def _low_rank(rng, d, c, rank, scale):
+    if rank == 0:
+        return np.zeros((d, c))
+    return scale * (rng.normals(d * rank).reshape(d, rank)
+                    @ rng.normals(c * rank).reshape(rank, c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       d=st.integers(1, 7), c=st.integers(1, 7),
+       rank_cut=st.integers(0, 7),
+       scale=st.floats(1e-3, 1e3),
+       mu=st.floats(0.05, 5.0),
+       radius_factor=st.floats(0.01, 3.0))
+def test_dual_objective_trace_matches_dense_route(seed, d, c, rank_cut, scale,
+                                                  mu, radius_factor):
+    # [DERIVED] tall (d > c), wide (d < c), rank-deficient and zero Z; the
+    # radius is a multiple of the nuclear norm of -Z/(n mu), so a factor
+    # below 1 binds and one of 1 or more leaves the ball feasible
+    rng = PortableRng(seed)
+    n = 4
+    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
+    reg = Regularizer(mu=mu)
+    Y = rng.normals(n * c).reshape(n, c)
+    Z = _low_rank(rng, d, c, min(rank_cut, d, c), scale)
+    nuclear = np.linalg.svd(Z, compute_uv=False).sum() / (n * mu)
+    radius = max(radius_factor * nuclear, 1e-3)
+    got = dual_objective_trace(A, loss, reg, Y, radius, Z=Z)
+    want, inner = _dense_route_dual_trace(A, loss, reg, Y, radius, Z)
+    # both routes subtract the same conjugate term, which can cancel the
+    # inner value; the tolerance is relative to the larger of the two
+    assert abs(got - want) <= 1e-12 * max(abs(want), abs(inner))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 6), d=st.integers(1, 6), c=st.integers(1, 6),
+       mu=st.floats(0.05, 5.0), radius=st.floats(0.1, 10.0),
+       fill=st.floats(0.0, 1.0))
+def test_trace_weak_duality_on_random_instances(seed, n, d, c, mu, radius,
+                                                fill):
+    # weak duality: P(X) >= D(Y) for every X in the trace-norm ball and
+    # every Y (the matrix quadratic conjugate is finite everywhere)
+    rng = PortableRng(seed)
+    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
+    reg = Regularizer(mu=mu)
+    Y = 3.0 * rng.normals(n * c).reshape(n, c)
+    X = rng.normals(d * c).reshape(d, c)
+    X *= fill * radius / np.linalg.svd(X, compute_uv=False).sum()
+    primal = loss.mean_value(A.matvec(X)) + reg.value(X)
+    dual = dual_objective_trace(A, loss, reg, Y, radius)
+    assert primal >= dual - 1e-12 * max(1.0, abs(primal), abs(dual))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from pdbfw.losses import MatrixQuadraticLoss, Regularizer, quadratic_loss
 from pdbfw.metrics import project_nuclear_ball
 from pdbfw.pdbfw_l1 import SolverConfig, SolverState, resolve
 from pdbfw.pdbfw_l1 import dual_step as dual_step_vector
+from pdbfw import pdbfw_trace
 from pdbfw.pdbfw_trace import (ApproximationError, LmoAuditRecord,
                                LowRankFactor, _exact_lowrank_prox_dense,
                                approx_lowrank_prox, compute_r_k,
@@ -120,6 +121,37 @@ def test_approx_prox_sweep_budget_failure():
         approx_lowrank_prox(M, 1.0, 2, max_sweeps=1)
     assert exc.value.residual > 1e-10
     assert "did not converge" in str(exc.value)
+
+
+def _fresh_power_start(c, b):
+    """The power-iteration start built from scratch on every call."""
+    start = PortableRng(pdbfw_trace._POWER_SEED).normals(c * b).reshape(c, b)
+    Q, _ = np.linalg.qr(start)
+    return Q
+
+
+def test_power_start_is_read_only_and_matches_fresh_build():
+    for c, b in ((7, 3), (12, 6), (60, 12)):
+        Q = pdbfw_trace._power_start(c, b)
+        np.testing.assert_array_equal(Q, _fresh_power_start(c, b))
+        assert not Q.flags.writeable
+        with pytest.raises(ValueError):
+            Q[0, 0] = 1.0
+        assert pdbfw_trace._power_start(c, b) is Q
+
+
+def test_approx_prox_bit_identical_with_and_without_cache(monkeypatch):
+    rng = PortableRng(230)
+    cases = [(_spectrum_matrix(rng, 9, 7, [5.0, 3.0, 1.0, 0.2]), 4.0, 3),
+             (_spectrum_matrix(rng, 6, 11, [2.0, 1.5, 0.5]), 2.0, 2)]
+    cached = [approx_lowrank_prox(M, r, s) for M, r, s in cases]
+    again = [approx_lowrank_prox(M, r, s) for M, r, s in cases]
+    monkeypatch.setattr(pdbfw_trace, "_power_start", _fresh_power_start)
+    fresh = [approx_lowrank_prox(M, r, s) for M, r, s in cases]
+    for f, g, h in zip(cached, again, fresh):
+        for attr in ("left", "singular", "right"):
+            assert np.array_equal(getattr(f, attr), getattr(h, attr))
+            assert np.array_equal(getattr(g, attr), getattr(h, attr))
 
 
 def test_approx_prox_validation():
