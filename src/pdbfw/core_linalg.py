@@ -21,6 +21,13 @@ class SparseDesignMatrix:
     Rows are samples, columns are features. Both layouts encode the identical
     matrix with strictly increasing indices and no duplicates; per-row squared
     norms are cached at construction.
+
+    When every entry is stored (nnz == n_rows * n_cols; an exact zero is
+    dropped, so one zero entry makes the design sparse), the CSR data array
+    is the row-major n x d matrix and the CSC data array the column-major
+    one. `_dense_rows` (n x d) and `_dense_cols` (d x n, row j is column j)
+    are then read-only views of them, which the update kernels use; they
+    copy nothing. On any other design both are None.
     """
 
     def __init__(self, matrix):
@@ -40,6 +47,12 @@ class SparseDesignMatrix:
         self.row_nnz = np.diff(csr.indptr).astype(np.int64)
         self.col_nnz = np.diff(self._csc.indptr).astype(np.int64)
         self.nnz = int(csr.nnz)
+        self._dense_rows = self._dense_cols = None
+        if self.nnz == self.n_rows * self.n_cols:
+            self._dense_rows = csr.data.reshape(self.n_rows, self.n_cols)
+            self._dense_cols = self._csc.data.reshape(self.n_cols, self.n_rows)
+            self._dense_rows.flags.writeable = False
+            self._dense_cols.flags.writeable = False
 
     @classmethod
     def from_dense(cls, array) -> "SparseDesignMatrix":
@@ -103,7 +116,12 @@ class SparseDesignMatrix:
         out[cols] += coeff * self._csr.data[lo:hi]
 
     def row_submatrix_t_dot(self, rows, block) -> np.ndarray:
-        """A_{rows,:}' @ block for a k x m dense block; returns d x m."""
+        """A_{rows,:}' @ block for a k x m dense block; returns d x m.
+
+        A fully stored design multiplies its dense rows with BLAS, which sums
+        in another order than the sparse product."""
+        if self._dense_rows is not None:
+            return self._dense_rows[rows].T @ np.asarray(block, dtype=np.float64)
         sub = self._csr[rows, :]
         return np.asarray(sub.T @ np.asarray(block, dtype=np.float64))
 
@@ -225,6 +243,25 @@ def _slice_positions(indptr: np.ndarray, sel: np.ndarray):
     return pos, counts
 
 
+def _dense_slices_sum(dense: np.ndarray, sel: np.ndarray,
+                       coeffs: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """first + sum_i coeffs[i] * dense[sel[i]], with the terms added one row
+    at a time in the order of `sel`, as `np.add.at` adds them on the sparse
+    route; the products are the same too, so the result has the same bits.
+
+    `sel` must be non-empty and in range: `take` runs with mode="clip", which
+    skips numpy's buffering of `out` and would clip a bad index silently.
+    """
+    buf = np.empty((sel.size + 1, dense.shape[1]))
+    buf[0] = first
+    np.take(dense, sel, axis=0, out=buf[1:], mode="clip")
+    buf[1:] *= coeffs[:, None]
+    if buf.shape[1] == 1:
+        # numpy reduces a lone column pairwise; accumulate keeps the order
+        return np.add.accumulate(buf, axis=0)[-1]
+    return np.add.reduce(buf, axis=0)
+
+
 def apply_sparse_col_product(A: SparseDesignMatrix, dx: SparseUpdate,
                              w: np.ndarray, scale_old: float,
                              scale_new: float) -> np.ndarray:
@@ -236,6 +273,9 @@ def apply_sparse_col_product(A: SparseDesignMatrix, dx: SparseUpdate,
         return out
     if dx.indices.min() < 0 or dx.indices.max() >= A.n_cols:
         raise ValueError("update indices out of column range")
+    if A._dense_cols is not None:
+        return _dense_slices_sum(A._dense_cols, dx.indices,
+                                 scale_new * dx.values, out)
     csc = A._csc
     pos, counts = _slice_positions(csc.indptr, dx.indices)
     np.add.at(out, csc.indices[pos],
@@ -257,6 +297,8 @@ def apply_row_slice_transpose(A: SparseDesignMatrix, rows: np.ndarray,
         return out
     if rows.min() < 0 or rows.max() >= A.n_rows:
         raise ValueError("row indices out of range")
+    if A._dense_rows is not None:
+        return _dense_slices_sum(A._dense_rows, rows, dy, out)
     csr = A._csr
     pos, counts = _slice_positions(csr.indptr, rows)
     np.add.at(out, csr.indices[pos], np.repeat(dy, counts) * csr.data[pos])

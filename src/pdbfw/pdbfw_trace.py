@@ -83,11 +83,18 @@ class LmoAuditRecord:
 
 def compute_r_k(A: SparseDesignMatrix, k: int, exact_limit: int = 2000) -> float:
     """max over k-row subsets of sigma_max(A_I)^2, exactly when the subset
-    count is small, otherwise upper-bounded by sigma_max(A)^2."""
+    count is small, otherwise upper-bounded by sigma_max(A)^2.
+
+    k = 1 is exactly the largest squared row norm, and k = n takes the
+    fallback's estimate of sigma_max(A)^2: neither needs the dense copy that
+    the enumeration makes.
+    """
     n = A.n_rows
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if math.comb(n, k) <= exact_limit:
+    if k == 1:
+        return A.max_row_norm_sq
+    if k < n and math.comb(n, k) <= exact_limit:
         dense = A.to_dense()
         best = 0.0
         for subset in itertools.combinations(range(n), k):
@@ -219,7 +226,7 @@ def dual_step_trace(state: SolverState, cfg: SolverConfig,
     rows = top_k_by_magnitude(np.linalg.norm(diff, axis=1), cfg.k)
     dY = diff[rows]
     state.y[rows] = Y_tilde[rows]
-    state.z = state.z + A.row_submatrix_t_dot(rows, dY)
+    state.z += A.row_submatrix_t_dot(rows, dY)
     state.flops += int(A.row_nnz[rows].sum()) * loss.n_tasks
     return rows
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import pdbfw
 from pdbfw.cli import (CSV_HEADER, EXIT_OK, EXIT_SOLVER_FAILURE, EXIT_USAGE,
                        RunSpec, compare, main, run)
 
@@ -248,21 +249,29 @@ def test_compare_rejects_foreign_header(tmp_path, capsys):
 # Process-level entry point
 
 
+def run_module(*args):
+    """`python -m pdbfw.cli args` importing the same package as the tests,
+    also from a checkout where it is not installed."""
+    src = os.path.dirname(os.path.dirname(pdbfw.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "pdbfw.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
 def test_module_entry_point_runs_in_subprocess(tmp_path):
     out = str(tmp_path / "res")
-    result = subprocess.run(
-        [sys.executable, "-m", "pdbfw.cli", "run", "--synthetic",
-         "sparse_regression", "--n", "20", "--d", "8", "--sparsity", "2",
-         "--radius", "3.0", "--max-iters", "15", "--output-dir", out],
-        capture_output=True, text=True)
+    result = run_module(
+        "run", "--synthetic", "sparse_regression", "--n", "20", "--d", "8",
+        "--sparsity", "2", "--radius", "3.0", "--max-iters", "15",
+        "--output-dir", out)
     assert result.returncode == EXIT_OK, result.stderr
     assert os.path.exists(os.path.join(out, "pdbfw.csv"))
 
 
 def test_module_entry_point_usage_error_code():
-    result = subprocess.run(
-        [sys.executable, "-m", "pdbfw.cli", "run", "--synthetic",
-         "sparse_regression", "--solvers", "bogus"],
-        capture_output=True, text=True)
+    result = run_module("run", "--synthetic", "sparse_regression",
+                        "--solvers", "bogus")
     assert result.returncode == EXIT_USAGE
     assert "bogus" in result.stderr

@@ -359,6 +359,12 @@ def row_transpose_oracle(A, rows, dy, z):
     return out
 
 
+def _random_entries(rng, n, d):
+    """n x d normals scaled over eight decades, none of them zero."""
+    vals = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-4, 5, size=(n, d))
+    return np.where(vals == 0.0, 1.0, vals)
+
+
 @st.composite
 def sparse_designs(draw):
     """A small design with entries over eight decades, at least one empty
@@ -367,20 +373,28 @@ def sparse_designs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.2, 0.5, 1.0]))
     dense = np.where(rng.random((n, d)) < density,
-                     rng.normal(size=(n, d))
-                     * 10.0 ** rng.integers(-4, 5, size=(n, d)), 0.0)
+                     _random_entries(rng, n, d), 0.0)
     dense[draw(st.integers(0, n - 1))] = 0.0
     dense[:, draw(st.integers(0, d - 1))] = 0.0
     return SparseDesignMatrix.from_dense(dense), rng
 
 
+@st.composite
+def dense_designs(draw):
+    """A small design that stores every entry, so the kernels take the
+    dense route; entries span eight decades. One-row and one-column shapes
+    are included: there a kernel sums a single column of terms."""
+    n, d = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = SparseDesignMatrix.from_dense(_random_entries(rng, n, d))
+    assert A._dense_rows is not None and A._dense_cols is not None
+    return A, rng
+
+
 coefficients = st.floats(-1e6, 1e6, allow_nan=False)
 
 
-@settings(max_examples=300, deadline=None)
-@given(sparse_designs(), st.data())
-def test_apply_sparse_col_product_bit_identical_to_loop(design, data):
-    A, rng = design
+def check_col_product(A, rng, data):
     cols = data.draw(st.lists(st.integers(0, A.n_cols - 1), max_size=12))
     dx = SparseUpdate(indices=np.array(cols, dtype=np.int64),
                       values=np.array(data.draw(st.lists(
@@ -395,10 +409,7 @@ def test_apply_sparse_col_product_bit_identical_to_loop(design, data):
     assert np.array_equal(w, w_before)
 
 
-@settings(max_examples=300, deadline=None)
-@given(sparse_designs(), st.data())
-def test_apply_row_slice_transpose_bit_identical_to_loop(design, data):
-    A, rng = design
+def check_row_transpose(A, rng, data):
     rows = np.array(data.draw(st.lists(st.integers(0, A.n_rows - 1),
                                        max_size=12)), dtype=np.int64)
     dy = np.array(data.draw(st.lists(coefficients, min_size=rows.size,
@@ -410,14 +421,43 @@ def test_apply_row_slice_transpose_bit_identical_to_loop(design, data):
     assert np.array_equal(z, z_before)
 
 
-@pytest.mark.parametrize("sel", [[], [1], [2], [3, 0, 3, 1], [2, 2]])
-def test_update_kernels_match_loop_on_edge_selections(sel):
-    # column 2 of the design and row 1 are empty; [1] is a one-column update
-    dense = np.array([[1.0, 0.0, 0.0, 2.5],
-                      [0.0, 0.0, 0.0, 0.0],
-                      [-3.0, 1e-3, 0.0, 7.0],
-                      [0.0, 4.0, 0.0, -1e5]])
+@settings(max_examples=300, deadline=None)
+@given(sparse_designs(), st.data())
+def test_apply_sparse_col_product_bit_identical_to_loop(design, data):
+    check_col_product(*design, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_designs(), st.data())
+def test_apply_row_slice_transpose_bit_identical_to_loop(design, data):
+    check_row_transpose(*design, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_designs(), st.data())
+def test_apply_sparse_col_product_dense_route_bit_identical_to_loop(
+        design, data):
+    check_col_product(*design, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_designs(), st.data())
+def test_apply_row_slice_transpose_dense_route_bit_identical_to_loop(
+        design, data):
+    check_row_transpose(*design, data)
+
+
+# column 2 and row 1 are empty
+EDGE_DESIGN = np.array([[1.0, 0.0, 0.0, 2.5],
+                        [0.0, 0.0, 0.0, 0.0],
+                        [-3.0, 1e-3, 0.0, 7.0],
+                        [0.0, 4.0, 0.0, -1e5]])
+EDGE_SELECTIONS = [[], [1], [2], [3, 0, 3, 1], [2, 2]]
+
+
+def check_edge_selection(dense, sel):
     A = SparseDesignMatrix.from_dense(dense)
+    assert (A._dense_rows is None) == (0.0 in dense)
     idx = np.array(sel, dtype=np.int64)
     coef = np.linspace(-1.3, 2.1, idx.size)
     base = np.array([0.1, -0.2, 0.3, 1e7])
@@ -428,15 +468,105 @@ def test_update_kernels_match_loop_on_edge_selections(sel):
                           row_transpose_oracle(A, idx, coef, base))
 
 
-def test_solve_trace_unchanged_against_loop_kernels(monkeypatch):
+# [1] is a one-column update
+@pytest.mark.parametrize("sel", EDGE_SELECTIONS)
+def test_update_kernels_match_loop_on_edge_selections(sel):
+    check_edge_selection(EDGE_DESIGN, sel)
+
+
+@pytest.mark.parametrize("sel", EDGE_SELECTIONS)
+def test_update_kernels_match_loop_on_dense_edge_selections(sel):
+    check_edge_selection(np.where(EDGE_DESIGN == 0.0, -0.5, EDGE_DESIGN), sel)
+
+
+def test_dense_route_keeps_order_on_a_single_column_of_terms():
+    # on a one-row design (column product) and a one-column design (row
+    # product) numpy would sum the terms pairwise; the loop adds them in order
+    rng = np.random.default_rng(5)
+    idx = rng.integers(0, 30, size=40)
+    coef = rng.normal(size=40) * 10.0 ** rng.integers(-8, 9, size=40)
+    one_row = SparseDesignMatrix.from_dense(_random_entries(rng, 1, 30))
+    dx = SparseUpdate(indices=idx, values=coef)
+    assert np.array_equal(
+        apply_sparse_col_product(one_row, dx, np.ones(1), 0.5, 3.0),
+        col_product_oracle(one_row, dx, np.ones(1), 0.5, 3.0))
+    one_col = SparseDesignMatrix.from_dense(_random_entries(rng, 30, 1))
+    assert np.array_equal(
+        apply_row_slice_transpose(one_col, idx, coef, np.ones(1)),
+        row_transpose_oracle(one_col, idx, coef, np.ones(1)))
+
+
+def test_one_exact_zero_sends_a_design_to_the_sparse_route():
+    rng = np.random.default_rng(11)
+    dense = _random_entries(rng, 6, 5)
+    assert SparseDesignMatrix.from_dense(dense)._dense_rows is not None
+    dense[4, 2] = 0.0
+    A = SparseDesignMatrix.from_dense(dense)
+    assert A.nnz == 29
+    assert A._dense_rows is None and A._dense_cols is None
+    idx = np.array([4, 2, 2, 0])
+    coef = np.array([1.5, -2.0, 1e-6, 3e5])
+    dx = SparseUpdate(indices=idx, values=coef)
+    w, z = rng.normal(size=6), rng.normal(size=5)
+    assert np.array_equal(apply_sparse_col_product(A, dx, w, 0.75, 0.25),
+                          col_product_oracle(A, dx, w, 0.75, 0.25))
+    assert np.array_equal(apply_row_slice_transpose(A, idx, coef, z),
+                          row_transpose_oracle(A, idx, coef, z))
+    np.testing.assert_array_equal(
+        A.row_submatrix_t_dot(idx, np.ones((4, 2))), dense[idx].T @ np.ones((4, 2)))
+
+
+def test_dense_views_copy_nothing_and_are_read_only():
+    rng = np.random.default_rng(3)
+    A = SparseDesignMatrix.from_dense(_random_entries(rng, 4, 7))
+    assert np.shares_memory(A._dense_rows, A._csr.data)
+    assert np.shares_memory(A._dense_cols, A._csc.data)
+    np.testing.assert_array_equal(A._dense_rows, A.to_dense())
+    np.testing.assert_array_equal(A._dense_cols, A.to_dense().T)
+    assert not A._dense_rows.flags.writeable
+    assert not A._dense_cols.flags.writeable
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_designs(), st.data())
+def test_row_submatrix_t_dot_dense_route(design, data):
+    A, rng = design
+    rows = np.array(data.draw(st.lists(st.integers(0, A.n_rows - 1),
+                                       min_size=1, max_size=12)),
+                    dtype=np.int64)
+    block = rng.normal(size=(rows.size, data.draw(st.integers(1, 5))))
+    got = A.row_submatrix_t_dot(rows, block)
+    sub = A.to_dense()[rows]
+    # the error bound of any summation order, at 1e-13 relative
+    scale = np.abs(sub).T @ np.abs(block)
+    assert got.shape == (A.n_cols, block.shape[1])
+    assert np.all(np.abs(got - sub.T @ block) <= 1e-13 * scale)
+    sparse_route = SparseDesignMatrix.from_dense(A.to_dense())
+    sparse_route._dense_rows = None
+    assert np.all(np.abs(got - sparse_route.row_submatrix_t_dot(rows, block))
+                  <= 1e-13 * scale)
+
+
+def _solver_design(kind):
     n, d = 60, 150
     rng = PortableRng(7)
+    if kind == "dense":
+        return SparseDesignMatrix.from_dense(
+            rng.normals(n * d).reshape(n, d)), rng
     flat = np.flatnonzero(rng.uniforms(n * d) < 0.08)
     r, c = flat // d, flat % d
     keep = (r % 17 != 5) & (c % 23 != 4)  # leave a few rows and columns empty
     A = SparseDesignMatrix.from_coo(n, d, r[keep], c[keep],
                                     rng.normals(int(keep.sum())))
     assert A.row_nnz.min() == 0 and A.col_nnz.min() == 0
+    return A, rng
+
+
+@pytest.mark.parametrize("kind", ["sparse", "dense"])
+def test_solve_unchanged_against_loop_kernels(monkeypatch, kind):
+    A, rng = _solver_design(kind)
+    assert (A._dense_rows is not None) == (kind == "dense")
+    n = A.n_rows
     loss = smooth_hinge_loss(np.where(rng.uniforms(n) > 0.5, 1.0, -1.0))
     cfg = pdbfw_l1.SolverConfig(radius=2.0, s=12, k=20, delta=50.0,
                                 max_iters=60, gap_tol=1e-12)

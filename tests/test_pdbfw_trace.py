@@ -342,6 +342,25 @@ def test_compute_r_k_falls_back_to_global_bound():
         compute_r_k(A, 5)
 
 
+def test_compute_r_k_ends_never_densify(monkeypatch):
+    # k = 1 and k = n have comb(n, k) <= 2000 at any n; neither may build
+    # the dense copy of a wide sparse design
+    n, d = 3, 100_000
+    A = SparseDesignMatrix.from_coo(
+        n, d, rows=np.array([0, 0, 1, 1, 2]),
+        cols=np.array([5, 70_000, 5, 99_999, 123]),
+        vals=np.array([1.0, -2.0, 0.5, 1.5, 2.5]))
+    sigma_max_sq = np.linalg.norm(A.to_dense(), 2) ** 2
+
+    def refuse(self):
+        raise AssertionError("to_dense called")
+
+    monkeypatch.setattr(SparseDesignMatrix, "to_dense", refuse)
+    assert compute_r_k(A, 1) == 6.25
+    assert compute_r_k(A, n) == A.spectral_norm_sq()
+    assert compute_r_k(A, n) == pytest.approx(sigma_max_sq, rel=1e-9)
+
+
 def test_lmo_audit_record_arithmetic():
     # [TRIVIAL] l <= (1 - gamma) l* + eps
     assert LmoAuditRecord(l_value=-0.4, l_star=-0.8, gamma=0.5,
