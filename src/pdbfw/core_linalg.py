@@ -26,8 +26,9 @@ class SparseDesignMatrix:
     dropped, so one zero entry makes the design sparse), the CSR data array
     is the row-major n x d matrix and the CSC data array the column-major
     one. `_dense_rows` (n x d) and `_dense_cols` (d x n, row j is column j)
-    are then read-only views of them, which the update kernels use; they
-    copy nothing. On any other design both are None.
+    are then read-only views of them; they copy nothing. The update kernels,
+    the full products and the row operations read them in place of the
+    sparse layout. On any other design both are None.
     """
 
     def __init__(self, matrix):
@@ -79,14 +80,22 @@ class SparseDesignMatrix:
         return self._csr.toarray()
 
     def matvec(self, x) -> np.ndarray:
-        """Full product A @ x (x may be a vector or a d x m block)."""
-        out = self._csr @ np.asarray(x, dtype=np.float64)
-        return np.asarray(out)
+        """Full product A @ x (x may be a vector or a d x m block).
+
+        A fully stored design multiplies its dense rows with BLAS, which sums
+        in another order than the sparse product."""
+        x = np.asarray(x, dtype=np.float64)
+        if self._dense_rows is not None:
+            return self._dense_rows @ x
+        return np.asarray(self._csr @ x)
 
     def rmatvec(self, y) -> np.ndarray:
-        """Full product A' @ y (y may be a vector or an n x m block)."""
-        out = self._csr.T @ np.asarray(y, dtype=np.float64)
-        return np.asarray(out)
+        """Full product A' @ y (y may be a vector or an n x m block), through
+        the dense columns with BLAS on a fully stored design."""
+        y = np.asarray(y, dtype=np.float64)
+        if self._dense_cols is not None:
+            return self._dense_cols @ y
+        return np.asarray(self._csr.T @ y)
 
     def row(self, i: int):
         """(column indices, values) of row i's nonzeros, as views into the
@@ -104,13 +113,24 @@ class SparseDesignMatrix:
             sp.csr_matrix((data, csr.indices, csr.indptr), shape=self.shape))
 
     def row_dot(self, i: int, x: np.ndarray) -> float:
-        """a_i' x touching only row i's nonzeros."""
+        """a_i' x touching only row i's nonzeros.
+
+        A fully stored row is dotted with x without the gather: the same
+        values reach the same dot product, so the bits are the same. x is
+        made contiguous as the gather would, since BLAS sums a strided
+        vector in another order."""
+        if self._dense_rows is not None:
+            return float(np.dot(self._dense_rows[i], np.ascontiguousarray(x)))
         lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
         cols = self._csr.indices[lo:hi]
         return float(np.dot(self._csr.data[lo:hi], x[cols]))
 
     def add_scaled_row(self, i: int, coeff: float, out: np.ndarray) -> None:
-        """out += coeff * a_i in place, touching only row i's nonzeros."""
+        """out += coeff * a_i in place, touching only row i's nonzeros; a fully
+        stored row is added without the scatter, entry by entry as before."""
+        if self._dense_rows is not None:
+            out += coeff * self._dense_rows[i]
+            return
         lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
         cols = self._csr.indices[lo:hi]
         out[cols] += coeff * self._csr.data[lo:hi]

@@ -547,6 +547,96 @@ def test_row_submatrix_t_dot_dense_route(design, data):
                   <= 1e-13 * scale)
 
 
+# --------------------------------------- full products and row operations
+
+# The CSR formulas the dense route replaces on a fully stored design.
+
+def matvec_oracle(A, x):
+    return np.asarray(A._csr @ x)
+
+
+def rmatvec_oracle(A, y):
+    return np.asarray(A._csr.T @ y)
+
+
+def row_dot_oracle(A, i, x):
+    lo, hi = A._csr.indptr[i], A._csr.indptr[i + 1]
+    return float(np.dot(A._csr.data[lo:hi], x[A._csr.indices[lo:hi]]))
+
+
+def add_scaled_row_oracle(A, i, coeff, out):
+    lo, hi = A._csr.indptr[i], A._csr.indptr[i + 1]
+    out[A._csr.indices[lo:hi]] += coeff * A._csr.data[lo:hi]
+
+
+def check_products_and_row_ops(A, rng, data):
+    dense = A.to_dense()
+    views = [v.copy() for v in (A._csr.data, A._csc.data)]
+    for m in (None, 1, data.draw(st.integers(2, 4))):
+        tail = () if m is None else (m,)
+        x = _random_entries(rng, A.n_cols, m or 1).reshape((A.n_cols,) + tail)
+        y = _random_entries(rng, A.n_rows, m or 1).reshape((A.n_rows,) + tail)
+        x_before, y_before = x.copy(), y.copy()
+        got, want = A.matvec(x), matvec_oracle(A, x)
+        assert got.shape == want.shape == (A.n_rows,) + tail
+        # the error bound of any summation order, at 1e-13 relative
+        assert np.all(np.abs(got - want)
+                      <= 1e-13 * (np.abs(dense) @ np.abs(x)))
+        got, want = A.rmatvec(y), rmatvec_oracle(A, y)
+        assert got.shape == want.shape == (A.n_cols,) + tail
+        assert np.all(np.abs(got - want)
+                      <= 1e-13 * (np.abs(dense).T @ np.abs(y)))
+        assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
+    # a strided x as well: the gather makes it contiguous before the dot
+    x = _random_entries(rng, 2 * A.n_cols, 1).ravel()[::2]
+    out = rng.normal(size=A.n_cols)
+    for i in range(A.n_rows):
+        for v in (x, np.ascontiguousarray(x)):
+            v_before = v.copy()
+            assert A.row_dot(i, v) == row_dot_oracle(A, i, v)
+            assert np.array_equal(v, v_before)
+        coeff = data.draw(coefficients)
+        want = out.copy()
+        add_scaled_row_oracle(A, i, coeff, want)
+        A.add_scaled_row(i, coeff, out)
+        assert np.array_equal(out, want)
+    assert np.array_equal(A._csr.data, views[0])
+    assert np.array_equal(A._csc.data, views[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_designs(), st.data())
+def test_products_and_row_ops_sparse_route(design, data):
+    assert design[0]._dense_rows is None
+    check_products_and_row_ops(*design, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_designs(), st.data())
+def test_products_and_row_ops_dense_route(design, data):
+    check_products_and_row_ops(*design, data)
+
+
+def test_one_exact_zero_keeps_products_on_the_csr_route():
+    rng = np.random.default_rng(13)
+    dense = _random_entries(rng, 40, 30)
+    dense[17, 3] = 0.0
+    A = SparseDesignMatrix.from_dense(dense)
+    assert A._dense_rows is None
+    x, y = rng.normal(size=30), rng.normal(size=40)
+    X, Y = rng.normal(size=(30, 3)), rng.normal(size=(40, 3))
+    assert np.array_equal(A.matvec(x), matvec_oracle(A, x))
+    assert np.array_equal(A.matvec(X), matvec_oracle(A, X))
+    assert np.array_equal(A.rmatvec(y), rmatvec_oracle(A, y))
+    assert np.array_equal(A.rmatvec(Y), rmatvec_oracle(A, Y))
+    # row 17 has 29 stored entries; the CSR route skips the zero
+    assert A.row_dot(17, x) == row_dot_oracle(A, 17, x)
+    out, want = np.ones(30), np.ones(30)
+    A.add_scaled_row(17, -2.5, out)
+    add_scaled_row_oracle(A, 17, -2.5, want)
+    assert np.array_equal(out, want)
+
+
 def _solver_design(kind):
     n, d = 60, 150
     rng = PortableRng(7)

@@ -262,6 +262,41 @@ def test_duality_gap_nonnegative_for_feasible_pairs():
         assert duality_gap(A, loss, reg, x, y, 2.0) >= -1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 8), d=st.integers(1, 8),
+       kind=st.sampled_from(["quadratic", "hinge"]),
+       fully_stored=st.booleans(),
+       mu=st.floats(0.05, 5.0), radius=st.floats(0.1, 10.0),
+       fill=st.floats(0.0, 1.0))
+def test_l1_weak_duality_on_random_instances(seed, n, d, kind, fully_stored,
+                                             mu, radius, fill):
+    # weak duality: P(x) >= D(y) for every x in the l1 ball and every y in
+    # the conjugate box, on fully stored designs (A'y through the dense
+    # columns) and on sparse ones (through the CSR layout)
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(n, d))
+    if not fully_stored:
+        dense[rng.random((n, d)) < 0.5] = 0.0
+        dense[0, 0] = 0.0
+    A = SparseDesignMatrix.from_dense(dense)
+    assert (A._dense_cols is not None) == fully_stored
+    if kind == "hinge":
+        labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        loss = smooth_hinge_loss(labels)
+        y = -labels * rng.random(n)  # y_i * label_i in [-1, 0]
+    else:
+        loss = quadratic_loss(rng.normal(size=n))
+        y = 3.0 * rng.normal(size=n)  # the quadratic box is every y
+    reg = Regularizer(mu=mu)
+    x = rng.normal(size=d)
+    x *= fill * radius / np.abs(x).sum()
+    primal = loss.mean_value(A.matvec(x)) + reg.value(x)
+    dual = dual_objective(A, loss, reg, y, radius)
+    scale = max(1.0, abs(primal), abs(dual))
+    assert duality_gap(A, loss, reg, x, y, radius) >= -1e-12 * scale
+
+
 # ---------------------------------------------------------------------------
 # Matrix (trace-norm) dual objective
 
