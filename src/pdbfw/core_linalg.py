@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import svds
 
 
 class SparseDesignMatrix:
@@ -145,32 +146,23 @@ class SparseDesignMatrix:
         sub = self._csr[rows, :]
         return np.asarray(sub.T @ np.asarray(block, dtype=np.float64))
 
-    def spectral_norm_sq(self, max_iters: int = 200, tol: float = 1e-10) -> float:
-        """Estimate of sigma_max(A)^2 by power iteration on A'A.
+    def spectral_norm_sq(self) -> float:
+        """sigma_max(A)^2 by Lanczos iteration (ARPACK, through `svds`) on
+        the CSR layout, converged to machine precision.
 
-        Deterministic start vector; converges geometrically whenever the top
-        singular value is isolated, and the estimate is used only as an upper
-        bound proxy for subset spectral norms, so loose convergence is fine.
+        The start vector is fixed, so repeat calls give the same bits. Power
+        iteration is slow on a clustered spectrum and reads low when it
+        stops early; this estimate does not.
         """
-        d = self.n_cols
         if self.nnz == 0:
             return 0.0
-        # fixed, seedless start with nonuniform entries so it is almost never
-        # orthogonal to the leading singular vector
-        v = np.cos(np.arange(d, dtype=np.float64) + 0.5) + 1.5
-        v /= np.linalg.norm(v)
-        est = 0.0
-        for _ in range(max_iters):
-            u = self.rmatvec(self.matvec(v))
-            nrm = np.linalg.norm(u)
-            if nrm == 0.0:
-                return 0.0
-            v = u / nrm
-            if abs(nrm - est) <= tol * max(nrm, 1.0):
-                est = nrm
-                break
-            est = nrm
-        return float(est)
+        m = min(self.shape)
+        if m == 1:
+            # one row or one column: its norm is the only singular value
+            return float(self.row_norms_sq.sum())
+        v0 = np.cos(np.arange(m, dtype=np.float64) + 0.5) + 1.5
+        sigma = svds(self._csr, k=1, v0=v0, return_singular_vectors=False)
+        return float(sigma[0]) ** 2
 
 
 @dataclass(frozen=True)
@@ -190,24 +182,50 @@ class SparseUpdate:
         return out
 
 
+# Top count the l1 projection sorts first; vectors no longer than this are
+# sorted whole.
+_PROJECTION_GUESS = 1024
+_EPS = np.finfo(np.float64).eps
+
+
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of v onto the l1 ball of the given radius.
 
     Sort-based soft-threshold rule: find the smallest shrinkage theta >= 0 such
     that sum(max(|v_i| - theta, 0)) = radius, then shrink toward zero. Returns
-    v unchanged (a copy) when it is already feasible.
+    v unchanged (a copy) when it is already feasible. v must be finite.
+
+    Only the largest entries enter theta, so a long v is not sorted whole:
+    one partition takes its top count, and only that prefix is sorted and
+    summed, in the order and with the bits of the full sort's prefix. The
+    count doubles while the test could still pass past the prefix; past the
+    prefix the test's exact value never rises, and `slack` bounds its
+    rounding at every index, so theta is the full sort's theta.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     v = np.asarray(v, dtype=np.float64)
     a = np.abs(v)
-    if a.sum() <= radius:
+    total = a.sum()
+    if total <= radius:
         return v.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
+    d = a.size
+    m = _PROJECTION_GUESS
+    while m < d:
+        u = np.sort(np.partition(a, d - m)[d - m:])[::-1]
+        css = np.cumsum(u)
+        slack = 4.0 * d * _EPS * (total + radius)
+        if u[-1] * m + slack < css[-1] - radius:
+            break
+        m *= 2
+    else:
+        u = np.sort(a)[::-1]
+        css = np.cumsum(u)
     ks = np.arange(1, u.size + 1)
     rho = np.nonzero(u * ks > css - radius)[0][-1]
     theta = (css[rho] - radius) / (rho + 1.0)
+    # not copysign: np.sign(v) is 0 where v is +-0.0, which keeps such
+    # entries +0.0 even when rounding puts theta below zero
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
@@ -215,7 +233,9 @@ def top_k_by_magnitude(v: np.ndarray, k: int) -> np.ndarray:
     """Indices (ascending) of the k entries of largest |v_i|.
 
     Ties break toward the lowest index, which keeps solver trajectories
-    bit-reproducible. Uses partial selection, not a full sort.
+    bit-reproducible. Uses partial selection, not a full sort; when every
+    entry tied with the k-th largest is already among the k selected, the
+    selection is the answer.
     """
     a = np.abs(np.asarray(v, dtype=np.float64))
     d = a.size
@@ -225,6 +245,8 @@ def top_k_by_magnitude(v: np.ndarray, k: int) -> np.ndarray:
         return np.arange(d, dtype=np.int64)
     part = np.argpartition(a, d - k)[d - k:]
     tau = a[part].min()
+    if np.count_nonzero(a >= tau) == k:
+        return np.sort(part).astype(np.int64, copy=False)
     above = np.flatnonzero(a > tau)
     ties = np.flatnonzero(a == tau)[: k - above.size]
     idx = np.concatenate([above, ties])

@@ -70,6 +70,7 @@ class LossModel:
     targets: np.ndarray
     beta: float = field(default=1.0)
     alpha: float = field(default=1.0)
+    _box: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.targets, dtype=np.float64)
@@ -80,20 +81,22 @@ class LossModel:
             raise ValueError("targets contain non-finite entries")
         if self.kind == SMOOTH_HINGE and not np.all(np.isin(t, (-1.0, 1.0))):
             raise ValueError("smooth hinge labels must be in {-1, +1}")
+        if self.kind == SMOOTH_HINGE:
+            box = (np.where(t > 0, -1.0, 0.0), np.where(t > 0, 0.0, 1.0))
+        else:
+            box = (np.full(t.size, -np.inf), np.full(t.size, np.inf))
+        for bound in box:
+            bound.flags.writeable = False
+        object.__setattr__(self, "_box", box)
 
     @property
     def n(self) -> int:
         return self.targets.size
 
-    # per-sample box on which the conjugate is finite
     def conjugate_box(self):
-        if self.kind == SMOOTH_HINGE:
-            lower = np.where(self.targets > 0, -1.0, 0.0)
-            upper = np.where(self.targets > 0, 0.0, 1.0)
-        else:
-            lower = np.full(self.n, -np.inf)
-            upper = np.full(self.n, np.inf)
-        return lower, upper
+        """Per-sample (lower, upper) bounds, read-only, of the box on which
+        the conjugate is finite."""
+        return self._box
 
     def values(self, p: np.ndarray) -> np.ndarray:
         if self.kind == SMOOTH_HINGE:
@@ -117,6 +120,13 @@ class LossModel:
         return 0.5 * y * y + self.targets * y
 
     def conjugate_sum(self, y: np.ndarray) -> float:
+        """sum_i f_i*(y_i), +inf when some y_i lies outside its box."""
+        if self.kind == SMOOTH_HINGE:
+            u = y * self.targets
+            # min and max are NaN when some u is, and NaN fails both tests
+            if u.size and not (u.min() >= -1.0 and u.max() <= 0.0):
+                return np.inf
+            return float((0.5 * u * u + u).sum())
         vals = self.conjugates(y)
         if np.any(np.isinf(vals)):
             return np.inf
@@ -138,8 +148,7 @@ class LossModel:
         r = delta / n
         u = (y + r * (w - self.targets)) / (1.0 + r)
         if self.kind == SMOOTH_HINGE:
-            lower, upper = self.conjugate_box()
-            u = np.clip(u, lower, upper)
+            u = np.clip(u, *self._box)
         return u
 
 

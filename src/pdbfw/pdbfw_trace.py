@@ -83,11 +83,10 @@ def compute_r_k(A: SparseDesignMatrix, k: int) -> float:
     """Upper bound on r_k = max over k-row subsets I of sigma_max(A_I)^2.
 
     k = 1 is exact: the largest squared row norm. For any other k, both
-    sigma_max(A)^2 (estimated by power iteration) and the sum of the k
-    largest squared row norms (the squared Frobenius norm of the heaviest
-    subset) bound r_k from above, and the smaller is returned; neither
-    densifies. The power-iteration estimate converges from below, so on a
-    clustered spectrum the value can sit slightly under sigma_max(A)^2.
+    sigma_max(A)^2 (a Lanczos estimate converged to machine precision) and
+    the sum of the k largest squared row norms (the squared Frobenius norm
+    of the heaviest subset) bound r_k from above, and the smaller is
+    returned; neither densifies.
     """
     n = A.n_rows
     if not 1 <= k <= n:

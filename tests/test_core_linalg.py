@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from pdbfw import pdbfw_l1
+from pdbfw import core_linalg, metrics, pdbfw_l1
 from pdbfw.core_linalg import (SparseDesignMatrix, SparseUpdate,
                                apply_row_slice_transpose,
                                apply_sparse_col_product, project_l1_ball,
@@ -89,6 +89,118 @@ def test_project_l1_ball_nonexpansive(a_vals, b_vals, radius):
     assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-9
 
 
+# The full-sort projection and the selection the fast paths replaced. The
+# new code must give the same bits: the same sorted prefix, the same
+# sequential cumsum, the same theta and the same signed zeros.
+
+def project_full_sort_oracle(v, radius):
+    if radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    v = np.asarray(v, dtype=np.float64)
+    a = np.abs(v)
+    if a.sum() <= radius:
+        return v.copy()
+    u = np.sort(a)[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, u.size + 1)
+    rho = np.nonzero(u * ks > css - radius)[0][-1]
+    theta = (css[rho] - radius) / (rho + 1.0)
+    return np.sign(v) * np.maximum(a - theta, 0.0)
+
+
+def top_k_oracle(v, k):
+    a = np.abs(np.asarray(v, dtype=np.float64))
+    d = a.size
+    if k == d:
+        return np.arange(d, dtype=np.int64)
+    part = np.argpartition(a, d - k)[d - k:]
+    tau = a[part].min()
+    above = np.flatnonzero(a > tau)
+    ties = np.flatnonzero(a == tau)[: k - above.size]
+    idx = np.concatenate([above, ties])
+    idx.sort()
+    return idx.astype(np.int64)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+GUESS = core_linalg._PROJECTION_GUESS
+
+
+@st.composite
+def projection_cases(draw):
+    """A vector and a radius whose active set has a drawn size: below the
+    first guessed count, past it once or twice, or the whole vector. Some
+    vectors hold -0.0 entries or rounded (tied) values; some radii do not
+    bind."""
+    d = draw(st.sampled_from([1, 7, GUESS - 1, GUESS, GUESS + 1,
+                              3 * GUESS, 6 * GUESS]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4, size=d)
+    if draw(st.booleans()):
+        v = np.round(v, 1)
+    if draw(st.booleans()):
+        v[rng.random(d) < 0.2] = -0.0
+    u = np.sort(np.abs(v))[::-1]
+    active = draw(st.sampled_from([1, GUESS // 3, GUESS + GUESS // 2,
+                                   3 * GUESS, d]))
+    active = min(active, d)
+    # the radius at which the shrinkage equals the first inactive magnitude
+    theta = u[active] if active < d else 0.0
+    radius = float(np.sum(u[:active] - theta))
+    if radius <= 0.0 or draw(st.booleans()):
+        radius = float(u.sum()) * draw(st.sampled_from([1e-3, 0.5, 1.0, 2.0]))
+    if radius <= 0.0:
+        radius = 1.0
+    return v, radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(projection_cases())
+def test_project_l1_ball_bit_identical_to_full_sort(case):
+    v, radius = case
+    assert_same_bits(project_l1_ball(v, radius),
+                     project_full_sort_oracle(v, radius))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.floats(0.01, 0.9), st.integers(GUESS + 1, 6000),
+       st.integers(0, 2**32 - 1))
+def test_project_l1_ball_bit_identical_with_ties_at_theta(h, tie, count, seed):
+    # h large entries, then `count` entries equal to theta. Past the active
+    # set the test is exactly zero, so its rounding decides where the full
+    # sort's last pass falls, often past the first guessed count.
+    rng = np.random.default_rng(seed)
+    top = rng.uniform(1.0, 3.0, size=h)
+    v = np.concatenate([top, np.full(count, tie)])
+    v *= rng.choice([-1.0, 1.0], size=v.size)
+    v = v[rng.permutation(v.size)]
+    radius = float(top.sum() - h * tie)
+    assert_same_bits(project_l1_ball(v, radius),
+                     project_full_sort_oracle(v, radius))
+
+
+def test_project_l1_ball_keeps_the_sign_of_zeros():
+    # np.sign(-0.0) * 0.0 is +0.0, while copysign(0.0, -0.0) is -0.0
+    v = np.concatenate([[5.0, -4.0, -0.0, 0.0, -1e-3],
+                        np.full(2 * GUESS, -0.0)])
+    for w in (v, v[:5]):
+        x = project_l1_ball(w, 1.0)
+        assert_same_bits(x, project_full_sort_oracle(w, 1.0))
+        assert np.signbit(x[4]) and not np.signbit(x[2])
+    # the radius is the sum of the sorted magnitudes: the pairwise sum of v
+    # exceeds it, the sequential cumsum falls short, so theta is about
+    # -2e-15; the zeros must stay zero, where copysign would give |theta|
+    v = np.round(np.random.default_rng(3).normal(size=2000), 1)
+    radius = float(np.sum(np.sort(np.abs(v))[::-1]))
+    x = project_l1_ball(v, radius)
+    assert_same_bits(x, project_full_sort_oracle(v, radius))
+    assert np.all(x[v == 0.0] == 0.0)
+
+
 # ------------------------------------------------------------------- top-k
 
 def test_top_k_frozen():
@@ -108,6 +220,34 @@ def test_top_k_matches_stable_sort_oracle():
         order = np.argsort(-np.abs(v), kind="stable")
         expect = np.sort(order[:k])
         assert got.tolist() == expect.tolist()
+
+
+def test_top_k_ties_straddling_the_threshold():
+    # five entries tie at |v| = 1 and k = 5 leaves room for three of them;
+    # argpartition may pick any three, the lowest indices must win
+    v = np.zeros(3000)
+    v[[40, 2500]] = [3.0, -2.0]
+    v[[2999, 7, 1200, 8, 15]] = [1.0, -1.0, 1.0, 1.0, -1.0]
+    assert top_k_by_magnitude(v, 5).tolist() == [7, 8, 15, 40, 2500]
+    # every tie fits: the selection itself is the answer
+    assert top_k_by_magnitude(v, 7).tolist() == [7, 8, 15, 40, 1200, 2500,
+                                                 2999]
+    # ties at zero straddle the threshold
+    assert top_k_by_magnitude(v, 9).tolist() == [0, 1, 7, 8, 15, 40, 1200,
+                                                 2500, 2999]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3000), st.integers(0, 2**32 - 1),
+       st.sampled_from([1, 2, 3]), st.data())
+def test_top_k_bit_identical_to_selection_oracle(d, seed, decimals, data):
+    rng = np.random.default_rng(seed)
+    v = np.round(rng.normal(size=d), decimals)  # rounding forces ties
+    k = data.draw(st.integers(1, d))
+    got = top_k_by_magnitude(v, k)
+    want = top_k_oracle(v, k)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 def test_top_k_rejects_bad_k():
@@ -243,6 +383,34 @@ def test_spectral_norm_sq_matches_svd():
         A = SparseDesignMatrix.from_dense(dense)
         exact = np.linalg.norm(dense, 2) ** 2
         assert A.spectral_norm_sq() == pytest.approx(exact, rel=1e-7)
+
+
+def test_spectral_norm_sq_on_a_clustered_spectrum(monkeypatch):
+    # orthogonal rows of norms 1 to 1.995: sigma_max^2 = 1.995^2, with the
+    # next values a hair below it, where 200 power sweeps read 3.97619
+    n, d = 200, 20_000
+    rows = np.arange(n)
+    A = SparseDesignMatrix.from_coo(n, d, rows=rows, cols=rows * 97,
+                                    vals=1.0 + rows / n)
+
+    def refuse(self):
+        raise AssertionError("to_dense called")
+
+    monkeypatch.setattr(SparseDesignMatrix, "to_dense", refuse)
+    exact = (1.0 + (n - 1) / n) ** 2
+    got = A.spectral_norm_sq()
+    assert got >= exact * (1.0 - 1e-12)
+    assert got <= exact * (1.0 + 1e-12)
+    assert got == A.spectral_norm_sq()
+
+
+def test_spectral_norm_sq_single_row_column_and_empty():
+    row = SparseDesignMatrix.from_dense(np.array([[3.0, 0.0, -4.0]]))
+    assert row.spectral_norm_sq() == 25.0
+    assert SparseDesignMatrix.from_dense(row.to_dense().T
+                                         ).spectral_norm_sq() == 25.0
+    assert SparseDesignMatrix.from_dense(np.zeros((3, 2))
+                                         ).spectral_norm_sq() == 0.0
 
 
 def test_dual_layout_consistency_random():
@@ -643,7 +811,13 @@ def _solver_design(kind):
     if kind == "dense":
         return SparseDesignMatrix.from_dense(
             rng.normals(n * d).reshape(n, d)), rng
-    flat = np.flatnonzero(rng.uniforms(n * d) < 0.08)
+    density = 0.08
+    if kind == "wide_hinge":
+        # d past the projection's first guess, about 12 entries a row; most
+        # certificate projections sort only the first guess, a few grow it,
+        # and the selections take both the fast path and the ties path
+        n, d, density = 200, 3 * GUESS, 0.004
+    flat = np.flatnonzero(rng.uniforms(n * d) < density)
     r, c = flat // d, flat % d
     keep = (r % 17 != 5) & (c % 23 != 4)  # leave a few rows and columns empty
     A = SparseDesignMatrix.from_coo(n, d, r[keep], c[keep],
@@ -652,14 +826,23 @@ def _solver_design(kind):
     return A, rng
 
 
-@pytest.mark.parametrize("kind", ["sparse", "dense"])
+SOLVER_CONFIGS = {
+    "sparse": dict(radius=2.0, s=12, k=20, delta=50.0),
+    "dense": dict(radius=2.0, s=12, k=20, delta=50.0),
+    "wide_hinge": dict(radius=10.0, s=400, k=40, delta=50.0),
+}
+
+
+@pytest.mark.parametrize("kind", ["sparse", "dense", "wide_hinge"])
 def test_solve_unchanged_against_loop_kernels(monkeypatch, kind):
+    # the loop kernels, the full-sort projection and the old selection in
+    # place of the vectorized kernels and the partial selections
     A, rng = _solver_design(kind)
     assert (A._dense_rows is not None) == (kind == "dense")
     n = A.n_rows
     loss = smooth_hinge_loss(np.where(rng.uniforms(n) > 0.5, 1.0, -1.0))
-    cfg = pdbfw_l1.SolverConfig(radius=2.0, s=12, k=20, delta=50.0,
-                                max_iters=60, gap_tol=1e-12)
+    cfg = pdbfw_l1.SolverConfig(**SOLVER_CONFIGS[kind], max_iters=60,
+                                gap_tol=1e-12)
 
     def run():
         x, y, trace = pdbfw_l1.solve(A, loss, Regularizer(mu=0.1), cfg)
@@ -672,6 +855,11 @@ def test_solve_unchanged_against_loop_kernels(monkeypatch, kind):
                         col_product_oracle)
     monkeypatch.setattr(pdbfw_l1, "apply_row_slice_transpose",
                         row_transpose_oracle)
+    for module in (core_linalg, metrics):
+        monkeypatch.setattr(module, "project_l1_ball",
+                            project_full_sort_oracle)
+    for module in (core_linalg, pdbfw_l1):
+        monkeypatch.setattr(module, "top_k_by_magnitude", top_k_oracle)
     x_loop, y_loop, rows_loop = run()
     assert len(rows) > 10
     assert rows == rows_loop

@@ -191,6 +191,73 @@ def test_conjugate_sum_infinite_outside_box():
     assert h.conjugate_sum(np.array([-0.5, 0.5])) < np.inf
     assert h.conjugate_sum(np.array([-1.5, 0.5])) == np.inf
     assert h.conjugate_sum(np.array([-0.5, 1.5])) == np.inf
+    assert smooth_hinge_loss(np.array([])).conjugate_sum(np.array([])) == 0.0
+
+
+def box_oracle(m):
+    """The conjugate box as built on every call before it was stored."""
+    if m.kind == "smooth_hinge":
+        return (np.where(m.targets > 0, -1.0, 0.0),
+                np.where(m.targets > 0, 0.0, 1.0))
+    return np.full(m.n, -np.inf), np.full(m.n, np.inf)
+
+
+def conjugate_sum_oracle(m, y):
+    vals = m.conjugates(y)
+    if np.any(np.isinf(vals)):
+        return np.inf
+    return float(vals.sum())
+
+
+def dual_prox_oracle(m, w, y, delta, n):
+    r = delta / n
+    u = (y + r * (w - m.targets)) / (1.0 + r)
+    if m.kind == "smooth_hinge":
+        u = np.clip(u, *box_oracle(m))
+    return u
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from(["inside", "edges", "outside", "nan"]),
+       st.floats(1e-3, 1e6))
+def test_stored_box_and_conjugate_sum_keep_their_bits(n, seed, where, delta):
+    rng = np.random.default_rng(seed)
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    h = smooth_hinge_loss(labels)
+    lower, upper = h.conjugate_box()
+    want_lower, want_upper = box_oracle(h)
+    assert np.array_equal(lower, want_lower)
+    assert np.array_equal(upper, want_upper)
+    # y = -u * label with u in [-1, 0] lies in the box
+    y = -labels * rng.uniform(0.0, 1.0, size=n)
+    if where == "edges":
+        y = np.where(rng.random(n) < 0.5, lower, upper)
+    elif where == "outside":
+        y[rng.integers(n)] += rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 3.0)
+    elif where == "nan":
+        y[rng.integers(n)] = np.nan
+    got, want = h.conjugate_sum(y), conjugate_sum_oracle(h, y)
+    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+    w = rng.normal(size=n) * 10.0
+    y_in = np.clip(y, lower, upper)
+    for m in (h, quadratic_loss(rng.normal(size=n))):
+        assert np.array_equal(m.dual_prox(w, y_in, delta, n).view(np.int64),
+                              dual_prox_oracle(m, w, y_in, delta, n)
+                              .view(np.int64))
+    q = quadratic_loss(rng.normal(size=n))
+    assert (np.float64(q.conjugate_sum(w)).view(np.int64)
+            == np.float64(conjugate_sum_oracle(q, w)).view(np.int64))
+
+
+def test_conjugate_box_is_stored_read_only():
+    h = smooth_hinge_loss(np.array([1.0, -1.0]))
+    assert h.conjugate_box() is h.conjugate_box()
+    lower, upper = h.conjugate_box()
+    with pytest.raises(ValueError):
+        lower[0] = 5.0
+    with pytest.raises(ValueError):
+        upper[0] = 5.0
 
 
 def test_primal_objective_matches_manual_sum():

@@ -319,7 +319,7 @@ def test_compute_r_k_small_cases():
     A_dense = rng.normals(12).reshape(4, 3)
     A = SparseDesignMatrix.from_dense(A_dense)
     # independent enumeration of all 2-row submatrices: the bound is never
-    # below it (the power-iteration estimate may sit just under sigma_max^2)
+    # below it (the Lanczos estimate may sit a few ulps under sigma_max^2)
     import itertools
     want = max(np.linalg.norm(A_dense[list(pair)], 2) ** 2
                for pair in itertools.combinations(range(4), 2))
