@@ -193,7 +193,8 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
 
     Sort-based soft-threshold rule: find the smallest shrinkage theta >= 0 such
     that sum(max(|v_i| - theta, 0)) = radius, then shrink toward zero. Returns
-    v unchanged (a copy) when it is already feasible. v must be finite.
+    v unchanged (a copy) when it is already feasible. v must be finite: a
+    NaN or infinite entry raises ValueError.
 
     Only the largest entries enter theta, so a long v is not sorted whole:
     one partition takes its top count, and only that prefix is sorted and
@@ -222,7 +223,16 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
         u = np.sort(a)[::-1]
         css = np.cumsum(u)
     ks = np.arange(1, u.size + 1)
-    rho = np.nonzero(u * ks > css - radius)[0][-1]
+    passing = np.nonzero(u * ks > css - radius)[0]
+    if passing.size == 0:
+        # in exact arithmetic the test passes at index 0 for finite input
+        if not np.isfinite(total):
+            raise ValueError(f"v must be finite; it has "
+                             f"{np.count_nonzero(~np.isfinite(a))} NaN or "
+                             f"infinite entries")
+        raise ValueError(f"radius {radius!r} is below the rounding of the "
+                         f"largest magnitude {float(u[0])!r}")
+    rho = passing[-1]
     theta = (css[rho] - radius) / (rho + 1.0)
     # not copysign: np.sign(v) is 0 where v is +-0.0, which keeps such
     # entries +0.0 even when rounding puts theta below zero

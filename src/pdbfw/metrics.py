@@ -115,9 +115,57 @@ def dual_objective(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
     return reg.value(x_hat) + float(np.dot(z, x_hat)) / n - conj / n
 
 
+def _sketched_singular_values(M: np.ndarray, block: np.ndarray):
+    """Singular values of M (d x c) from its range sketch on the c x b
+    `block`, or None when the sketch cannot vouch for them.
+
+    With Q = qr(M @ block) and B = Q'M, the residual r = ||M - QB||_F bounds
+    how far each singular value of B lies from M's (Weyl), and M's values
+    past the b-th lie below r (Halko, Martinsson & Tropp, arXiv:0909.4061).
+    With tau = max(d, c) eps sv[0], the numerical-rank threshold, the sketch
+    is accepted only when r <= tau/4, the last value is below tau (the
+    sketch is wider than the rank, so a full-rank M always misses), and no
+    value lies within r + tau/2 of tau, so no rank count can flip.
+    """
+    Q, _ = np.linalg.qr(M @ block)
+    B = Q.T @ M
+    sv = np.linalg.svd(B, compute_uv=False)
+    residual = np.linalg.norm(M - Q @ B)
+    tau = sv[0] * max(M.shape) * np.finfo(float).eps
+    if residual > 0.25 * tau:
+        return None
+    if tau == 0.0:  # then M = QB = 0
+        return sv
+    if sv[-1] >= tau or np.any(np.abs(sv - tau) <= residual + 0.5 * tau):
+        return None
+    return sv
+
+
+def _full_singular_values(M: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(M, compute_uv=False)
+
+
+class SketchedSpectrum:
+    """Singular values of one run's d x c matrices from the range sketch on
+    a fixed c x b block. The first miss switches the run to the full SVD
+    for good, so a run pays for at most one wasted sketch."""
+
+    def __init__(self, block: np.ndarray):
+        self.block = block
+
+    def __call__(self, M: np.ndarray) -> np.ndarray:
+        if self.block is not None:
+            sv = _sketched_singular_values(M, self.block)
+            if sv is not None:
+                return sv
+            self.block = None
+        return _full_singular_values(M)
+
+
 def dual_objective_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
                          reg: Regularizer, Y: np.ndarray, radius: float,
-                         Z: np.ndarray = None) -> float:
+                         Z: np.ndarray = None,
+                         singular_values=_full_singular_values) -> float:
     """Matrix analog of dual_objective over the trace-norm ball.
 
     The inner minimizer is project_nuclear_ball(C, radius) with
@@ -125,12 +173,17 @@ def dual_objective_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
     values sv to p = project_l1_ball(sv, radius). Both terms of the inner
     value are then spectral, (mu/2)||X||^2 = (mu/2) p.p and
     <Z, X>/n = -mu <C, X> = -mu sv.p, so only the singular values are needed.
+
+    `singular_values(C)` supplies sv; by default it is the full SVD. The
+    solver passes a `SketchedSpectrum`, whose accepted values lie within
+    rounding of the full SVD's and leave out only values below rounding, so
+    the dual value can move in its last bits only.
     """
     n = A.n_rows
     mu = reg.mu
     if Z is None:
         Z = A.rmatvec(Y)
-    sv = np.linalg.svd(-Z / (n * mu), compute_uv=False)
+    sv = singular_values(-Z / (n * mu))
     p = project_l1_ball(sv, radius)
     return (0.5 * mu * float(p @ p) - mu * float(sv @ p)
             - loss.conjugate_sum(Y) / n)

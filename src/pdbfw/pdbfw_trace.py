@@ -19,7 +19,7 @@ from .core_linalg import (SparseDesignMatrix, project_l1_ball,
                           top_k_by_magnitude)
 from .data_io import PortableRng
 from .losses import MatrixQuadraticLoss, Regularizer
-from .metrics import dual_objective_trace
+from .metrics import SketchedSpectrum, dual_objective_trace
 from .pdbfw_l1 import SolverConfig, SolverState, block_loop, resolve
 
 # block power iteration limits (oversampled by 4 over the rank budget)
@@ -223,8 +223,9 @@ def dual_step_trace(state: SolverState, cfg: SolverConfig,
     return rows
 
 
-def _numerical_rank(X: np.ndarray) -> int:
-    sv = np.linalg.svd(X, compute_uv=False)
+def _numerical_rank(X: np.ndarray, singular_values) -> int:
+    """Count of the values `singular_values(X)` above max(d, c) eps sv[0]."""
+    sv = singular_values(X)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > sv[0] * max(X.shape) * np.finfo(float).eps))
@@ -241,10 +242,22 @@ def solve_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
 
     Returns (X, Y, trace). The trace's support column records the numerical
     rank of X.
+
+    Both records take their singular values from a `SketchedSpectrum` on
+    the prox's start block: from a range sketch while it captures the matrix
+    to rounding, from the full SVD after its first miss. The support column
+    is the full SVD's count; the dual value can move in its last bits.
     """
     c = loss.n_tasks
     rc = resolve(cfg, A, loss, reg, *trace_defaults(cfg, A, c))
     state = SolverState.zeros(A.n_rows, A.n_cols, c)
     primal = functools.partial(primal_step_trace, audit=lmo_audit)
+    block = _power_start(c, min(rc.s + POWER_OVERSAMPLE, A.n_cols, c))
+    rank_sv, dual_sv = SketchedSpectrum(block), SketchedSpectrum(block)
+
+    # looked up at call time, so a rebound dual_objective_trace is used
+    def certificate(*args):
+        return dual_objective_trace(*args, singular_values=dual_sv)
+
     return block_loop(A, loss, reg, rc, state, primal, dual_step_trace,
-                      dual_objective_trace, _numerical_rank)
+                      certificate, lambda X: _numerical_rank(X, rank_sv))

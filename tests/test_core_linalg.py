@@ -54,6 +54,19 @@ def test_project_l1_ball_rejects_bad_radius():
         project_l1_ball(np.array([1.0]), -2.0)
 
 
+@pytest.mark.parametrize("v", [[np.nan, 1.0, 2.0], [np.inf, 1.0],
+                               [-np.inf, 1.0]])
+def test_project_l1_ball_names_non_finite_input(v):
+    with pytest.raises(ValueError, match="must be finite"):
+        project_l1_ball(np.array(v), 1.0)
+
+
+def test_project_l1_ball_names_radius_below_rounding():
+    # 1e16 - 1 rounds to 1e16, so no index passes the sort test
+    with pytest.raises(ValueError, match="below the rounding"):
+        project_l1_ball(np.array([1e16, 3.0]), 1.0)
+
+
 def test_project_l1_ball_matches_bisection_oracle():
     rng = np.random.default_rng(7)
     for _ in range(200):

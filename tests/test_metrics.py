@@ -19,9 +19,11 @@ from pdbfw.core_linalg import SparseDesignMatrix
 from pdbfw.data_io import PortableRng
 from pdbfw.losses import (MatrixQuadraticLoss, Regularizer, quadratic_loss,
                           smooth_hinge_loss)
-from pdbfw.metrics import (ConvergenceTrace, DivergenceError, dual_objective,
+from pdbfw.metrics import (ConvergenceTrace, DivergenceError, SketchedSpectrum,
+                           _sketched_singular_values, dual_objective,
                            dual_objective_trace, duality_gap,
                            project_nuclear_ball, relative_primal_error)
+from pdbfw.pdbfw_trace import _power_start
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +412,106 @@ def test_trace_weak_duality_on_random_instances(seed, n, d, c, mu, radius,
     primal = loss.mean_value(A.matvec(X)) + reg.value(X)
     dual = dual_objective_trace(A, loss, reg, Y, radius)
     assert primal >= dual - 1e-12 * max(1.0, abs(primal), abs(dual))
+
+
+# ---------------------------------------------------------------------------
+# Singular values from a range sketch
+
+_EPS = np.finfo(float).eps
+
+
+def _rank_count(sv, shape):
+    """The numerical-rank count of the trace solver's support column."""
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sv > sv[0] * max(shape) * _EPS))
+
+
+def _spectrum_matrix(rng, d, c, spectrum):
+    r = len(spectrum)
+    if r == 0:
+        return np.zeros((d, c))
+    U, _ = np.linalg.qr(rng.normals(d * r).reshape(d, r))
+    V, _ = np.linalg.qr(rng.normals(c * r).reshape(c, r))
+    return (U * np.asarray(spectrum)) @ V.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       d=st.integers(1, 40), c=st.integers(1, 40),
+       rank_frac=st.floats(0.0, 1.0),
+       near_tau=st.integers(0, 3),
+       noise=st.sampled_from([0.0, 1e-18, 1e-14, 1e-8]),
+       scale_exp=st.floats(-3.0, 3.0),
+       full_width=st.booleans(), extra=st.integers(0, 6))
+def test_sketched_singular_values_match_full_svd(seed, d, c, rank_frac,
+                                                 near_tau, noise, scale_exp,
+                                                 full_width, extra):
+    # [DERIVED] Weyl: with residual r = ||M - QB||_F, every accepted value
+    # lies within r of M's and M's later values lie below r; the rank count
+    # must equal the full SVD's. Tall, wide and zero M, ranks 0..min(d, c),
+    # values placed between tau/2 and 2 tau, and noise scaled to a fraction
+    # of sigma_1 in Frobenius norm.
+    rng = PortableRng(seed)
+    m = min(d, c)
+    rank = int(round(rank_frac * m))
+    sigma1 = 10.0 ** scale_exp
+    tau = max(d, c) * _EPS * sigma1
+    spectrum = sigma1 * np.sort(10.0 ** (-6.0 * rng.uniforms(rank)))[::-1]
+    if rank:
+        spectrum[0] = sigma1
+        tail = min(near_tau, rank - 1)
+        if tail:
+            spectrum[rank - tail:] = tau * (0.5 + 1.5 * rng.uniforms(tail))
+    M = _spectrum_matrix(rng, d, c, spectrum)
+    if noise and rank:
+        G = rng.normals(d * c).reshape(d, c)
+        M += noise * sigma1 * G / np.linalg.norm(G)
+    width = min(c, max(1, (m if full_width else rank) + extra))
+    block = _power_start(c, width)
+    full = np.linalg.svd(M, compute_uv=False)
+    got = _sketched_singular_values(M, block)
+    if _rank_count(full, M.shape) == m:
+        assert got is None
+    if got is None:
+        return
+    Q, _ = np.linalg.qr(M @ block)
+    residual = np.linalg.norm(M - Q @ (Q.T @ M))
+    assert _rank_count(got, M.shape) == _rank_count(full, M.shape)
+    # plus the two SVDs' own rounding: up to 4.4 eps sigma_1 in 60,000
+    # random draws of this test's matrices
+    slack = residual + 16.0 * _EPS * full[0]
+    assert np.all(np.abs(got - full[:got.size]) <= slack)
+    assert np.all(full[got.size:] <= slack)
+
+
+def test_sketched_singular_values_zero_full_rank_and_non_finite():
+    # a 20 x 15 matrix of rank 3 leaves a residual far below tau/4; small
+    # matrices, whose tau is a few eps, often miss
+    rng = PortableRng(41)
+    block = _power_start(15, 7)
+    np.testing.assert_array_equal(
+        _sketched_singular_values(np.zeros((20, 15)), block), np.zeros(7))
+    assert _sketched_singular_values(rng.normals(300).reshape(20, 15),
+                                     block) is None
+    M = _spectrum_matrix(rng, 20, 15, [3.0, 2.0, 1.0])
+    assert _rank_count(_sketched_singular_values(M, block), M.shape) == 3
+    M[0, 0] = np.nan  # raises as the full SVD does
+    with pytest.raises(np.linalg.LinAlgError):
+        _sketched_singular_values(M, block)
+
+
+def test_sketched_spectrum_switches_to_full_svd_after_a_miss():
+    rng = PortableRng(43)
+    spectrum = SketchedSpectrum(_power_start(15, 7))
+    low = _spectrum_matrix(rng, 20, 15, [3.0, 2.0, 1.0])
+    assert spectrum(low).size == 7
+    full_rank = rng.normals(300).reshape(20, 15)
+    np.testing.assert_array_equal(spectrum(full_rank),
+                                  np.linalg.svd(full_rank, compute_uv=False))
+    assert spectrum.block is None
+    np.testing.assert_array_equal(spectrum(low),
+                                  np.linalg.svd(low, compute_uv=False))
 
 
 # ---------------------------------------------------------------------------

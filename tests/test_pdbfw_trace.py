@@ -13,7 +13,7 @@ from pdbfw.losses import MatrixQuadraticLoss, Regularizer, quadratic_loss
 from pdbfw.metrics import project_nuclear_ball
 from pdbfw.pdbfw_l1 import SolverConfig, SolverState, resolve
 from pdbfw.pdbfw_l1 import dual_step as dual_step_vector
-from pdbfw import pdbfw_trace
+from pdbfw import metrics, pdbfw_trace
 from pdbfw.pdbfw_trace import (ApproximationError, LmoAuditRecord,
                                LowRankFactor, _exact_lowrank_prox_dense,
                                approx_lowrank_prox, compute_r_k,
@@ -267,6 +267,50 @@ def test_solve_trace_recovers_planted_low_rank():
     assert all(rec.satisfied() for rec in audit)
     # gap column is P - D for the recorded pair throughout
     assert trace.gaps().min() >= -1e-9
+
+
+@pytest.mark.parametrize("noise, max_iters", [(0.0, 300), (1e-3, 20)])
+def test_solve_trace_sketched_records_match_full_svd(monkeypatch, noise,
+                                                     max_iters):
+    # the sketch only replaces the two records' SVDs, so every column but
+    # dual and gap repeats bit for bit, and those agree to rounding. Noise
+    # makes C = -Z/(n mu) and then X full rank: each record function misses
+    # once and keeps the full SVD for the rest of the run
+    spec = SyntheticSpec(kind="trace_sensing", n=60, d=40, c=30,
+                         true_sparsity_or_rank=3, noise_level=noise, seed=0)
+    ds, _ = generate_synthetic(spec)
+    loss = MatrixQuadraticLoss(B=ds.labels)
+    reg = Regularizer(mu=10.0 / 60)
+    cfg = SolverConfig(radius=10.0, s=5, k=30, delta=100.0,
+                       max_iters=max_iters, gap_tol=1e-8)
+    sketch = metrics._sketched_singular_values
+    hits = []
+
+    def spy(M, block):
+        sv = sketch(M, block)
+        hits.append(sv is not None)
+        return sv
+
+    monkeypatch.setattr(metrics, "_sketched_singular_values", spy)
+    X, Y, sketched = solve_trace(ds.matrix, loss, reg, cfg)
+    monkeypatch.setattr(metrics, "_sketched_singular_values",
+                        lambda M, block: None)
+    X_full, Y_full, full = solve_trace(ds.matrix, loss, reg, cfg)
+
+    if noise:
+        assert hits.count(False) == 2
+    else:
+        assert sketched.final.gap <= cfg.gap_tol
+        assert hits.count(True) == 2 * len(sketched)
+    np.testing.assert_array_equal(X, X_full)
+    np.testing.assert_array_equal(Y, Y_full)
+    assert len(sketched) == len(full)
+    for got, want in zip(sketched.records, full.records):
+        assert (got.iteration, got.flops, got.support, got.primal) == \
+            (want.iteration, want.flops, want.support, want.primal)
+        scale = max(abs(want.primal), abs(want.dual))
+        assert abs(got.dual - want.dual) <= 1e-12 * scale
+        assert abs(got.gap - want.gap) <= 1e-12 * scale
 
 
 def test_solve_trace_zero_targets_stop_immediately():
