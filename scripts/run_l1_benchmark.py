@@ -11,7 +11,7 @@ scales the instance up. Results land in results/l1 by default.
 
 import sys
 
-from pdbfw.cli import main
+from pdbfw.cli import build_parser, main
 
 # radius is sized to the planted signal so the constraint binds; the primal
 # rank budget s must cover the support of the constrained optimum (about 180
@@ -28,14 +28,11 @@ DEFAULTS = [
 
 
 def run() -> int:
-    extra = sys.argv[1:]
-    out_dir = "results/l1"
-    if "--output-dir" in extra:
-        out_dir = extra[extra.index("--output-dir") + 1]
-    code = main(["run"] + DEFAULTS + extra)
+    argv = ["run"] + DEFAULTS + sys.argv[1:]
+    code = main(argv)
     if code != 0:
         return code
-    return main(["compare", out_dir])
+    return main(["compare", build_parser().parse_args(argv).output_dir])
 
 
 if __name__ == "__main__":

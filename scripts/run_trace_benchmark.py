@@ -6,7 +6,7 @@ Extra flags are forwarded to `pdbfw run`; results land in results/trace.
 
 import sys
 
-from pdbfw.cli import main
+from pdbfw.cli import build_parser, main
 
 # k and delta are widened past the conservative defaults; with them the
 # solver certifies a 1e-8 gap on this instance in under 30 iterations
@@ -21,14 +21,11 @@ DEFAULTS = [
 
 
 def run() -> int:
-    extra = sys.argv[1:]
-    out_dir = "results/trace"
-    if "--output-dir" in extra:
-        out_dir = extra[extra.index("--output-dir") + 1]
-    code = main(["run"] + DEFAULTS + extra)
+    argv = ["run"] + DEFAULTS + sys.argv[1:]
+    code = main(argv)
     if code != 0:
         return code
-    return main(["compare", out_dir])
+    return main(["compare", build_parser().parse_args(argv).output_dir])
 
 
 if __name__ == "__main__":

@@ -9,12 +9,11 @@ from .data_io import Dataset, DatasetMeta, ParseError, PortableRng, \
     SyntheticSpec, generate_synthetic, normalize_rows, parse_libsvm, \
     write_libsvm
 from .losses import LossModel, MatrixQuadraticLoss, Regularizer, \
-    primal_objective, quadratic_loss, smooth_hinge_loss
+    quadratic_loss, smooth_hinge_loss
 from .metrics import ConvergenceTrace, DivergenceError, TraceRecord, \
-    dual_objective, dual_objective_trace, duality_gap, project_nuclear_ball, \
-    relative_primal_error
+    dual_objective, dual_objective_trace, project_nuclear_ball
 from .pdbfw_l1 import ConfigurationError, SolverConfig, SolverState, solve
-from .pdbfw_trace import ApproximationError, LmoAuditRecord, LowRankFactor, \
+from .pdbfw_trace import ApproximationError, LowRankFactor, \
     approx_lowrank_prox, solve_trace
 
 __version__ = "0.1.0"
@@ -27,7 +26,6 @@ __all__ = [
     "Dataset",
     "DatasetMeta",
     "DivergenceError",
-    "LmoAuditRecord",
     "LossModel",
     "LowRankFactor",
     "MatrixQuadraticLoss",
@@ -43,15 +41,12 @@ __all__ = [
     "approx_lowrank_prox",
     "dual_objective",
     "dual_objective_trace",
-    "duality_gap",
     "generate_synthetic",
     "normalize_rows",
     "parse_libsvm",
-    "primal_objective",
     "project_l1_ball",
     "project_nuclear_ball",
     "quadratic_loss",
-    "relative_primal_error",
     "smooth_hinge_loss",
     "solve",
     "solve_acc_pgd",

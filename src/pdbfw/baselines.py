@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,18 +27,16 @@ BASELINE_KINDS = ("fw", "acc_pgd", "svrg")
 class BaselineConfig:
     """Shared knobs for the reference solvers.
 
-    step_size defaults to 1/L_total for acc_pgd and 1/(10 L_total) for svrg,
-    where L_total = beta * max_row_norm_sq + mu. svrg_epoch_length defaults
-    to the sample count. max_iters counts epochs for svrg, iterations
-    otherwise. record_every thins the trace (and the stopping check) to
-    every Nth iteration plus the final one.
+    max_iters counts epochs for svrg, iterations otherwise. record_every
+    thins the trace (and the stopping check) to every Nth iteration plus the
+    final one. The step sizes are fixed: 1/L_total for acc_pgd and
+    1/(10 L_total) for svrg, where L_total = beta * max_row_norm_sq + mu,
+    and an svrg epoch has as many steps as there are samples.
     """
 
     kind: str
     radius: float
     max_iters: int = 1000
-    step_size: Optional[float] = None
-    svrg_epoch_length: Optional[int] = None
     seed: int = 0
     gap_tol: float = 1e-8
     record_every: int = 1
@@ -48,15 +45,11 @@ class BaselineConfig:
         if self.kind not in BASELINE_KINDS:
             raise ValueError(
                 f"unknown baseline {self.kind!r}, expected one of {BASELINE_KINDS}")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
-        if self.svrg_epoch_length is not None and self.svrg_epoch_length < 1:
-            raise ValueError("svrg_epoch_length must be >= 1")
-        if self.gap_tol <= 0:
+        if not self.gap_tol > 0:
             raise ValueError(f"gap_tol must be positive, got {self.gap_tol}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
@@ -136,8 +129,7 @@ def solve_acc_pgd(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
     the previous point. Returns (x, trace)."""
     _check_sizes(A, loss)
     n, d = A.n_rows, A.n_cols
-    l_total = total_smoothness(A, loss, reg)
-    step = cfg.step_size if cfg.step_size is not None else 1.0 / l_total
+    step = 1.0 / total_smoothness(A, loss, reg)
     x = np.zeros(d)
     y = np.zeros(d)       # extrapolated point
     w_x = np.zeros(n)     # A x, maintained
@@ -179,7 +171,7 @@ def solve_svrg(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
     """Projected prox-SVRG; one trace record per epoch.
 
     Each epoch snapshots the current point, stores its predictions and full
-    data gradient, then runs the epoch of variance-reduced steps
+    data gradient, then runs an epoch of n variance-reduced steps
         g = (f_i'(a_i'x) - f_i'(a_i'xs)) a_i + grad_snapshot + mu x
     with sample indices from the seeded portable generator. With one sample
     the correction cancels the snapshot term exactly and the method reduces
@@ -187,9 +179,7 @@ def solve_svrg(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
     """
     _check_sizes(A, loss)
     n, d = A.n_rows, A.n_cols
-    l_total = total_smoothness(A, loss, reg)
-    step = cfg.step_size if cfg.step_size is not None else 0.1 / l_total
-    epoch_len = cfg.svrg_epoch_length if cfg.svrg_epoch_length is not None else n
+    step = 0.1 / total_smoothness(A, loss, reg)
     rng = PortableRng(cfg.seed)
     x = np.zeros(d)
     w = np.zeros(n)  # A x, refreshed at epoch boundaries
@@ -202,7 +192,7 @@ def solve_svrg(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
         ws = w  # snapshot predictions; exact because w == A x here
         grad_snapshot = A.rmatvec(loss.derivatives(ws)) / n
         flops += A.nnz
-        for i in rng.integers(epoch_len, n):
+        for i in rng.integers(n, n):
             i = int(i)
             p = A.row_dot(i, x)
             coeff = loss_derivative(loss, p, i) - loss_derivative(loss, float(ws[i]), i)

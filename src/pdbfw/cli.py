@@ -21,10 +21,8 @@ input).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from . import pdbfw_l1, pdbfw_trace
@@ -37,6 +35,7 @@ from .metrics import ConvergenceTrace, DivergenceError
 from .pdbfw_trace import ApproximationError
 
 CSV_HEADER = "iter,seconds,primal,dual,gap,flops,support"
+_CSV_TYPES = (int, float, float, float, float, int, int)
 VIRTUAL_FLOPS_PER_SECOND = 1e9
 GAP_THRESHOLDS = (1e-2, 1e-4, 1e-6)
 VALID_SOLVERS = ("pdbfw",) + BASELINE_KINDS
@@ -46,77 +45,49 @@ EXIT_SOLVER_FAILURE = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunSpec:
-    """Everything one `pdbfw run` invocation needs."""
-
-    dataset_path: Optional[str] = None
-    synthetic: Optional[str] = None
-    n: int = 200
-    d: int = 100
-    c: int = 20
-    sparsity: int = 5
-    noise: float = 0.0
-    seed: int = 0
-    loss: str = "quadratic"
-    constraint: str = "l1"
-    radius: float = 300.0
-    mu: Optional[float] = None
-    s: Optional[int] = None
-    k: Optional[int] = None
-    eta: Optional[float] = None
-    delta: Optional[float] = None
-    max_iters: int = 500
-    gap_tol: float = 1e-8
-    solvers: List[str] = field(default_factory=lambda: ["pdbfw"])
-    output_dir: str = "results"
-    normalize: bool = True
-    n_cols: Optional[int] = None
-
-
 class UsageError(Exception):
     pass
 
 
-def _usage_check(spec: RunSpec) -> None:
-    if (spec.dataset_path is None) == (spec.synthetic is None):
+def _usage_check(args: argparse.Namespace) -> None:
+    if (args.dataset is None) == (args.synthetic is None):
         raise UsageError("exactly one of --dataset and --synthetic is required")
-    unknown = [s for s in spec.solvers if s not in VALID_SOLVERS]
+    unknown = [s for s in args.solvers if s not in VALID_SOLVERS]
     if unknown:
         raise UsageError(
             f"unknown solver(s) {', '.join(unknown)}; "
             f"valid solvers are: {', '.join(VALID_SOLVERS)}")
-    if spec.constraint == "trace":
-        wrong = [s for s in spec.solvers if s != "pdbfw"]
+    if args.constraint == "trace":
+        wrong = [s for s in args.solvers if s != "pdbfw"]
         if wrong:
             raise UsageError(
                 f"--constraint trace only supports the pdbfw solver, "
                 f"got {', '.join(wrong)}")
-        if spec.dataset_path is not None:
+        if args.dataset is not None:
             raise UsageError(
                 "--constraint trace needs matrix targets; use "
                 "--synthetic trace_sensing")
-        if spec.synthetic != "trace_sensing":
+        if args.synthetic != "trace_sensing":
             raise UsageError("--constraint trace requires --synthetic trace_sensing")
-        if spec.loss != "quadratic":
+        if args.loss != "quadratic":
             raise UsageError("--constraint trace only supports --loss quadratic")
-    elif spec.synthetic == "trace_sensing":
+    elif args.synthetic == "trace_sensing":
         raise UsageError("--synthetic trace_sensing requires --constraint trace")
 
 
-def _load(spec: RunSpec) -> Dataset:
-    if spec.dataset_path is not None:
+def _load(args: argparse.Namespace) -> Dataset:
+    if args.dataset is not None:
         try:
-            dataset = parse_libsvm(spec.dataset_path, n_cols=spec.n_cols)
+            dataset = parse_libsvm(args.dataset, n_cols=args.n_cols)
         except OSError as exc:
-            raise UsageError(f"cannot read {spec.dataset_path}: {exc}") from exc
-        if spec.normalize:
+            raise UsageError(f"cannot read {args.dataset}: {exc}") from exc
+        if args.normalize:
             dataset = normalize_rows(dataset)
         return dataset
-    synth = SyntheticSpec(kind=spec.synthetic, n=spec.n, d=spec.d,
-                          c=spec.c if spec.synthetic == "trace_sensing" else None,
-                          true_sparsity_or_rank=spec.sparsity,
-                          noise_level=spec.noise, seed=spec.seed)
+    synth = SyntheticSpec(kind=args.synthetic, n=args.n, d=args.d,
+                          c=args.c if args.synthetic == "trace_sensing" else None,
+                          true_sparsity_or_rank=args.sparsity,
+                          noise_level=args.noise, seed=args.seed)
     dataset, _ = generate_synthetic(synth)
     return dataset
 
@@ -141,53 +112,54 @@ def write_trace_csv(path: str, trace: ConvergenceTrace) -> None:
             ]) + "\n")
 
 
-def _run_one(solver: str, spec: RunSpec, dataset: Dataset):
+def _run_one(solver: str, args: argparse.Namespace, dataset: Dataset):
     n = dataset.matrix.n_rows
     d = dataset.matrix.n_cols
-    mu = spec.mu if spec.mu is not None else 10.0 / n
+    mu = args.mu if args.mu is not None else 10.0 / n
     reg = Regularizer(mu=mu)
-    if spec.constraint == "trace":
+    if args.constraint == "trace":
         loss = MatrixQuadraticLoss(B=dataset.labels)
         s_default, call = min(10, d, loss.n_tasks), pdbfw_trace.solve_trace
     else:
-        make_loss = (smooth_hinge_loss if spec.loss == "smooth_hinge"
+        make_loss = (smooth_hinge_loss if args.loss == "smooth_hinge"
                      else quadratic_loss)
         loss = make_loss(dataset.labels)
         s_default, call = min(10, d), pdbfw_l1.solve
     if solver == "pdbfw":
         cfg = pdbfw_l1.SolverConfig(
-            radius=spec.radius, s=spec.s if spec.s is not None else s_default,
-            k=spec.k, eta=spec.eta, delta=spec.delta,
-            max_iters=spec.max_iters, gap_tol=spec.gap_tol)
+            radius=args.radius, s=args.s if args.s is not None else s_default,
+            k=args.k, eta=args.eta, delta=args.delta,
+            max_iters=args.max_iters, gap_tol=args.gap_tol)
         _, _, trace = call(dataset.matrix, loss, reg, cfg)
         return trace
-    cfg = BaselineConfig(kind=solver, radius=spec.radius,
-                         max_iters=spec.max_iters, seed=spec.seed,
-                         gap_tol=spec.gap_tol)
+    cfg = BaselineConfig(kind=solver, radius=args.radius,
+                         max_iters=args.max_iters, seed=args.seed,
+                         gap_tol=args.gap_tol)
     _, trace = solve_baseline(dataset.matrix, loss, reg, cfg)
     return trace
 
 
-def run(spec: RunSpec) -> int:
-    """Execute one benchmark run; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one benchmark run from the parsed `run` flags; returns the
+    process exit code."""
     try:
-        _usage_check(spec)
-        dataset = _load(spec)
+        _usage_check(args)
+        dataset = _load(args)
     except (UsageError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    os.makedirs(spec.output_dir, exist_ok=True)
+    os.makedirs(args.output_dir, exist_ok=True)
     summary_rows = []
-    for solver in spec.solvers:
+    for solver in args.solvers:
         try:
-            trace = _run_one(solver, spec, dataset)
+            trace = _run_one(solver, args, dataset)
         except (DivergenceError, ApproximationError) as exc:
             print(f"error: solver {solver} failed: {exc}", file=sys.stderr)
             return EXIT_SOLVER_FAILURE
         except ValueError as exc:  # covers ConfigurationError
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        csv_path = os.path.join(spec.output_dir, f"{solver}.csv")
+        csv_path = os.path.join(args.output_dir, f"{solver}.csv")
         write_trace_csv(csv_path, trace)
         final = trace.final
         summary_rows.append((solver, final.primal, final.gap,
@@ -195,7 +167,7 @@ def run(spec: RunSpec) -> int:
         print(f"{solver}: primal {final.primal:.6e}, gap {final.gap:.3e}, "
               f"{final.iteration} iterations, {final.elapsed_seconds:.3f} s "
               f"-> {csv_path}")
-    summary_path = os.path.join(spec.output_dir, "summary.tsv")
+    summary_path = os.path.join(args.output_dir, "summary.tsv")
     with open(summary_path, "w") as handle:
         handle.write("solver\tfinal_primal\tfinal_gap\titerations\twall_seconds\n")
         for solver, primal, gap, iters, wall in summary_rows:
@@ -212,11 +184,12 @@ def _read_trace_csv(path: str):
             raise UsageError(f"{path}: unexpected header {header!r}")
         for line in handle:
             parts = line.strip().split(",")
-            if len(parts) != 7:
-                raise UsageError(f"{path}: malformed row {line.strip()!r}")
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2]),
-                         float(parts[3]), float(parts[4]), int(parts[5]),
-                         int(parts[6])))
+            try:
+                rows.append(tuple(convert(part) for convert, part
+                                  in zip(_CSV_TYPES, parts, strict=True)))
+            except ValueError:
+                raise UsageError(
+                    f"{path}: malformed row {line.strip()!r}") from None
     if not rows:
         raise UsageError(f"{path}: no data rows")
     return rows
@@ -260,6 +233,10 @@ def compare(output_dir: str) -> int:
     return EXIT_OK
 
 
+def _solver_list(text: str) -> List[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdbfw",
@@ -292,12 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--k", type=int, default=None,
                        help="dual block size (default from theory)")
     run_p.add_argument("--eta", type=float, default=None,
-                       help="primal step size (default mu/(2L))")
+                       help="primal step size (default 0.5)")
     run_p.add_argument("--delta", type=float, default=None,
                        help="dual prox weight (default from theory)")
     run_p.add_argument("--max-iters", type=int, default=500)
     run_p.add_argument("--gap-tol", type=float, default=1e-8)
-    run_p.add_argument("--solvers", default="pdbfw",
+    run_p.add_argument("--solvers", type=_solver_list, default="pdbfw",
                        help="comma-separated list: " + ", ".join(VALID_SOLVERS))
     run_p.add_argument("--output-dir", default="results")
     run_p.add_argument("--normalize", action=argparse.BooleanOptionalAction,
@@ -315,16 +292,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "compare":
         return compare(args.output_dir)
-    spec = RunSpec(
-        dataset_path=args.dataset, synthetic=args.synthetic, n=args.n,
-        d=args.d, c=args.c, sparsity=args.sparsity, noise=args.noise,
-        seed=args.seed, loss=args.loss, constraint=args.constraint,
-        radius=args.radius, mu=args.mu, s=args.s, k=args.k, eta=args.eta,
-        delta=args.delta, max_iters=args.max_iters, gap_tol=args.gap_tol,
-        solvers=[s.strip() for s in args.solvers.split(",") if s.strip()],
-        output_dir=args.output_dir, normalize=args.normalize,
-        n_cols=args.n_cols)
-    return run(spec)
+    return run(args)
 
 
 if __name__ == "__main__":

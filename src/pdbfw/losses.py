@@ -19,26 +19,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_linalg import SparseDesignMatrix
-
 SMOOTH_HINGE = "smooth_hinge"
 QUADRATIC = "quadratic"
 
 
 @dataclass(frozen=True)
 class Regularizer:
-    """g(x) = (mu/2) ||x||^2; strongly convex and smooth with L = mu."""
+    """g(x) = (mu/2) ||x||^2; mu-strongly convex and exactly mu-smooth."""
 
     mu: float
-    l_smooth: float = None  # defaults to mu
 
     def __post_init__(self):
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.l_smooth is None:
-            object.__setattr__(self, "l_smooth", float(self.mu))
-        if self.l_smooth <= 0:
-            raise ValueError(f"l_smooth must be positive, got {self.l_smooth}")
 
     def value(self, x: np.ndarray) -> float:
         return 0.5 * self.mu * float(np.vdot(x, x))
@@ -204,66 +197,11 @@ class MatrixQuadraticLoss:
         return (Y + r * (W - self.B)) / (1.0 + r)
 
 
-# --- scalar operation forms -------------------------------------------------
-# Per-sample entry points mirroring the vectorized methods above; the solvers
-# use the vector forms, these exist for direct scalar use and testing.
-
-def loss_value(m: LossModel, p: float, i: int) -> float:
-    return _scalar(m, p, i, "value")
-
-
-def _scalar(m: LossModel, p: float, i: int, which: str) -> float:
-    if not 0 <= i < m.n:
-        raise ValueError(f"sample index {i} out of range [0, {m.n})")
-    t = m.targets[i]
-    if which == "value":
-        if m.kind == SMOOTH_HINGE:
-            return float(_hinge_value(np.float64(p * t)))
-        return 0.5 * (p - t) ** 2
-    if which == "derivative":
-        if m.kind == SMOOTH_HINGE:
-            return float(t * _hinge_derivative(np.float64(p * t)))
-        return float(p - t)
-    raise AssertionError(which)
-
-
 def loss_derivative(m: LossModel, p: float, i: int) -> float:
-    return _scalar(m, p, i, "derivative")
-
-
-def conjugate_value(m: LossModel, y: float, i: int) -> float:
+    """f_i'(p) for one sample, the per-sample form of `LossModel.derivatives`."""
     if not 0 <= i < m.n:
         raise ValueError(f"sample index {i} out of range [0, {m.n})")
     t = m.targets[i]
     if m.kind == SMOOTH_HINGE:
-        u = y * t
-        if -1.0 <= u <= 0.0:
-            return 0.5 * u * u + u
-        return np.inf
-    return 0.5 * y * y + t * y
-
-
-def dual_prox_step(m: LossModel, w_i: float, y_i: float, delta: float, n: int,
-                   i: int) -> float:
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if not 0 <= i < m.n:
-        raise ValueError(f"sample index {i} out of range [0, {m.n})")
-    r = delta / n
-    t = m.targets[i]
-    u = (y_i + r * (w_i - t)) / (1.0 + r)
-    if m.kind == SMOOTH_HINGE:
-        lo, hi = (-1.0, 0.0) if t > 0 else (0.0, 1.0)
-        u = min(max(u, lo), hi)
-    return float(u)
-
-
-def primal_objective(m: LossModel, g: Regularizer, A: SparseDesignMatrix,
-                     x: np.ndarray) -> float:
-    """P(x) = (1/n) sum_i f_i(a_i' x) + g(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (A.n_cols,):
-        raise ValueError(f"x has shape {x.shape}, expected ({A.n_cols},)")
-    if m.n != A.n_rows:
-        raise ValueError("loss sample count does not match matrix rows")
-    return m.mean_value(A.matvec(x)) + g.value(x)
+        return float(t * _hinge_derivative(np.float64(p * t)))
+    return float(p - t)

@@ -187,20 +187,3 @@ def dual_objective_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
     p = project_l1_ball(sv, radius)
     return (0.5 * mu * float(p @ p) - mu * float(sv @ p)
             - loss.conjugate_sum(Y) / n)
-
-
-def duality_gap(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
-                x: np.ndarray, y: np.ndarray, radius: float) -> float:
-    """P(x) - D(y); nonnegative by weak duality whenever x is feasible."""
-    l1 = float(np.abs(x).sum())
-    if l1 > radius * (1.0 + 1e-9):
-        raise ValueError(f"x infeasible: ||x||_1 = {l1} > radius {radius}")
-    primal = loss.mean_value(A.matvec(x)) + reg.value(x)
-    return primal - dual_objective(A, loss, reg, y, radius)
-
-
-def relative_primal_error(trace: ConvergenceTrace, p_star: float) -> np.ndarray:
-    """Elementwise (P_t - P*)/P* along the trace."""
-    if p_star <= 0:
-        raise ValueError(f"p_star must be positive, got {p_star}")
-    return (trace.primals() - p_star) / p_star

@@ -40,13 +40,15 @@ class SolverConfig:
     Fields left as None are resolved to their theory defaults against the
     problem instance:
 
-      eta   = mu / (2 L)
+      eta   = mu / (2 L) = 1/2, since g = (mu/2)||x||^2 has L = mu
       k     = ceil(n s / d) for the l1 solver,
               ceil(n s (1/c + 1/d)) for the trace solver (both clamped to [1, n])
       delta = (1/k) / ( L/(mu n beta) + (5 beta R)/(2 alpha mu n^2) (1 + 4 L/mu) )
               with 4 -> 8 and R the spectral bound in the trace case
 
-    mu and L come from the Regularizer passed to the solver.
+    mu comes from the Regularizer passed to the solver. The run stops at
+    the first record whose gap is at most gap_tol, which may be any number
+    but NaN (a negative one runs all max_iters steps).
     """
 
     radius: float
@@ -58,7 +60,7 @@ class SolverConfig:
     gap_tol: float = DEFAULT_GAP_TOL
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.s < 1:
             raise ValueError(f"s must be >= 1, got {self.s}")
@@ -66,16 +68,18 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 0")
         if self.eta is not None and not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if self.delta is not None and self.delta <= 0:
+        if self.delta is not None and not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if math.isnan(self.gap_tol):
+            raise ValueError("gap_tol must be a number, got nan")
 
 
 def default_delta(k: int, n: int, beta: float, alpha: float, R: float,
                   reg: Regularizer, curvature_factor: float) -> float:
     """Theory default dual step; curvature_factor is 4 (l1) or 8 (trace)."""
-    L, mu = reg.l_smooth, reg.mu
+    L = mu = reg.mu  # g = (mu/2)||x||^2 is exactly mu-smooth
     denom = (L / (mu * n * beta)
              + (5.0 * beta * R) / (2.0 * alpha * mu * n * n)
              * (1.0 + curvature_factor * L / mu))
@@ -98,9 +102,7 @@ def resolve(cfg: SolverConfig, A: SparseDesignMatrix, loss, reg: Regularizer,
     if loss.n != A.n_rows:
         raise ValueError("loss sample count does not match matrix rows")
     n = A.n_rows
-    eta = cfg.eta if cfg.eta is not None else reg.mu / (2.0 * reg.l_smooth)
-    if not 0.0 < eta <= 1.0:
-        raise ConfigurationError(f"resolved eta={eta} outside (0, 1]")
+    eta = cfg.eta if cfg.eta is not None else 0.5
     k = cfg.k if cfg.k is not None else max(1, min(n, math.ceil(k_default)))
     if k > n:
         raise ValueError(f"k={k} exceeds sample count {n}")
@@ -152,7 +154,7 @@ def primal_step(state: SolverState, cfg: SolverConfig, A: SparseDesignMatrix,
     """
     eta = cfg.eta
     c = state.z / A.n_rows + reg.grad(state.x)
-    v = state.x - c / (reg.l_smooth * eta)
+    v = state.x - c / (reg.mu * eta)
     x_tilde = sparse_l1_prox(v, cfg.radius, cfg.s)
     state.x *= 1.0 - eta
     state.x[x_tilde.indices] += eta * x_tilde.values

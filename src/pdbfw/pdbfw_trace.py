@@ -66,19 +66,6 @@ class LowRankFactor:
                    right=np.zeros((c, 0)))
 
 
-@dataclass(frozen=True)
-class LmoAuditRecord:
-    """One primal low-rank prox call: achieved objective vs. the exact one."""
-
-    l_value: float
-    l_star: float
-    gamma: float
-    eps: float
-
-    def satisfied(self) -> bool:
-        return self.l_value <= (1.0 - self.gamma) * self.l_star + self.eps
-
-
 def compute_r_k(A: SparseDesignMatrix, k: int) -> float:
     """Upper bound on r_k = max over k-row subsets I of sigma_max(A_I)^2.
 
@@ -108,16 +95,14 @@ def _power_start(c: int, b: int) -> np.ndarray:
     return Q
 
 
-def approx_lowrank_prox(M: np.ndarray, radius: float, s: int,
-                        max_sweeps: int = POWER_MAX_SWEEPS,
-                        tol: float = POWER_TOL) -> LowRankFactor:
+def approx_lowrank_prox(M: np.ndarray, radius: float, s: int) -> LowRankFactor:
     """Rank-s spectral prox of M onto the trace-norm ball.
 
     Exact target: keep the top-s singular triplets of M, then project the
     kept singular values onto the l1 ball of the given radius. The triplets
     come from oversampled block power iteration run to a relative SVD
-    residual of `tol`, so the result is exact to working precision whenever
-    the iteration converges.
+    residual of POWER_TOL, so the result is exact to working precision
+    whenever the iteration converges within POWER_MAX_SWEEPS sweeps.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -133,7 +118,7 @@ def approx_lowrank_prox(M: np.ndarray, radius: float, s: int,
     Q = _power_start(c, min(s_eff + POWER_OVERSAMPLE, d, c))
     residual = np.inf
     left = sv = right = None
-    for sweep in range(max_sweeps):
+    for sweep in range(POWER_MAX_SWEEPS):
         U, _ = np.linalg.qr(M @ Q)
         B = U.T @ M
         Ub, sv_all, Vt = np.linalg.svd(B, full_matrices=False)
@@ -144,30 +129,16 @@ def approx_lowrank_prox(M: np.ndarray, radius: float, s: int,
         # M'(left) = right*sv holds exactly by construction, so the residual
         # of the forward map alone certifies the triplets
         residual = np.linalg.norm(M @ right - left * sv) / max(sv_all[0], 1e-300)
-        if residual <= tol:
+        if residual <= POWER_TOL:
             break
         Q = Vt.T
     else:
-        raise ApproximationError(float(residual), max_sweeps)
+        raise ApproximationError(float(residual), POWER_MAX_SWEEPS)
 
     projected = project_l1_ball(sv, radius)
     keep = projected > 0.0
     return LowRankFactor(left=left[:, keep], singular=projected[keep],
                          right=right[:, keep])
-
-
-def _exact_lowrank_prox_dense(M: np.ndarray, radius: float, s: int) -> np.ndarray:
-    """Dense-SVD route to the same prox, used for auditing the power method."""
-    u, sv, vt = np.linalg.svd(M, full_matrices=False)
-    s_eff = min(s, sv.size)
-    projected = project_l1_ball(sv[:s_eff], radius)
-    return (u[:, :s_eff] * projected) @ vt[:s_eff]
-
-
-def _subproblem_value(G: np.ndarray, X: np.ndarray, V: np.ndarray,
-                      l_eta: float) -> float:
-    diff = V - X
-    return float(np.vdot(G, diff)) + 0.5 * l_eta * float(np.vdot(diff, diff))
 
 
 def trace_defaults(cfg: SolverConfig, A: SparseDesignMatrix, c: int):
@@ -182,23 +153,16 @@ def trace_defaults(cfg: SolverConfig, A: SparseDesignMatrix, c: int):
 
 def primal_step_trace(state: SolverState, cfg: SolverConfig,
                       A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
-                      reg: Regularizer, audit: list = None) -> LowRankFactor:
+                      reg: Regularizer) -> LowRankFactor:
     """Rank-s Frank-Wolfe primal update; maintains W through the factor."""
     n = A.n_rows
     d, c = state.x.shape
     eta = cfg.eta
-    l_eta = reg.l_smooth * eta
+    l_eta = reg.mu * eta
     G = state.z / n + reg.grad(state.x)
     M = state.x - G / l_eta
     factor = approx_lowrank_prox(M, cfg.radius, cfg.s)
     r = factor.rank
-    if audit is not None:
-        V = factor.to_dense()
-        v_star = _exact_lowrank_prox_dense(M, cfg.radius, cfg.s)
-        audit.append(LmoAuditRecord(
-            l_value=_subproblem_value(G, state.x, V, l_eta),
-            l_star=_subproblem_value(G, state.x, v_star, l_eta),
-            gamma=0.5, eps=cfg.gap_tol / 8.0))
     state.x *= 1.0 - eta
     state.w *= 1.0 - eta
     if r > 0:
@@ -232,13 +196,10 @@ def _numerical_rank(X: np.ndarray, singular_values) -> int:
 
 
 def solve_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
-                reg: Regularizer, cfg: SolverConfig, lmo_audit: list = None):
+                reg: Regularizer, cfg: SolverConfig):
     """Run the trace-norm block primal-dual solver.
 
     Parameters mirror the l1 solver; `loss` carries the n x c matrix targets.
-    When `lmo_audit` is a list, every low-rank prox call appends an
-    LmoAuditRecord comparing its objective against the exact dense-SVD oracle,
-    with additive slack gap_tol / 8.
 
     Returns (X, Y, trace). The trace's support column records the numerical
     rank of X.
@@ -251,7 +212,6 @@ def solve_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
     c = loss.n_tasks
     rc = resolve(cfg, A, loss, reg, *trace_defaults(cfg, A, c))
     state = SolverState.zeros(A.n_rows, A.n_cols, c)
-    primal = functools.partial(primal_step_trace, audit=lmo_audit)
     block = _power_start(c, min(rc.s + POWER_OVERSAMPLE, A.n_cols, c))
     rank_sv, dual_sv = SketchedSpectrum(block), SketchedSpectrum(block)
 
@@ -259,5 +219,6 @@ def solve_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
     def certificate(*args):
         return dual_objective_trace(*args, singular_values=dual_sv)
 
-    return block_loop(A, loss, reg, rc, state, primal, dual_step_trace,
-                      certificate, lambda X: _numerical_rank(X, rank_sv))
+    return block_loop(A, loss, reg, rc, state, primal_step_trace,
+                      dual_step_trace, certificate,
+                      lambda X: _numerical_rank(X, rank_sv))

@@ -3,6 +3,8 @@ gradient, prox-SVRG): trivial fixed points, a hand-checked one-dimensional
 boundary instance, reduction of single-sample SVRG to projected gradient,
 determinism, feasibility, and trace thinning."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,8 +36,8 @@ def _random_instance(seed, n, d, kind="quadratic"):
     (dict(kind="sgd", radius=1.0), "unknown baseline"),
     (dict(kind="fw", radius=0.0), "radius"),
     (dict(kind="fw", radius=1.0, max_iters=-1), "max_iters"),
-    (dict(kind="fw", radius=1.0, step_size=0.0), "step_size"),
-    (dict(kind="svrg", radius=1.0, svrg_epoch_length=0), "epoch_length"),
+    (dict(kind="fw", radius=math.nan), "radius"),
+    (dict(kind="acc_pgd", radius=1.0, gap_tol=math.nan), "gap_tol"),
     (dict(kind="fw", radius=1.0, gap_tol=0.0), "gap_tol"),
     (dict(kind="fw", radius=1.0, record_every=0), "record_every"),
 ])

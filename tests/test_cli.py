@@ -1,6 +1,8 @@
 """Tests for the benchmark command line: exit codes, the pinned CSV header,
-byte-identical reruns, the summary table, and the compare subcommand."""
+byte-identical reruns, the summary table, the compare subcommand, and the
+two benchmark scripts."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,8 +10,9 @@ import sys
 import pytest
 
 import pdbfw
-from pdbfw.cli import (CSV_HEADER, EXIT_OK, EXIT_SOLVER_FAILURE, EXIT_USAGE,
-                       RunSpec, compare, main, run)
+from pdbfw.cli import CSV_HEADER, EXIT_OK, EXIT_USAGE, compare, main
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts")
 
 
 def _tiny_args(out_dir, **overrides):
@@ -100,32 +103,34 @@ def test_unknown_solver_lists_valid_ones(tmp_path, capsys):
 
 
 def test_dataset_and_synthetic_conflict(tmp_path, capsys):
-    code = run(RunSpec(dataset_path="x.txt", synthetic="sparse_regression",
-                       output_dir=str(tmp_path)))
+    out = ["--output-dir", str(tmp_path)]
+    code = main(["run", "--dataset", "x.txt", "--synthetic",
+                 "sparse_regression", *out])
     assert code == EXIT_USAGE
     assert "exactly one" in capsys.readouterr().err
     # neither source is a usage error too
-    assert run(RunSpec(output_dir=str(tmp_path))) == EXIT_USAGE
+    assert main(["run", *out]) == EXIT_USAGE
 
 
 def test_trace_constraint_flag_combinations(tmp_path, capsys):
-    base = dict(synthetic="trace_sensing", output_dir=str(tmp_path))
+    base = ["run", "--synthetic", "trace_sensing", "--output-dir",
+            str(tmp_path)]
     # trace_sensing without trace constraint
-    assert run(RunSpec(constraint="l1", **base)) == EXIT_USAGE
+    assert main(base + ["--constraint", "l1"]) == EXIT_USAGE
     # trace constraint with a baseline solver
-    assert run(RunSpec(constraint="trace", solvers=["pdbfw", "fw"],
-                       **base)) == EXIT_USAGE
+    assert main(base + ["--constraint", "trace",
+                        "--solvers", "pdbfw,fw"]) == EXIT_USAGE
     # trace constraint with hinge loss
-    assert run(RunSpec(constraint="trace", loss="smooth_hinge",
-                       **base)) == EXIT_USAGE
+    assert main(base + ["--constraint", "trace",
+                        "--loss", "smooth_hinge"]) == EXIT_USAGE
     # trace constraint with a file dataset
-    assert run(RunSpec(constraint="trace", dataset_path="x.txt",
-                       output_dir=str(tmp_path))) == EXIT_USAGE
+    assert main(["run", "--constraint", "trace", "--dataset", "x.txt",
+                 "--output-dir", str(tmp_path)]) == EXIT_USAGE
 
 
 def test_missing_dataset_file(tmp_path, capsys):
-    code = run(RunSpec(dataset_path=str(tmp_path / "absent.txt"),
-                       output_dir=str(tmp_path)))
+    code = main(["run", "--dataset", str(tmp_path / "absent.txt"),
+                 "--output-dir", str(tmp_path)])
     assert code == EXIT_USAGE
     assert "cannot read" in capsys.readouterr().err
 
@@ -133,7 +138,8 @@ def test_missing_dataset_file(tmp_path, capsys):
 def test_malformed_dataset_reports_line(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("+1 1:1\n+1 0:2\n")
-    code = run(RunSpec(dataset_path=str(path), output_dir=str(tmp_path / "o")))
+    code = main(["run", "--dataset", str(path),
+                 "--output-dir", str(tmp_path / "o")])
     assert code == EXIT_USAGE
     assert "line 2" in capsys.readouterr().err
 
@@ -142,6 +148,19 @@ def test_bad_solver_parameters_exit_usage(tmp_path, capsys):
     out = str(tmp_path / "res")
     assert main(_tiny_args(out, **{"--radius": "-1.0"})) == EXIT_USAGE
     assert "radius" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, solvers, fragment", [
+    ("--gap-tol", "pdbfw", "gap_tol"),
+    ("--gap-tol", "acc_pgd", "gap_tol"),
+    ("--mu", "pdbfw", "mu must be positive"),
+])
+def test_nan_solver_parameters_exit_usage(tmp_path, capsys, flag, solvers,
+                                          fragment):
+    out = str(tmp_path / "res")
+    code = main(_tiny_args(out, **{flag: "nan", "--solvers": solvers}))
+    assert code == EXIT_USAGE
+    assert fragment in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +255,19 @@ def test_compare_empty_directory(tmp_path, capsys):
     assert "no trace CSVs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["0,x,1.0,0.0,1.0,0,0", "0.5,0.0,1.0,0.0,1.0,0,0",
+                                 "0,0.0,1.0,0.0,1.0,0"])
+def test_compare_rejects_malformed_row(tmp_path, capsys, row):
+    out = str(tmp_path / "res")
+    os.makedirs(out)
+    path = os.path.join(out, "x.csv")
+    with open(path, "w") as handle:
+        handle.write(CSV_HEADER + "\n" + row + "\n")
+    assert compare(out) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert path in err and repr(row) in err
+
+
 def test_compare_rejects_foreign_header(tmp_path, capsys):
     out = str(tmp_path / "res")
     os.makedirs(out)
@@ -275,3 +307,37 @@ def test_module_entry_point_usage_error_code():
                         "--solvers", "bogus")
     assert result.returncode == EXIT_USAGE
     assert "bogus" in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# Benchmark scripts under scripts/
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(SCRIPTS, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, shrink", [
+    ("run_l1_benchmark", ["--n", "30", "--d", "12", "--s", "6", "--k", "10",
+                          "--solvers", "pdbfw,fw", "--max-iters", "5"]),
+    ("run_trace_benchmark", ["--n", "20", "--d", "8", "--c", "6",
+                             "--sparsity", "2", "--s", "3", "--k", "10",
+                             "--max-iters", "5"]),
+], ids=["l1", "trace"])
+@pytest.mark.parametrize("dir_flag", ["--output-dir=%s", "--output %s"],
+                         ids=["equals", "abbreviated"])
+def test_benchmark_scripts_compare_their_output_dir(tmp_path, monkeypatch, capsys,
+                                                 name, shrink, dir_flag):
+    # run from an empty directory, so the default results/ does not exist
+    monkeypatch.chdir(tmp_path)
+    out = str(tmp_path / "elsewhere")
+    monkeypatch.setattr(sys, "argv",
+                        [name] + shrink + (dir_flag % out).split(" "))
+    assert _load_script(name).run() == EXIT_OK
+    assert "best final primal:" in capsys.readouterr().out
+    assert os.path.exists(os.path.join(out, "pdbfw.csv"))
+    assert not os.path.exists(tmp_path / "results")

@@ -5,9 +5,7 @@ from numpy.testing import assert_allclose
 
 from pdbfw.core_linalg import SparseDesignMatrix
 from pdbfw.losses import (LossModel, MatrixQuadraticLoss, Regularizer,
-                          conjugate_value, dual_prox_step, loss_derivative,
-                          loss_value, primal_objective, quadratic_loss,
-                          smooth_hinge_loss)
+                          loss_derivative, quadratic_loss, smooth_hinge_loss)
 
 
 def hinge_scalar(z):
@@ -22,30 +20,23 @@ def hinge_scalar(z):
 
 def test_hinge_frozen_values():
     h = smooth_hinge_loss(np.array([1.0]))
-    assert loss_value(h, 0.0, 0) == 0.5
-    assert loss_value(h, -1.0, 0) == 1.5
-    assert loss_value(h, 0.5, 0) == 0.125
-    assert loss_value(h, 2.0, 0) == 0.0
+    assert smooth_hinge_loss(np.ones(4)).values(
+        np.array([0.0, -1.0, 0.5, 2.0])).tolist() == [0.5, 1.5, 0.125, 0.0]
     assert loss_derivative(h, -1.0, 0) == -1.0
     assert loss_derivative(h, 0.5, 0) == -0.5
     assert loss_derivative(h, 2.0, 0) == 0.0
 
 
 def test_hinge_conjugate_frozen_values():
-    h = smooth_hinge_loss(np.array([1.0]))
-    assert conjugate_value(h, -1.0, 0) == -0.5
-    assert conjugate_value(h, 0.0, 0) == 0.0
-    assert conjugate_value(h, -0.5, 0) == -0.375
-    assert conjugate_value(h, 0.5, 0) == np.inf
-    assert conjugate_value(h, -1.5, 0) == np.inf
+    h = smooth_hinge_loss(np.ones(5))
+    assert h.conjugates(np.array([-1.0, 0.0, -0.5, 0.5, -1.5])).tolist() == \
+        [-0.5, 0.0, -0.375, np.inf, np.inf]
 
 
 def test_hinge_negative_label_mirrors():
-    h = smooth_hinge_loss(np.array([-1.0]))
+    h = smooth_hinge_loss(-np.ones(3))
     # f_i(p) = h(p * label), so the loss falls as p decreases
-    assert loss_value(h, -2.0, 0) == 0.0
-    assert loss_value(h, 0.0, 0) == 0.5
-    assert loss_value(h, 1.0, 0) == 1.5
+    assert h.values(np.array([-2.0, 0.0, 1.0])).tolist() == [0.0, 0.5, 1.5]
     assert loss_derivative(h, 1.0, 0) == 1.0
     lower, upper = h.conjugate_box()
     assert lower[0] == 0.0 and upper[0] == 1.0
@@ -62,13 +53,15 @@ def test_hinge_is_continuously_differentiable_at_branch_points():
 def test_hinge_derivative_matches_central_differences():
     h = smooth_hinge_loss(np.array([1.0, -1.0]))
     eps = 1e-6
-    for i in (0, 1):
-        for z in np.linspace(-2.5, 2.5, 101):
-            # stay clear of the branch points where the quadratic starts/ends
-            if min(abs(z), abs(z - 1.0), abs(z + 1.0)) < 1e-4:
-                continue
-            approx = (loss_value(h, z + eps, i) - loss_value(h, z - eps, i)) / (2 * eps)
-            assert loss_derivative(h, z, i) == pytest.approx(approx, abs=1e-8)
+    z = np.linspace(-2.5, 2.5, 101)
+    # stay clear of the branch points where the quadratic starts/ends
+    z = z[np.min(np.abs(z[:, None] - [0.0, 1.0, -1.0]), axis=1) >= 1e-4]
+    for i, label in enumerate(h.targets):
+        same = smooth_hinge_loss(np.full(z.size, label))
+        approx = (same.values(z + eps) - same.values(z - eps)) / (2 * eps)
+        assert_allclose(same.derivatives(z), approx, rtol=0, atol=1e-8)
+        assert_allclose([loss_derivative(h, float(zi), i) for zi in z],
+                        approx, rtol=0, atol=1e-8)
 
 
 def test_hinge_second_differences_nonnegative():
@@ -83,31 +76,31 @@ def test_hinge_second_differences_nonnegative():
 @given(st.floats(-5, 5))
 def test_hinge_fenchel_young_equality(z):
     h = smooth_hinge_loss(np.array([1.0]))
-    u = loss_derivative(h, z, 0)
-    assert loss_value(h, z, 0) + conjugate_value(h, u, 0) == pytest.approx(
-        z * u, abs=1e-12)
+    p = np.array([z])
+    u = h.derivatives(p)
+    assert h.values(p)[0] + h.conjugates(u)[0] == pytest.approx(
+        z * u[0], abs=1e-12)
 
 
 # ---------------------------------------------------------------- quadratic
 
 def test_quadratic_values_and_conjugate():
     q = quadratic_loss(np.array([2.0, -1.0]))
-    assert loss_value(q, 2.0, 0) == 0.0
-    assert loss_value(q, 0.0, 0) == 2.0
+    assert q.values(np.array([2.0, -1.0])).tolist() == [0.0, 0.0]
+    assert q.values(np.zeros(2)).tolist() == [2.0, 0.5]
     assert loss_derivative(q, 0.0, 0) == -2.0
     # f*(y) = y^2/2 + b y
-    assert conjugate_value(q, 1.0, 0) == 2.5
-    assert conjugate_value(q, -2.0, 1) == 4.0
+    assert q.conjugates(np.array([1.0, -2.0])).tolist() == [2.5, 4.0]
     lower, upper = q.conjugate_box()
     assert np.all(np.isinf(lower)) and np.all(np.isinf(upper))
 
 
 def test_quadratic_fenchel_young_on_grid():
-    q = quadratic_loss(np.array([0.7]))
-    for p in np.linspace(-4, 4, 101):
-        u = loss_derivative(q, p, 0)
-        gap = loss_value(q, p, 0) + conjugate_value(q, u, 0) - p * u
-        assert abs(gap) < 1e-12
+    p = np.linspace(-4, 4, 101)
+    q = quadratic_loss(np.full(p.size, 0.7))
+    u = q.derivatives(p)
+    gap = q.values(p) + q.conjugates(u) - p * u
+    assert np.abs(gap).max() < 1e-12
 
 
 # ---------------------------------------------------------------- dual prox
@@ -115,23 +108,25 @@ def test_quadratic_fenchel_young_on_grid():
 def test_dual_prox_step_frozen_quadratic():
     # [DERIVED] (0.2 + 0.5*(1 - 0.5)) / 1.5
     q = quadratic_loss(np.array([0.5]))
-    assert dual_prox_step(q, 1.0, 0.2, 2.0, 4, 0) == pytest.approx(0.3, abs=1e-15)
+    assert q.dual_prox(np.array([1.0]), np.array([0.2]), 2.0, 4)[0] == \
+        pytest.approx(0.3, abs=1e-15)
 
 
 def test_dual_prox_step_frozen_hinge_clipped():
     # [DERIVED] unclipped -2.2/1.5 lands outside the box, clips to -1
     h = smooth_hinge_loss(np.array([1.0]))
-    assert dual_prox_step(h, -3.0, -0.2, 2.0, 1, 0) == -1.0
+    assert h.dual_prox(np.array([-3.0]), np.array([-0.2]), 2.0, 1)[0] == -1.0
 
 
 def test_dual_prox_step_frozen_hinge_interior():
     # [DERIVED] (0.1 + 0.5*(0.5 + 1)) / 1.5 = 17/30, inside [0, 1]
     h = smooth_hinge_loss(np.array([1.0, -1.0]))
-    assert dual_prox_step(h, 0.5, 0.1, 1.0, 2, 1) == pytest.approx(
-        17.0 / 30.0, abs=1e-15)
+    u = h.dual_prox(np.array([0.0, 0.5]), np.array([-0.5, 0.1]), 1.0, 2)
+    assert u[1] == pytest.approx(17.0 / 30.0, abs=1e-15)
 
 
 def test_dual_prox_vector_matches_scalar():
+    # each coordinate is the prox of its own one-sample loss
     rng = np.random.default_rng(2)
     labels = rng.choice([-1.0, 1.0], size=8)
     h = smooth_hinge_loss(labels)
@@ -140,18 +135,19 @@ def test_dual_prox_vector_matches_scalar():
     y = rng.uniform(lower, upper)
     out = h.dual_prox(w, y, 1.7, 8)
     for i in range(8):
-        assert out[i] == pytest.approx(
-            dual_prox_step(h, float(w[i]), float(y[i]), 1.7, 8, i), abs=1e-14)
+        one = smooth_hinge_loss(labels[i:i + 1])
+        assert out[i] == one.dual_prox(w[i:i + 1], y[i:i + 1], 1.7, 8)[0]
 
 
 def test_dual_prox_maximizes_prox_objective():
     # the returned point beats nearby feasible perturbations
     h = smooth_hinge_loss(np.array([1.0]))
     w, y, delta, n = 0.4, -0.3, 1.2, 3
-    u = dual_prox_step(h, w, y, delta, n, 0)
+    u = float(h.dual_prox(np.array([w]), np.array([y]), delta, n)[0])
 
     def obj(v):
-        return (v * w - conjugate_value(h, v, 0)) / n - (v - y) ** 2 / (2 * delta)
+        conj = h.conjugates(np.array([v]))[0]
+        return (v * w - conj) / n - (v - y) ** 2 / (2 * delta)
 
     for eps in (1e-3, -1e-3, 0.05, -0.05):
         v = float(np.clip(u + eps, -1.0, 0.0))
@@ -178,9 +174,14 @@ def test_loss_model_validation():
 def test_vector_ops_match_scalar_ops():
     rng = np.random.default_rng(4)
     labels = rng.choice([-1.0, 1.0], size=6)
-    for m in (smooth_hinge_loss(labels), quadratic_loss(rng.normal(size=6))):
+    targets = rng.normal(size=6)
+    for m in (smooth_hinge_loss(labels), quadratic_loss(targets)):
         p = rng.normal(size=6) * 2
-        assert_allclose(m.values(p), [loss_value(m, float(p[i]), i) for i in range(6)])
+        if m.kind == "smooth_hinge":
+            want = [hinge_scalar(float(p[i] * labels[i])) for i in range(6)]
+        else:
+            want = [0.5 * (float(p[i]) - targets[i]) ** 2 for i in range(6)]
+        assert_allclose(m.values(p), want)
         assert_allclose(m.derivatives(p),
                         [loss_derivative(m, float(p[i]), i) for i in range(6)])
         assert m.mean_value(p) == pytest.approx(float(np.mean(m.values(p))))
@@ -270,21 +271,23 @@ def test_primal_objective_matches_manual_sum():
     g = Regularizer(mu=0.3)
     manual = np.mean([hinge_scalar(float(dense[i] @ x) * labels[i])
                       for i in range(5)]) + 0.15 * float(x @ x)
-    assert primal_objective(m, g, A, x) == pytest.approx(manual, abs=1e-12)
+    assert m.mean_value(A.matvec(x)) + g.value(x) == pytest.approx(manual,
+                                                                   abs=1e-12)
 
 
 # -------------------------------------------------------------- regularizer
 
 def test_regularizer_value_grad_and_default_smoothness():
     g = Regularizer(mu=0.5)
-    assert g.l_smooth == 0.5
     x = np.array([1.0, -2.0])
     assert g.value(x) == pytest.approx(1.25)
     assert_allclose(g.grad(x), [0.5, -1.0])
-    g2 = Regularizer(mu=0.5, l_smooth=2.0)
-    assert g2.l_smooth == 2.0
-    with pytest.raises(ValueError):
-        Regularizer(mu=0.0)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan])
+def test_regularizer_rejects_nonpositive_mu(mu):
+    with pytest.raises(ValueError, match="mu must be positive"):
+        Regularizer(mu=mu)
 
 
 # ------------------------------------------------------------ matrix targets

@@ -21,8 +21,7 @@ from pdbfw.losses import (MatrixQuadraticLoss, Regularizer, quadratic_loss,
                           smooth_hinge_loss)
 from pdbfw.metrics import (ConvergenceTrace, DivergenceError, SketchedSpectrum,
                            _sketched_singular_values, dual_objective,
-                           dual_objective_trace, duality_gap,
-                           project_nuclear_ball, relative_primal_error)
+                           dual_objective_trace, project_nuclear_ball)
 from pdbfw.pdbfw_trace import _power_start
 
 
@@ -238,17 +237,9 @@ def test_duality_gap_frozen_hinge_origin():
     labels = np.array([1.0, -1.0, 1.0, -1.0])
     loss = smooth_hinge_loss(labels)
     reg = Regularizer(mu=1.0)
-    gap = duality_gap(A, loss, reg, np.zeros(A.n_cols),
-                      np.zeros(A.n_rows), 3.0)
-    assert gap == pytest.approx(0.5, abs=1e-15)
-
-
-def test_duality_gap_rejects_infeasible_x():
-    A, loss = _small_problem("quadratic", seed=23)
-    reg = Regularizer(mu=1.0)
-    x = np.full(A.n_cols, 10.0)
-    with pytest.raises(ValueError, match="infeasible"):
-        duality_gap(A, loss, reg, x, np.zeros(A.n_rows), 1.0)
+    primal = loss.mean_value(np.zeros(A.n_rows))
+    dual = dual_objective(A, loss, reg, np.zeros(A.n_rows), 3.0)
+    assert primal - dual == pytest.approx(0.5, abs=1e-15)
 
 
 def test_duality_gap_nonnegative_for_feasible_pairs():
@@ -261,7 +252,8 @@ def test_duality_gap_nonnegative_for_feasible_pairs():
         x *= 2.0 * rng.uniforms(1)[0] / max(np.abs(x).sum(), 1e-12)
         y = -rng.uniforms(A.n_rows)  # wrong box for -1 labels is fine:
         y = np.where(loss.targets > 0, y, -y)
-        assert duality_gap(A, loss, reg, x, y, 2.0) >= -1e-12
+        primal = loss.mean_value(A.matvec(x)) + reg.value(x)
+        assert primal - dual_objective(A, loss, reg, y, 2.0) >= -1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -296,7 +288,7 @@ def test_l1_weak_duality_on_random_instances(seed, n, d, kind, fully_stored,
     primal = loss.mean_value(A.matvec(x)) + reg.value(x)
     dual = dual_objective(A, loss, reg, y, radius)
     scale = max(1.0, abs(primal), abs(dual))
-    assert duality_gap(A, loss, reg, x, y, radius) >= -1e-12 * scale
+    assert primal - dual >= -1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -512,24 +504,3 @@ def test_sketched_spectrum_switches_to_full_svd_after_a_miss():
     assert spectrum.block is None
     np.testing.assert_array_equal(spectrum(low),
                                   np.linalg.svd(low, compute_uv=False))
-
-
-# ---------------------------------------------------------------------------
-# Error metrics
-
-
-def test_relative_primal_error_values():
-    # [TRIVIAL] (P - P*)/P* elementwise
-    tr = ConvergenceTrace()
-    tr.append(0, 0.0, 4.0, 0.0, 0, 0)
-    tr.append(1, 0.1, 2.5, 0.0, 1, 0)
-    np.testing.assert_allclose(relative_primal_error(tr, 2.0), [1.0, 0.25])
-
-
-def test_relative_primal_error_rejects_nonpositive_reference():
-    tr = ConvergenceTrace()
-    tr.append(0, 0.0, 4.0, 0.0, 0, 0)
-    with pytest.raises(ValueError, match="p_star"):
-        relative_primal_error(tr, 0.0)
-    with pytest.raises(ValueError, match="p_star"):
-        relative_primal_error(tr, -1.0)

@@ -178,7 +178,7 @@ def _dense_reference(A_dense, b, reg, radius, eta, delta, iters):
     y = np.zeros(n)
     for _ in range(iters):
         c = A_dense.T @ y / n + reg.mu * x
-        v = x - c / (reg.l_smooth * eta)
+        v = x - c / (reg.mu * eta)
         x = (1 - eta) * x + eta * project_l1_ball(v, radius)
         w = A_dense @ x
         y = (y + (delta / n) * (w - b)) / (1.0 + delta / n)
@@ -249,7 +249,7 @@ def test_resolve_fills_theory_defaults():
     A, loss = _random_instance(99, 20, 10)
     reg = Regularizer(mu=0.5)
     rc = _resolve(SolverConfig(radius=1.0, s=3), A, loss, reg)
-    assert rc.eta == pytest.approx(0.5)  # mu/(2L) with L = mu
+    assert rc.eta == 0.5  # mu/(2L) with L = mu
     assert rc.k == math.ceil(20 * 3 / 10)
     want_delta = default_delta(rc.k, 20, loss.beta, loss.alpha,
                                A.max_row_norm_sq, reg, curvature_factor=4.0)
@@ -273,13 +273,6 @@ def test_resolve_rejects_oversized_budgets():
         _resolve(SolverConfig(radius=1.0, s=1, k=9), A, loss, reg)
 
 
-def test_resolve_rejects_degenerate_eta():
-    A, loss = _random_instance(99, 8, 5)
-    reg = Regularizer(mu=3.0, l_smooth=1.0)  # mu/(2L) = 1.5 > 1
-    with pytest.raises(ConfigurationError, match="eta"):
-        _resolve(SolverConfig(radius=1.0, s=1), A, loss, reg)
-
-
 def test_default_delta_rejects_degenerate_result():
     reg = Regularizer(mu=1.0)
     with pytest.raises(ConfigurationError, match="degenerate"):
@@ -295,6 +288,10 @@ def test_default_delta_rejects_degenerate_result():
     dict(radius=1.0, s=1, delta=0.0),
     dict(radius=1.0, s=1, k=0),
     dict(radius=1.0, s=1, max_iters=-1),
+    dict(radius=math.nan, s=1),
+    dict(radius=1.0, s=1, eta=math.nan),
+    dict(radius=1.0, s=1, delta=math.nan),
+    dict(radius=1.0, s=1, gap_tol=math.nan),
 ])
 def test_solver_config_validation(kwargs):
     with pytest.raises(ValueError):

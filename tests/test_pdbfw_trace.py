@@ -1,6 +1,6 @@
 """Tests for the trace-norm-ball solver: the rank-s spectral prox against a
-dense-SVD oracle, the greedy row dual step, cache maintenance, audit records,
-and end-to-end recovery of a planted low-rank matrix."""
+dense-SVD oracle, the greedy row dual step, cache maintenance, audited prox
+calls, and end-to-end recovery of a planted low-rank matrix."""
 
 import math
 
@@ -14,11 +14,13 @@ from pdbfw.metrics import project_nuclear_ball
 from pdbfw.pdbfw_l1 import SolverConfig, SolverState, resolve
 from pdbfw.pdbfw_l1 import dual_step as dual_step_vector
 from pdbfw import metrics, pdbfw_trace
-from pdbfw.pdbfw_trace import (ApproximationError, LmoAuditRecord,
-                               LowRankFactor, _exact_lowrank_prox_dense,
+from pdbfw.pdbfw_trace import (ApproximationError, LowRankFactor,
                                approx_lowrank_prox, compute_r_k,
                                dual_step_trace, primal_step_trace,
                                solve_trace, trace_defaults)
+
+from lowrank_audit import (ProxAudit, audit_prox_calls,
+                           exact_lowrank_prox_dense)
 
 
 def _spectrum_matrix(rng, d, c, spectrum):
@@ -95,7 +97,7 @@ def test_approx_prox_matches_dense_svd_oracle():
     for d, c, spectrum, s, radius in cases:
         M = _spectrum_matrix(rng, d, c, spectrum)
         got = approx_lowrank_prox(M, radius, s).to_dense()
-        want = _exact_lowrank_prox_dense(M, radius, s)
+        want = exact_lowrank_prox_dense(M, radius, s)
         np.testing.assert_allclose(got, want, atol=1e-8)
 
 
@@ -104,7 +106,7 @@ def test_exact_prox_with_full_rank_budget_is_nuclear_projection():
     rng = PortableRng(220)
     M = rng.normals(30).reshape(6, 5) * 2.0
     np.testing.assert_allclose(
-        _exact_lowrank_prox_dense(M, 3.0, 5),
+        exact_lowrank_prox_dense(M, 3.0, 5),
         project_nuclear_ball(M, 3.0), atol=1e-12)
 
 
@@ -114,11 +116,12 @@ def test_approx_prox_budget_clamped_to_shape():
     np.testing.assert_allclose(f.to_dense(), M, atol=1e-9)
 
 
-def test_approx_prox_sweep_budget_failure():
+def test_approx_prox_sweep_budget_failure(monkeypatch):
     # a slowly decaying spectrum cannot certify in a single sweep
     M = PortableRng(1234).normals(144).reshape(12, 12)
+    monkeypatch.setattr(pdbfw_trace, "POWER_MAX_SWEEPS", 1)
     with pytest.raises(ApproximationError) as exc:
-        approx_lowrank_prox(M, 1.0, 2, max_sweeps=1)
+        approx_lowrank_prox(M, 1.0, 2)
     assert exc.value.residual > 1e-10
     assert "did not converge" in str(exc.value)
 
@@ -226,7 +229,7 @@ def test_primal_step_trace_rank_and_cache_maintenance():
     np.testing.assert_allclose(state.z, A.to_dense().T @ state.y, atol=1e-8)
 
 
-def test_primal_step_trace_audit_against_exact_oracle():
+def test_primal_step_trace_audit_against_exact_oracle(monkeypatch):
     n, d, c = 15, 8, 6
     rng = PortableRng(260)
     A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
@@ -235,23 +238,22 @@ def test_primal_step_trace_audit_against_exact_oracle():
     cfg = _resolve(SolverConfig(radius=2.0, s=2, k=5, delta=1.0,
                                 gap_tol=1e-8), A, loss, reg)
     state = SolverState.zeros(n, d, c)
-    audit = []
+    audit = audit_prox_calls(monkeypatch)
     for t in range(1, 11):
         state.iteration = t
-        primal_step_trace(state, cfg, A, loss, reg, audit=audit)
+        pdbfw_trace.primal_step_trace(state, cfg, A, loss, reg)
         dual_step_trace(state, cfg, A, loss)
     assert len(audit) == 10
     for rec in audit:
-        assert rec.l_star <= 1e-12  # exact subproblem value is never positive
-        assert rec.eps == cfg.gap_tol / 8.0
-        assert rec.satisfied()
+        assert rec.exact <= 1e-12  # exact subproblem value is never positive
+        assert rec.satisfied(0.5, cfg.gap_tol / 8.0)
 
 
 # ---------------------------------------------------------------------------
 # End-to-end recovery
 
 
-def test_solve_trace_recovers_planted_low_rank():
+def test_solve_trace_recovers_planted_low_rank(monkeypatch):
     spec = SyntheticSpec(kind="trace_sensing", n=40, d=12, c=9,
                          true_sparsity_or_rank=2, seed=13)
     ds, X0 = generate_synthetic(spec)
@@ -260,11 +262,12 @@ def test_solve_trace_recovers_planted_low_rank():
     reg = Regularizer(mu=0.1)
     cfg = SolverConfig(radius=radius, s=5, k=40, delta=50.0,
                        max_iters=300, gap_tol=1e-9)
-    audit = []
-    X, Y, trace = solve_trace(ds.matrix, loss, reg, cfg, lmo_audit=audit)
+    audit = audit_prox_calls(monkeypatch)
+    X, Y, trace = solve_trace(ds.matrix, loss, reg, cfg)
     assert trace.final.gap <= 1e-9
     assert trace.final.support == 2  # numerical rank of the solution
-    assert all(rec.satisfied() for rec in audit)
+    assert len(audit) == trace.final.iteration
+    assert all(rec.satisfied(0.5, cfg.gap_tol / 8.0) for rec in audit)
     # gap column is P - D for the recorded pair throughout
     assert trace.gaps().min() >= -1e-9
 
@@ -355,7 +358,7 @@ def test_resolve_trace_rejects_oversized_rank_budget():
 
 
 # ---------------------------------------------------------------------------
-# Restricted spectral bound and audit record
+# Restricted spectral bound and prox audit record
 
 
 def test_compute_r_k_small_cases():
@@ -433,9 +436,6 @@ def test_compute_r_k_never_densifies_for_n_minus_one(monkeypatch):
 
 def test_lmo_audit_record_arithmetic():
     # [TRIVIAL] l <= (1 - gamma) l* + eps
-    assert LmoAuditRecord(l_value=-0.4, l_star=-0.8, gamma=0.5,
-                          eps=0.0).satisfied()
-    assert not LmoAuditRecord(l_value=-0.3, l_star=-0.8, gamma=0.5,
-                              eps=0.0).satisfied()
-    assert LmoAuditRecord(l_value=-0.35, l_star=-0.8, gamma=0.5,
-                          eps=0.1).satisfied()
+    assert ProxAudit(value=-0.4, exact=-0.8).satisfied(0.5, 0.0)
+    assert not ProxAudit(value=-0.3, exact=-0.8).satisfied(0.5, 0.0)
+    assert ProxAudit(value=-0.35, exact=-0.8).satisfied(0.5, 0.1)
