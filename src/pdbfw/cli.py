@@ -21,6 +21,7 @@ input).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import List, Optional
@@ -112,31 +113,38 @@ def write_trace_csv(path: str, trace: ConvergenceTrace) -> None:
             ]) + "\n")
 
 
-def _run_one(solver: str, args: argparse.Namespace, dataset: Dataset):
-    n = dataset.matrix.n_rows
-    d = dataset.matrix.n_cols
-    mu = args.mu if args.mu is not None else 10.0 / n
+def _solver_calls(args: argparse.Namespace, dataset: Dataset):
+    """(solver, call) per requested solver, where `call()` returns a tuple
+    that ends with the trace. Every config is built here, before any solver
+    runs, so a rejected setting leaves no output behind."""
+    A = dataset.matrix
+    d = A.n_cols
+    mu = args.mu if args.mu is not None else 10.0 / A.n_rows
     reg = Regularizer(mu=mu)
     if args.constraint == "trace":
         loss = MatrixQuadraticLoss(B=dataset.labels)
-        s_default, call = min(10, d, loss.n_tasks), pdbfw_trace.solve_trace
+        s_default, solve = min(10, d, loss.n_tasks), pdbfw_trace.solve_trace
     else:
         make_loss = (smooth_hinge_loss if args.loss == "smooth_hinge"
                      else quadratic_loss)
         loss = make_loss(dataset.labels)
-        s_default, call = min(10, d), pdbfw_l1.solve
-    if solver == "pdbfw":
-        cfg = pdbfw_l1.SolverConfig(
-            radius=args.radius, s=args.s if args.s is not None else s_default,
-            k=args.k, eta=args.eta, delta=args.delta,
-            max_iters=args.max_iters, gap_tol=args.gap_tol)
-        _, _, trace = call(dataset.matrix, loss, reg, cfg)
-        return trace
-    cfg = BaselineConfig(kind=solver, radius=args.radius,
-                         max_iters=args.max_iters, seed=args.seed,
-                         gap_tol=args.gap_tol)
-    _, trace = solve_baseline(dataset.matrix, loss, reg, cfg)
-    return trace
+        s_default, solve = min(10, d), pdbfw_l1.solve
+    calls = []
+    for solver in args.solvers:
+        if solver == "pdbfw":
+            cfg = pdbfw_l1.SolverConfig(
+                radius=args.radius,
+                s=args.s if args.s is not None else s_default,
+                k=args.k, eta=args.eta, delta=args.delta,
+                max_iters=args.max_iters, gap_tol=args.gap_tol)
+            call = functools.partial(solve, A, loss, reg, cfg)
+        else:
+            cfg = BaselineConfig(kind=solver, radius=args.radius,
+                                 max_iters=args.max_iters, seed=args.seed,
+                                 gap_tol=args.gap_tol)
+            call = functools.partial(solve_baseline, A, loss, reg, cfg)
+        calls.append((solver, call))
+    return calls
 
 
 def run(args: argparse.Namespace) -> int:
@@ -144,15 +152,15 @@ def run(args: argparse.Namespace) -> int:
     process exit code."""
     try:
         _usage_check(args)
-        dataset = _load(args)
+        calls = _solver_calls(args, _load(args))
     except (UsageError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     os.makedirs(args.output_dir, exist_ok=True)
     summary_rows = []
-    for solver in args.solvers:
+    for solver, call in calls:
         try:
-            trace = _run_one(solver, args, dataset)
+            trace = call()[-1]
         except (DivergenceError, ApproximationError) as exc:
             print(f"error: solver {solver} failed: {exc}", file=sys.stderr)
             return EXIT_SOLVER_FAILURE

@@ -203,7 +203,7 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     prefix the test's exact value never rises, and `slack` bounds its
     rounding at every index, so theta is the full sort's theta.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     v = np.asarray(v, dtype=np.float64)
     a = np.abs(v)

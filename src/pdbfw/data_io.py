@@ -244,8 +244,8 @@ class SyntheticSpec:
         if self.kind == "trace_sensing" and self.c is not None and \
                 self.true_sparsity_or_rank > min(self.d, self.c):
             raise ValueError("true rank exceeds min(d, c)")
-        if self.noise_level < 0.0:
-            raise ValueError("noise level must be >= 0")
+        if not self.noise_level >= 0.0:
+            raise ValueError(f"noise level must be >= 0, got {self.noise_level}")
 
 
 def generate_synthetic(spec: SyntheticSpec):

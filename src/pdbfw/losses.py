@@ -10,7 +10,8 @@ Smooth hinge on the margin z = p * label:
 Its conjugate h*(u) = u^2/2 + u is finite exactly on u in [-1, 0], so the
 dual variable of sample i lives in the box [-1, 0] for label +1 and [0, 1]
 for label -1. The quadratic loss f_i(p) = (p - b_i)^2 / 2 has conjugate
-f_i*(y) = y^2/2 + b_i*y, finite everywhere. Both models have beta = alpha = 1.
+f_i*(y) = y^2/2 + b_i*y, finite everywhere. Every loss here is 1-smooth and
+1-strongly convex on its curved region, which the step-size defaults assume.
 """
 
 from __future__ import annotations
@@ -54,15 +55,11 @@ class LossModel:
     """Separable per-sample loss family with conjugate and dual-prox support.
 
     targets holds the labels (+-1, smooth hinge) or regression targets b_i
-    (quadratic). beta is the smoothness constant, alpha the strong-convexity
-    constant of each f_i on its curved region; both are 1 for the two models
-    implemented here.
+    (quadratic).
     """
 
     kind: str
     targets: np.ndarray
-    beta: float = field(default=1.0)
-    alpha: float = field(default=1.0)
     _box: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -136,7 +133,7 @@ class LossModel:
         target; hinge coordinates are then clipped to their box (exact because
         the objective is concave).
         """
-        if delta <= 0:
+        if not delta > 0:
             raise ValueError(f"delta must be positive, got {delta}")
         r = delta / n
         u = (y + r * (w - self.targets)) / (1.0 + r)
@@ -159,12 +156,10 @@ class MatrixQuadraticLoss:
     f_i(p) = ||p - B_i||^2 / 2 with p the i-th row of AX.
 
     Entrywise it is the scalar quadratic loss, so conjugates and the dual prox
-    reuse the same closed forms column by column. beta = alpha = 1.
+    reuse the same closed forms column by column.
     """
 
     B: np.ndarray
-    beta: float = 1.0
-    alpha: float = 1.0
 
     def __post_init__(self):
         b = np.asarray(self.B, dtype=np.float64)
@@ -191,7 +186,7 @@ class MatrixQuadraticLoss:
 
     def dual_prox(self, W: np.ndarray, Y: np.ndarray, delta: float,
                   n: int) -> np.ndarray:
-        if delta <= 0:
+        if not delta > 0:
             raise ValueError(f"delta must be positive, got {delta}")
         r = delta / n
         return (Y + r * (W - self.B)) / (1.0 + r)

@@ -1,5 +1,6 @@
-"""Objective values, the computable dual objective / duality gap, and
-convergence traces with arithmetic-cost accounting.
+"""Objective values, the computable dual objective / duality gap,
+convergence traces with arithmetic-cost accounting, and the loop that runs
+every solver to a certified gap.
 
 The dual objective follows the saddle-point form
 
@@ -17,6 +18,7 @@ defines the deterministic `seconds` axis written to trace CSVs.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,9 +89,44 @@ class ConvergenceTrace:
         raise KeyError(f"no record at iteration {iteration}")
 
 
+def run_to_gap(A: SparseDesignMatrix, loss, reg: Regularizer, state, step,
+               certificate, support, max_iters: int, gap_tol: float,
+               record_every: int = 1) -> ConvergenceTrace:
+    """The iteration loop of every solver; returns its trace.
+
+    Records iteration 0, then sets `state.iteration` to t and calls
+    `step(state)` for t = 1, 2, ... until a recorded gap is <= gap_tol or
+    max_iters steps have run. It records every `record_every`th step and
+    the last one. A record holds the primal value at (state.x, state.w),
+    the dual value `certificate(state)`, state.flops and `support(state.x)`;
+    its elapsed time is read after the certificate.
+    """
+    if loss.n != A.n_rows:
+        raise ValueError("loss sample count does not match matrix rows")
+    trace = ConvergenceTrace()
+    t0 = time.perf_counter()
+
+    def record():
+        primal = loss.mean_value(state.w) + reg.value(state.x)
+        dual = certificate(state)
+        trace.append(state.iteration, time.perf_counter() - t0, primal, dual,
+                     state.flops, support(state.x))
+        return trace.final.gap
+
+    gap = record()
+    for t in range(1, max_iters + 1):
+        if gap <= gap_tol:
+            break
+        state.iteration = t
+        step(state)
+        if t % record_every == 0 or t == max_iters:
+            gap = record()
+    return trace
+
+
 def project_nuclear_ball(M: np.ndarray, radius: float) -> np.ndarray:
     """Frobenius projection of M onto {||X||_* <= radius} via an exact SVD."""
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     M = np.asarray(M, dtype=np.float64)
     u, s, vt = np.linalg.svd(M, full_matrices=False)

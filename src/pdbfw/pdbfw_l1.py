@@ -1,5 +1,4 @@
-"""Block primal-dual Frank-Wolfe solver for l1-ball-constrained ERM, and the
-block loop it shares with the trace-norm solver.
+"""Block primal-dual Frank-Wolfe solver for l1-ball-constrained ERM.
 
 Each iteration performs an s-sparse primal Frank-Wolfe step against the
 proximal linearization of the Lagrangian, maintains w = Ax through the
@@ -9,13 +8,13 @@ z = A'y through the touched rows. Per-iteration arithmetic is proportional
 to the nonzeros of the s columns and k rows actually touched.
 
 Only the steps, the dual certificate and the support count depend on the
-constraint set; `pdbfw_trace` supplies its own and runs the same loop.
+constraint set; `pdbfw_trace` supplies its own. Both solvers, and the
+reference solvers in `baselines`, run in `metrics.run_to_gap`.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +23,7 @@ from .core_linalg import (SparseDesignMatrix, SparseUpdate,
                           apply_row_slice_transpose, apply_sparse_col_product,
                           sparse_l1_prox, top_k_by_magnitude)
 from .losses import LossModel, Regularizer
-from .metrics import ConvergenceTrace, dual_objective
+from .metrics import dual_objective, run_to_gap
 
 DEFAULT_GAP_TOL = 1e-8
 
@@ -43,12 +42,13 @@ class SolverConfig:
       eta   = mu / (2 L) = 1/2, since g = (mu/2)||x||^2 has L = mu
       k     = ceil(n s / d) for the l1 solver,
               ceil(n s (1/c + 1/d)) for the trace solver (both clamped to [1, n])
-      delta = (1/k) / ( L/(mu n beta) + (5 beta R)/(2 alpha mu n^2) (1 + 4 L/mu) )
+      delta = (1/k) / ( L/(mu n) + (5 R)/(2 mu n^2) (1 + 4 L/mu) )
               with 4 -> 8 and R the spectral bound in the trace case
 
-    mu comes from the Regularizer passed to the solver. The run stops at
-    the first record whose gap is at most gap_tol, which may be any number
-    but NaN (a negative one runs all max_iters steps).
+    mu comes from the Regularizer passed to the solver; the losses' own
+    constants are 1 (see `losses`). The run stops at the first record whose
+    gap is at most gap_tol, which may be any number but NaN (a negative one
+    runs all max_iters steps).
     """
 
     radius: float
@@ -76,12 +76,11 @@ class SolverConfig:
             raise ValueError("gap_tol must be a number, got nan")
 
 
-def default_delta(k: int, n: int, beta: float, alpha: float, R: float,
-                  reg: Regularizer, curvature_factor: float) -> float:
+def default_delta(k: int, n: int, R: float, reg: Regularizer,
+                  curvature_factor: float) -> float:
     """Theory default dual step; curvature_factor is 4 (l1) or 8 (trace)."""
     L = mu = reg.mu  # g = (mu/2)||x||^2 is exactly mu-smooth
-    denom = (L / (mu * n * beta)
-             + (5.0 * beta * R) / (2.0 * alpha * mu * n * n)
+    denom = (L / (mu * n) + (5.0 * R) / (2.0 * mu * n * n)
              * (1.0 + curvature_factor * L / mu))
     delta = 1.0 / (k * denom)
     if not np.isfinite(delta) or delta <= 0:
@@ -91,7 +90,7 @@ def default_delta(k: int, n: int, beta: float, alpha: float, R: float,
     return delta
 
 
-def resolve(cfg: SolverConfig, A: SparseDesignMatrix, loss, reg: Regularizer,
+def resolve(cfg: SolverConfig, A: SparseDesignMatrix, reg: Regularizer,
             k_default: float, delta_terms) -> SolverConfig:
     """Fill in the eta, k and delta defaults of a block solver.
 
@@ -99,8 +98,6 @@ def resolve(cfg: SolverConfig, A: SparseDesignMatrix, loss, reg: Regularizer,
     `delta_terms(k)`, the (R, curvature_factor) pair of `default_delta`,
     which is only evaluated when delta is left unset.
     """
-    if loss.n != A.n_rows:
-        raise ValueError("loss sample count does not match matrix rows")
     n = A.n_rows
     eta = cfg.eta if cfg.eta is not None else 0.5
     k = cfg.k if cfg.k is not None else max(1, min(n, math.ceil(k_default)))
@@ -109,8 +106,7 @@ def resolve(cfg: SolverConfig, A: SparseDesignMatrix, loss, reg: Regularizer,
     delta = cfg.delta
     if delta is None:
         R, curvature_factor = delta_terms(k)
-        delta = default_delta(k, n, loss.beta, loss.alpha, R, reg,
-                              curvature_factor)
+        delta = default_delta(k, n, R, reg, curvature_factor)
     return replace(cfg, eta=eta, k=k, delta=delta)
 
 
@@ -127,7 +123,7 @@ class SolverState:
     """Mutable iterates of one run: x, y and the caches w = Ax, z = A'y.
 
     Vectors for the l1 ball; d x c and n x c matrices for the trace-norm
-    ball with c tasks.
+    ball with c tasks. The reference solvers keep y and z at zero.
     """
 
     x: np.ndarray
@@ -176,36 +172,6 @@ def dual_step(state: SolverState, cfg: SolverConfig, A: SparseDesignMatrix,
     return rows
 
 
-def block_loop(A: SparseDesignMatrix, loss, reg: Regularizer,
-               rc: SolverConfig, state: SolverState, primal, dual,
-               certificate, support):
-    """Alternate `primal` and `dual` steps on `state` until the recorded gap
-    is <= rc.gap_tol or rc.max_iters steps have run; returns (x, y, trace).
-
-    `certificate(A, loss, reg, y, radius, z)` is the dual objective over the
-    constraint set and `support(x)` the size recorded for the iterate.
-    """
-    trace = ConvergenceTrace()
-    t0 = time.perf_counter()
-
-    def record():
-        primal_value = loss.mean_value(state.w) + reg.value(state.x)
-        dual_value = certificate(A, loss, reg, state.y, rc.radius, state.z)
-        trace.append(state.iteration, time.perf_counter() - t0, primal_value,
-                     dual_value, state.flops, support(state.x))
-        return trace.final.gap
-
-    gap = record()
-    for t in range(1, rc.max_iters + 1):
-        if gap <= rc.gap_tol:
-            break
-        state.iteration = t
-        primal(state, rc, A, loss, reg)
-        dual(state, rc, A, loss)
-        gap = record()
-    return state.x, state.y, trace
-
-
 def solve(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
           cfg: SolverConfig):
     """Run the block primal-dual solver until gap <= gap_tol or max_iters.
@@ -229,7 +195,16 @@ def solve(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
         One record per iteration including iteration 0; flop counts cover
         the column/row-restricted products only.
     """
-    rc = resolve(cfg, A, loss, reg, *l1_defaults(cfg, A))
+    rc = resolve(cfg, A, reg, *l1_defaults(cfg, A))
     state = SolverState.zeros(A.n_rows, A.n_cols)
-    return block_loop(A, loss, reg, rc, state, primal_step, dual_step,
-                      dual_objective, np.count_nonzero)
+
+    def step(st):
+        primal_step(st, rc, A, loss, reg)
+        dual_step(st, rc, A, loss)
+
+    def certificate(st):
+        return dual_objective(A, loss, reg, st.y, rc.radius, st.z)
+
+    trace = run_to_gap(A, loss, reg, state, step, certificate,
+                       np.count_nonzero, rc.max_iters, rc.gap_tol)
+    return state.x, state.y, trace

@@ -5,7 +5,7 @@ The primal step replaces the sparse l1 prox with a rank-s spectral prox
 values), computed by block power iteration so the per-iteration cost stays
 O(nds + ncs) instead of a full decomposition. The dual step updates the k
 rows with the largest proximal displacement in Euclidean norm. Both steps
-run in the block loop of `pdbfw_l1`, on matrix iterates.
+run in `metrics.run_to_gap`, on matrix iterates.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .core_linalg import (SparseDesignMatrix, project_l1_ball,
                           top_k_by_magnitude)
 from .data_io import PortableRng
 from .losses import MatrixQuadraticLoss, Regularizer
-from .metrics import SketchedSpectrum, dual_objective_trace
-from .pdbfw_l1 import SolverConfig, SolverState, block_loop, resolve
+from .metrics import SketchedSpectrum, dual_objective_trace, run_to_gap
+from .pdbfw_l1 import SolverConfig, SolverState, resolve
 
 # block power iteration limits (oversampled by 4 over the rank budget)
 POWER_OVERSAMPLE = 4
@@ -104,7 +104,7 @@ def approx_lowrank_prox(M: np.ndarray, radius: float, s: int) -> LowRankFactor:
     residual of POWER_TOL, so the result is exact to working precision
     whenever the iteration converges within POWER_MAX_SWEEPS sweeps.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     if s < 1:
         raise ValueError(f"rank budget must be >= 1, got {s}")
@@ -210,15 +210,20 @@ def solve_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
     is the full SVD's count; the dual value can move in its last bits.
     """
     c = loss.n_tasks
-    rc = resolve(cfg, A, loss, reg, *trace_defaults(cfg, A, c))
+    rc = resolve(cfg, A, reg, *trace_defaults(cfg, A, c))
     state = SolverState.zeros(A.n_rows, A.n_cols, c)
     block = _power_start(c, min(rc.s + POWER_OVERSAMPLE, A.n_cols, c))
     rank_sv, dual_sv = SketchedSpectrum(block), SketchedSpectrum(block)
 
-    # looked up at call time, so a rebound dual_objective_trace is used
-    def certificate(*args):
-        return dual_objective_trace(*args, singular_values=dual_sv)
+    def step(st):
+        primal_step_trace(st, rc, A, loss, reg)
+        dual_step_trace(st, rc, A, loss)
 
-    return block_loop(A, loss, reg, rc, state, primal_step_trace,
-                      dual_step_trace, certificate,
-                      lambda X: _numerical_rank(X, rank_sv))
+    def certificate(st):
+        return dual_objective_trace(A, loss, reg, st.y, rc.radius, st.z,
+                                    singular_values=dual_sv)
+
+    trace = run_to_gap(A, loss, reg, state, step, certificate,
+                       lambda X: _numerical_rank(X, rank_sv),
+                       rc.max_iters, rc.gap_tol)
+    return state.x, state.y, trace

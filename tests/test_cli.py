@@ -150,10 +150,22 @@ def test_bad_solver_parameters_exit_usage(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+def test_setting_one_solver_rejects_writes_nothing(tmp_path, capsys):
+    # pdbfw accepts gap_tol 0 (it runs the whole budget), fw rejects it;
+    # the run must stop before the output directory exists
+    out = tmp_path / "res"
+    code = main(_tiny_args(str(out), **{"--gap-tol": "0",
+                                        "--solvers": "pdbfw,fw"}))
+    assert code == EXIT_USAGE
+    assert "gap_tol must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, solvers, fragment", [
     ("--gap-tol", "pdbfw", "gap_tol"),
     ("--gap-tol", "acc_pgd", "gap_tol"),
     ("--mu", "pdbfw", "mu must be positive"),
+    ("--noise", "pdbfw", "noise level must be >= 0"),
 ])
 def test_nan_solver_parameters_exit_usage(tmp_path, capsys, flag, solvers,
                                           fragment):

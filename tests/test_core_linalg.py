@@ -52,6 +52,10 @@ def test_project_l1_ball_rejects_bad_radius():
         project_l1_ball(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         project_l1_ball(np.array([1.0]), -2.0)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        project_l1_ball(np.array([2.0, 1.0]), np.nan)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        sparse_l1_prox(np.array([2.0, 1.0]), np.nan, 1)
 
 
 @pytest.mark.parametrize("v", [[np.nan, 1.0, 2.0], [np.inf, 1.0],

@@ -378,6 +378,7 @@ def test_synthetic_trace_shapes_and_rank():
     (dict(kind="trace_sensing", n=5, d=4, c=3, true_sparsity_or_rank=4),
      "exceeds"),
     (dict(kind="sparse_regression", n=5, d=5, noise_level=-0.1), ">= 0"),
+    (dict(kind="sparse_regression", n=5, d=5, noise_level=np.nan), ">= 0"),
 ])
 def test_synthetic_spec_validation(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):

@@ -98,6 +98,8 @@ def test_project_nuclear_ball_rejects_bad_radius():
         project_nuclear_ball(np.eye(2), 0.0)
     with pytest.raises(ValueError, match="radius"):
         project_nuclear_ball(np.eye(2), -1.0)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        project_nuclear_ball(np.eye(2), np.nan)
 
 
 def _spectrum_bisection_projection(M, radius):

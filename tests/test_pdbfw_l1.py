@@ -8,13 +8,16 @@ import math
 import numpy as np
 import pytest
 
+from pdbfw.baselines import BASELINE_KINDS, BaselineConfig, solve_baseline
 from pdbfw.core_linalg import SparseDesignMatrix, project_l1_ball
 from pdbfw.data_io import PortableRng
-from pdbfw.losses import Regularizer, quadratic_loss, smooth_hinge_loss
+from pdbfw.losses import (MatrixQuadraticLoss, Regularizer, quadratic_loss,
+                          smooth_hinge_loss)
 from pdbfw.metrics import DivergenceError
 from pdbfw.pdbfw_l1 import (ConfigurationError, SolverConfig, SolverState,
                             default_delta, dual_step, l1_defaults, primal_step,
                             resolve, solve)
+from pdbfw.pdbfw_trace import solve_trace
 
 
 def _random_instance(seed, n, d, kind="quadratic"):
@@ -27,8 +30,8 @@ def _random_instance(seed, n, d, kind="quadratic"):
     return A, loss
 
 
-def _resolve(cfg, A, loss, reg):
-    return resolve(cfg, A, loss, reg, *l1_defaults(cfg, A))
+def _resolve(cfg, A, reg):
+    return resolve(cfg, A, reg, *l1_defaults(cfg, A))
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +100,36 @@ def test_solve_zero_problem_stops_immediately():
     assert trace.final.gap == 0.0
 
 
-def test_solve_records_every_iteration_from_zero():
+def _trace_of(entry_point, max_iters, gap_tol):
+    """Trace of one solver entry point on the same 12 x 8 instance; the
+    trace-norm solver gets 3-column targets."""
     A, loss = _random_instance(50, 12, 8)
     reg = Regularizer(mu=0.5)
-    cfg = SolverConfig(radius=2.0, s=2, max_iters=7, gap_tol=0.0)
-    _, _, trace = solve(A, loss, reg, cfg)
+    cfg = SolverConfig(radius=2.0, s=2, max_iters=max_iters, gap_tol=gap_tol)
+    if entry_point == "solve":
+        return solve(A, loss, reg, cfg)[-1]
+    if entry_point == "solve_trace":
+        B = PortableRng(51).normals(36).reshape(12, 3)
+        return solve_trace(A, MatrixQuadraticLoss(B=B), reg, cfg)[-1]
+    bcfg = BaselineConfig(kind=entry_point, radius=2.0, max_iters=max_iters,
+                          gap_tol=gap_tol)
+    return solve_baseline(A, loss, reg, bcfg)[-1]
+
+
+# every solver runs in the same loop, so all of them keep its contract
+@pytest.mark.parametrize("entry_point",
+                         ["solve", "solve_trace", *BASELINE_KINDS])
+def test_solve_records_every_iteration_from_zero(entry_point):
+    # a gap no record reaches: every step is recorded, from iteration 0
+    trace = _trace_of(entry_point, max_iters=7, gap_tol=1e-300)
     np.testing.assert_array_equal(trace.iterations(), np.arange(8))
     # flops are cumulative and nondecreasing
     flops = np.array([r.flops for r in trace.records])
     assert flops[0] == 0
     assert np.all(np.diff(flops) > 0)
+    # a gap every record reaches: the run stops at iteration 0
+    trace = _trace_of(entry_point, max_iters=7, gap_tol=math.inf)
+    np.testing.assert_array_equal(trace.iterations(), [0])
 
 
 def test_solve_rejects_sample_count_mismatch():
@@ -129,7 +152,7 @@ def _box_bounds(labels):
 def test_iterates_stay_feasible_hinge():
     A, loss = _random_instance(60, 20, 15, kind="hinge")
     reg = Regularizer(mu=0.2)
-    cfg = _resolve(SolverConfig(radius=1.5, s=3), A, loss, reg)
+    cfg = _resolve(SolverConfig(radius=1.5, s=3), A, reg)
     state = SolverState.zeros(20, 15)
     lo, hi = _box_bounds(loss.targets)
     for t in range(1, 101):
@@ -147,7 +170,7 @@ def test_cache_maintenance_matches_dense_products():
     A, loss = _random_instance(70, 25, 18)
     reg = Regularizer(mu=0.4)
     cfg = _resolve(SolverConfig(radius=2.0, s=4, k=6, delta=1.0),
-                   A, loss, reg)
+                   A, reg)
     state = SolverState.zeros(25, 18)
     for t in range(1, 101):
         state.iteration = t
@@ -209,9 +232,6 @@ def test_full_budget_matches_dense_reference():
 class _PoisonedLoss:
     """Quadratic-loss stand-in whose objective turns NaN mid-run."""
 
-    beta = 1.0
-    alpha = 1.0
-
     def __init__(self, n, poison_after):
         self.n = n
         self._calls = 0
@@ -246,37 +266,37 @@ def test_divergence_error_names_iteration():
 
 
 def test_resolve_fills_theory_defaults():
-    A, loss = _random_instance(99, 20, 10)
+    A, _ = _random_instance(99, 20, 10)
     reg = Regularizer(mu=0.5)
-    rc = _resolve(SolverConfig(radius=1.0, s=3), A, loss, reg)
+    rc = _resolve(SolverConfig(radius=1.0, s=3), A, reg)
     assert rc.eta == 0.5  # mu/(2L) with L = mu
     assert rc.k == math.ceil(20 * 3 / 10)
-    want_delta = default_delta(rc.k, 20, loss.beta, loss.alpha,
-                               A.max_row_norm_sq, reg, curvature_factor=4.0)
+    want_delta = default_delta(rc.k, 20, A.max_row_norm_sq, reg,
+                               curvature_factor=4.0)
     assert rc.delta == pytest.approx(want_delta, rel=1e-15)
 
 
 def test_resolve_respects_overrides():
-    A, loss = _random_instance(99, 20, 10)
+    A, _ = _random_instance(99, 20, 10)
     reg = Regularizer(mu=0.5)
     rc = _resolve(SolverConfig(radius=1.0, s=3, k=7, eta=0.25, delta=2.0),
-                  A, loss, reg)
+                  A, reg)
     assert (rc.k, rc.eta, rc.delta) == (7, 0.25, 2.0)
 
 
 def test_resolve_rejects_oversized_budgets():
-    A, loss = _random_instance(99, 8, 5)
+    A, _ = _random_instance(99, 8, 5)
     reg = Regularizer(mu=0.5)
     with pytest.raises(ValueError, match="exceeds feature dimension"):
-        _resolve(SolverConfig(radius=1.0, s=6), A, loss, reg)
+        _resolve(SolverConfig(radius=1.0, s=6), A, reg)
     with pytest.raises(ValueError, match="exceeds sample count"):
-        _resolve(SolverConfig(radius=1.0, s=1, k=9), A, loss, reg)
+        _resolve(SolverConfig(radius=1.0, s=1, k=9), A, reg)
 
 
 def test_default_delta_rejects_degenerate_result():
     reg = Regularizer(mu=1.0)
     with pytest.raises(ConfigurationError, match="degenerate"):
-        default_delta(1, 10, 1.0, 1.0, math.inf, reg, curvature_factor=4.0)
+        default_delta(1, 10, math.inf, reg, curvature_factor=4.0)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -32,7 +32,7 @@ def _spectrum_matrix(rng, d, c, spectrum):
 
 
 def _resolve(cfg, A, loss, reg):
-    return resolve(cfg, A, loss, reg, *trace_defaults(cfg, A, loss.n_tasks))
+    return resolve(cfg, A, reg, *trace_defaults(cfg, A, loss.n_tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +160,8 @@ def test_approx_prox_bit_identical_with_and_without_cache(monkeypatch):
 def test_approx_prox_validation():
     with pytest.raises(ValueError, match="radius"):
         approx_lowrank_prox(np.eye(2), 0.0, 1)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        approx_lowrank_prox(np.eye(2), np.nan, 1)
     with pytest.raises(ValueError, match="rank budget"):
         approx_lowrank_prox(np.eye(2), 1.0, 0)
 
