@@ -5,9 +5,8 @@ from .baselines import BaselineConfig, solve_acc_pgd, solve_baseline, \
     solve_fw, solve_svrg
 from .core_linalg import SparseDesignMatrix, SparseUpdate, project_l1_ball, \
     sparse_l1_prox, top_k_by_magnitude
-from .data_io import Dataset, DatasetMeta, ParseError, PortableRng, \
-    SyntheticSpec, generate_synthetic, normalize_rows, parse_libsvm, \
-    write_libsvm
+from .data_io import Dataset, ParseError, PortableRng, SyntheticSpec, \
+    generate_synthetic, normalize_rows, parse_libsvm
 from .losses import LossModel, MatrixQuadraticLoss, Regularizer, \
     quadratic_loss, smooth_hinge_loss
 from .metrics import ConvergenceTrace, DivergenceError, TraceRecord, \
@@ -24,7 +23,6 @@ __all__ = [
     "ConfigurationError",
     "ConvergenceTrace",
     "Dataset",
-    "DatasetMeta",
     "DivergenceError",
     "LossModel",
     "LowRankFactor",
@@ -56,6 +54,5 @@ __all__ = [
     "solve_trace",
     "sparse_l1_prox",
     "top_k_by_magnitude",
-    "write_libsvm",
     "__version__",
 ]

@@ -28,7 +28,8 @@ BASELINE_KINDS = ("fw", "acc_pgd", "svrg")
 class BaselineConfig:
     """Shared knobs for the reference solvers.
 
-    max_iters counts epochs for svrg, iterations otherwise. record_every
+    max_iters counts epochs for svrg, iterations otherwise. gap_tol may be
+    any number but NaN (a negative one runs all max_iters). record_every
     thins the trace (and the stopping check) to every Nth iteration plus the
     final one. The step sizes are fixed: 1/L_total for acc_pgd and
     1/(10 L_total) for svrg, where L_total = max_row_norm_sq + mu,
@@ -50,8 +51,8 @@ class BaselineConfig:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not self.gap_tol > 0:
-            raise ValueError(f"gap_tol must be positive, got {self.gap_tol}")
+        if math.isnan(self.gap_tol):
+            raise ValueError("gap_tol must be a number, got nan")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 

@@ -115,8 +115,9 @@ def write_trace_csv(path: str, trace: ConvergenceTrace) -> None:
 
 def _solver_calls(args: argparse.Namespace, dataset: Dataset):
     """(solver, call) per requested solver, where `call()` returns a tuple
-    that ends with the trace. Every config is built here, before any solver
-    runs, so a rejected setting leaves no output behind."""
+    that ends with the trace. Every config is built here, and pdbfw's is
+    resolved against the instance, before any solver runs, so a rejected
+    setting leaves no output behind."""
     A = dataset.matrix
     d = A.n_cols
     mu = args.mu if args.mu is not None else 10.0 / A.n_rows
@@ -124,11 +125,14 @@ def _solver_calls(args: argparse.Namespace, dataset: Dataset):
     if args.constraint == "trace":
         loss = MatrixQuadraticLoss(B=dataset.labels)
         s_default, solve = min(10, d, loss.n_tasks), pdbfw_trace.solve_trace
+        defaults = functools.partial(pdbfw_trace.trace_defaults,
+                                     c=loss.n_tasks)
     else:
         make_loss = (smooth_hinge_loss if args.loss == "smooth_hinge"
                      else quadratic_loss)
         loss = make_loss(dataset.labels)
         s_default, solve = min(10, d), pdbfw_l1.solve
+        defaults = pdbfw_l1.l1_defaults
     calls = []
     for solver in args.solvers:
         if solver == "pdbfw":
@@ -137,6 +141,7 @@ def _solver_calls(args: argparse.Namespace, dataset: Dataset):
                 s=args.s if args.s is not None else s_default,
                 k=args.k, eta=args.eta, delta=args.delta,
                 max_iters=args.max_iters, gap_tol=args.gap_tol)
+            cfg = pdbfw_l1.resolve(cfg, A, reg, *defaults(cfg, A))
             call = functools.partial(solve, A, loss, reg, cfg)
         else:
             cfg = BaselineConfig(kind=solver, radius=args.radius,

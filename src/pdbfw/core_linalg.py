@@ -98,12 +98,6 @@ class SparseDesignMatrix:
             return self._dense_cols @ y
         return np.asarray(self._csr.T @ y)
 
-    def row(self, i: int):
-        """(column indices, values) of row i's nonzeros, as views into the
-        CSR layout; callers must not write to them."""
-        lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
-        return self._csr.indices[lo:hi], self._csr.data[lo:hi]
-
     def divide_rows(self, divisors) -> "SparseDesignMatrix":
         """The matrix with row i divided by divisors[i], built on the CSR
         nonzeros without densifying."""
@@ -175,11 +169,6 @@ class SparseUpdate:
     @property
     def support_size(self) -> int:
         return int(self.indices.size)
-
-    def to_dense(self, length: int) -> np.ndarray:
-        out = np.zeros(length)
-        out[self.indices] = self.values
-        return out
 
 
 # Top count the l1 projection sorts first; vectors no longer than this are

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, TextIO, Union
 
 import numpy as np
@@ -75,9 +74,6 @@ class PortableRng:
         return (self.raw(count) % np.uint64(upper)).astype(np.int64)
 
 
-DatasetMeta = namedtuple("DatasetMeta", ["name", "n", "d", "nnz"])
-
-
 @dataclass
 class Dataset:
     """A design matrix with per-sample targets.
@@ -88,7 +84,6 @@ class Dataset:
 
     matrix: SparseDesignMatrix
     labels: np.ndarray
-    meta: DatasetMeta
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.float64)
@@ -106,12 +101,6 @@ class ParseError(ValueError):
         super().__init__(f"line {line_number}: {message}")
 
 
-def _open_maybe(source: Union[str, TextIO]):
-    if isinstance(source, str):
-        return open(source, "r"), True
-    return source, False
-
-
 def parse_libsvm(source: Union[str, TextIO], n_cols: Optional[int] = None,
                  name: str = "stdin") -> Dataset:
     """Parse the index:value text format into a Dataset.
@@ -119,9 +108,10 @@ def parse_libsvm(source: Union[str, TextIO], n_cols: Optional[int] = None,
     source is a path or an open text handle. n_cols forces the column count
     (errors if any index exceeds it); otherwise the max seen index is used.
     """
-    handle, owned = _open_maybe(source)
     if isinstance(source, str):
-        name = source
+        handle, owned, name = open(source, "r"), True, source
+    else:
+        handle, owned = source, False
     rows, cols, vals, labels = [], [], [], []
     max_index = 0
     try:
@@ -184,27 +174,7 @@ def parse_libsvm(source: Union[str, TextIO], n_cols: Optional[int] = None,
     matrix = SparseDesignMatrix.from_coo(
         row, d, np.asarray(rows, dtype=np.int64),
         np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=np.float64))
-    meta = DatasetMeta(name=name, n=row, d=d, nnz=matrix.nnz)
-    return Dataset(matrix=matrix, labels=label_arr, meta=meta)
-
-
-def write_libsvm(dataset: Dataset, destination: Union[str, TextIO]) -> None:
-    """Write a Dataset back out in the index:value text format."""
-    if dataset.labels.ndim != 1:
-        raise ValueError("only 1-D labels can be written to the text format")
-    if isinstance(destination, str):
-        handle, owned = open(destination, "w"), True
-    else:
-        handle, owned = destination, False
-    try:
-        for i in range(dataset.matrix.n_rows):
-            parts = [repr(float(dataset.labels[i]))]
-            for j, value in zip(*dataset.matrix.row(i)):
-                parts.append(f"{j + 1}:{float(value)!r}")
-            handle.write(" ".join(parts) + "\n")
-    finally:
-        if owned:
-            handle.close()
+    return Dataset(matrix=matrix, labels=label_arr)
 
 
 def normalize_rows(dataset: Dataset) -> Dataset:
@@ -214,8 +184,7 @@ def normalize_rows(dataset: Dataset) -> Dataset:
     """
     norms = np.sqrt(dataset.matrix.row_norms_sq)
     matrix = dataset.matrix.divide_rows(np.where(norms > 0.0, norms, 1.0))
-    meta = dataset.meta._replace(nnz=matrix.nnz)
-    return Dataset(matrix=matrix, labels=dataset.labels.copy(), meta=meta)
+    return Dataset(matrix=matrix, labels=dataset.labels.copy())
 
 
 @dataclass(frozen=True)
@@ -277,7 +246,5 @@ def generate_synthetic(spec: SyntheticSpec):
         if spec.noise_level > 0.0:
             targets = targets + spec.noise_level * rng.normals(n * c).reshape(n, c)
         truth = X0
-    matrix = SparseDesignMatrix.from_dense(A)
-    meta = DatasetMeta(name=f"{spec.kind}-seed{spec.seed}", n=n, d=d,
-                       nnz=matrix.nnz)
-    return Dataset(matrix=matrix, labels=targets, meta=meta), truth
+    return Dataset(matrix=SparseDesignMatrix.from_dense(A),
+                   labels=targets), truth

@@ -83,11 +83,6 @@ class LossModel:
     def n(self) -> int:
         return self.targets.size
 
-    def conjugate_box(self):
-        """Per-sample (lower, upper) bounds, read-only, of the box on which
-        the conjugate is finite."""
-        return self._box
-
     def values(self, p: np.ndarray) -> np.ndarray:
         if self.kind == SMOOTH_HINGE:
             return _hinge_value(p * self.targets)

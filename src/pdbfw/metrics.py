@@ -73,21 +73,6 @@ class ConvergenceTrace:
     def final(self) -> TraceRecord:
         return self.records[-1]
 
-    def gaps(self) -> np.ndarray:
-        return np.array([r.gap for r in self.records])
-
-    def primals(self) -> np.ndarray:
-        return np.array([r.primal for r in self.records])
-
-    def iterations(self) -> np.ndarray:
-        return np.array([r.iteration for r in self.records])
-
-    def gap_at(self, iteration: int) -> float:
-        for r in self.records:
-            if r.iteration == iteration:
-                return r.gap
-        raise KeyError(f"no record at iteration {iteration}")
-
 
 def run_to_gap(A: SparseDesignMatrix, loss, reg: Regularizer, state, step,
                certificate, support, max_iters: int, gap_tol: float,

@@ -53,10 +53,6 @@ class LowRankFactor:
     def rank(self) -> int:
         return int(self.singular.size)
 
-    @property
-    def trace_norm(self) -> float:
-        return float(self.singular.sum())
-
     def to_dense(self) -> np.ndarray:
         return self.left @ (self.singular[:, None] * self.right.T)
 

@@ -38,12 +38,22 @@ def _random_instance(seed, n, d, kind="quadratic"):
     (dict(kind="fw", radius=1.0, max_iters=-1), "max_iters"),
     (dict(kind="fw", radius=math.nan), "radius"),
     (dict(kind="acc_pgd", radius=1.0, gap_tol=math.nan), "gap_tol"),
-    (dict(kind="fw", radius=1.0, gap_tol=0.0), "gap_tol"),
     (dict(kind="fw", radius=1.0, record_every=0), "record_every"),
 ])
 def test_baseline_config_validation(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
         BaselineConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kind", BASELINE_KINDS)
+@pytest.mark.parametrize("gap_tol", [0.0, -1.0])
+def test_nonpositive_gap_tol_runs_whole_budget(kind, gap_tol):
+    # the rule of SolverConfig: any gap_tol but NaN; at or below 0 a run
+    # with positive gaps stops only at max_iters
+    A, loss = _random_instance(340, 12, 5)
+    cfg = BaselineConfig(kind=kind, radius=1.0, max_iters=5, gap_tol=gap_tol)
+    _, trace = solve_baseline(A, loss, Regularizer(mu=0.5), cfg)
+    assert [r.iteration for r in trace.records] == list(range(6))
 
 
 def test_total_smoothness_frozen():
@@ -122,7 +132,7 @@ def test_svrg_seeded_runs_are_bitwise_identical():
     x1, tr1 = solve_svrg(A, loss, reg, cfg)
     x2, tr2 = solve_svrg(A, loss, reg, cfg)
     np.testing.assert_array_equal(x1, x2)
-    np.testing.assert_array_equal(tr1.primals(), tr2.primals())
+    assert [r.primal for r in tr1.records] == [r.primal for r in tr2.records]
 
 
 def test_svrg_seed_changes_trajectory():
@@ -145,7 +155,7 @@ def test_iterates_feasible_and_gaps_nonnegative(kind):
     x, trace = _SOLVERS[kind](A, loss, Regularizer(mu=0.5), cfg)
     assert np.abs(x).sum() <= 1.0 * (1 + 1e-9)
     # plug-in dual certificate lies in the conjugate box: weak duality holds
-    assert trace.gaps().min() >= -1e-9
+    assert min(r.gap for r in trace.records) >= -1e-9
 
 
 def test_record_every_thins_trace():
@@ -153,7 +163,7 @@ def test_record_every_thins_trace():
     cfg = BaselineConfig(kind="fw", radius=1.0, max_iters=10, gap_tol=1e-16,
                          record_every=3)
     _, trace = solve_fw(A, loss, Regularizer(mu=0.5), cfg)
-    np.testing.assert_array_equal(trace.iterations(), [0, 3, 6, 9, 10])
+    assert [r.iteration for r in trace.records] == [0, 3, 6, 9, 10]
 
 
 @pytest.mark.parametrize("kind", BASELINE_KINDS)
@@ -164,7 +174,8 @@ def test_dispatch_matches_direct_call(kind):
     x_direct, tr_direct = _SOLVERS[kind](A, loss, reg, cfg)
     x_disp, tr_disp = solve_baseline(A, loss, reg, cfg)
     np.testing.assert_array_equal(x_direct, x_disp)
-    np.testing.assert_array_equal(tr_direct.primals(), tr_disp.primals())
+    assert [r.primal for r in tr_direct.records] == \
+        [r.primal for r in tr_disp.records]
 
 
 @pytest.mark.parametrize("kind", BASELINE_KINDS)

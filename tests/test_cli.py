@@ -150,14 +150,21 @@ def test_bad_solver_parameters_exit_usage(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
 
 
-def test_setting_one_solver_rejects_writes_nothing(tmp_path, capsys):
-    # pdbfw accepts gap_tol 0 (it runs the whole budget), fw rejects it;
-    # the run must stop before the output directory exists
+@pytest.mark.parametrize("argv, fragment", [
+    (["--synthetic", "sparse_regression", "--n", "30", "--d", "12",
+      "--sparsity", "2", "--s", "50", "--solvers", "fw,pdbfw"],
+     "s=50 exceeds feature dimension 12"),
+    (["--synthetic", "trace_sensing", "--constraint", "trace", "--n", "30",
+      "--d", "12", "--c", "8", "--sparsity", "2", "--s", "50"],
+     "s=50 exceeds min(d, c)=8"),
+], ids=["l1", "trace"])
+def test_setting_one_solver_rejects_writes_nothing(tmp_path, capsys, argv,
+                                                   fragment):
+    # pdbfw's s is checked against the instance; the run must stop on it
+    # before the output directory exists, even after an earlier solver
     out = tmp_path / "res"
-    code = main(_tiny_args(str(out), **{"--gap-tol": "0",
-                                        "--solvers": "pdbfw,fw"}))
-    assert code == EXIT_USAGE
-    assert "gap_tol must be positive" in capsys.readouterr().err
+    assert main(["run", *argv, "--output-dir", str(out)]) == EXIT_USAGE
+    assert fragment in capsys.readouterr().err
     assert not out.exists()
 
 

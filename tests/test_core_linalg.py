@@ -14,6 +14,13 @@ from pdbfw.data_io import PortableRng
 from pdbfw.losses import Regularizer, smooth_hinge_loss
 
 
+def to_dense(update, length):
+    """The length-`length` vector that a SparseUpdate stands for."""
+    out = np.zeros(length)
+    out[update.indices] = update.values
+    return out
+
+
 def bisect_project(v, radius, iters=200):
     """Independent l1-ball projection via bisection on the shift theta."""
     v = np.asarray(v, dtype=np.float64)
@@ -294,7 +301,7 @@ def test_sparse_l1_prox_frozen_example():
     # [DERIVED] support {0, 2} wins the enumeration: theta = 0.75,
     # objective 1.0625; support {0, 1} would give 1.375
     update = sparse_l1_prox(np.array([2.0, 1.0, -1.5]), 2.0, 2)
-    x = update.to_dense(3)
+    x = to_dense(update, 3)
     assert_allclose(x, [1.25, 0.0, -0.75], atol=1e-12)
     assert abs(0.5 * np.sum((x - np.array([2.0, 1.0, -1.5])) ** 2) - 1.0625) < 1e-12
 
@@ -320,7 +327,7 @@ def test_sparse_l1_prox_matches_enumeration():
         v = rng.normal(size=d) * 2
         radius = float(rng.uniform(0.1, 3.0))
         update = sparse_l1_prox(v, radius, s)
-        x = update.to_dense(d)
+        x = to_dense(update, d)
         _, best_obj = sparse_prox_oracle(v, radius, s)
         obj = 0.5 * float(np.sum((x - v) ** 2))
         assert obj <= best_obj + 1e-10
@@ -450,7 +457,7 @@ def test_apply_sparse_col_product_matches_dense():
     w = np.array([1.0, -1.0, 2.0])
     update = SparseUpdate(indices=np.array([0, 3]), values=np.array([2.0, -1.0]))
     got = apply_sparse_col_product(A, update, w, 0.5, 0.25)
-    expect = 0.5 * w + 0.25 * (dense @ update.to_dense(4))
+    expect = 0.5 * w + 0.25 * (dense @ to_dense(update, 4))
     assert_allclose(got, expect, atol=1e-12)
     assert_allclose(w, [1.0, -1.0, 2.0])  # input untouched
 
@@ -886,4 +893,4 @@ def test_solve_unchanged_against_loop_kernels(monkeypatch, kind):
 def test_sparse_update_dense_roundtrip():
     update = SparseUpdate(indices=np.array([1, 3]), values=np.array([2.0, -1.0]))
     assert update.support_size == 2
-    assert_allclose(update.to_dense(5), [0.0, 2.0, 0.0, -1.0, 0.0])
+    assert_allclose(to_dense(update, 5), [0.0, 2.0, 0.0, -1.0, 0.0])

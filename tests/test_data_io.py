@@ -6,14 +6,14 @@ platform or numpy regression in the vectorized path cannot hide.
 """
 
 import io
+import logging
 
 import numpy as np
 import pytest
 
 from pdbfw.core_linalg import SparseDesignMatrix
-from pdbfw.data_io import (Dataset, DatasetMeta, ParseError, PortableRng,
-                           SyntheticSpec, generate_synthetic, normalize_rows,
-                           parse_libsvm, write_libsvm)
+from pdbfw.data_io import (Dataset, ParseError, PortableRng, SyntheticSpec,
+                           generate_synthetic, normalize_rows, parse_libsvm)
 
 _MASK = (1 << 64) - 1
 
@@ -99,7 +99,7 @@ def test_parse_frozen_two_row_example():
     np.testing.assert_array_equal(ds.matrix.to_dense(),
                                   [[0.5, 0.0, -2.0], [0.0, 1.0, 0.0]])
     np.testing.assert_array_equal(ds.labels, [1.0, -1.0])
-    assert ds.meta == DatasetMeta(name="stdin", n=2, d=3, nnz=3)
+    assert ds.matrix.nnz == 3
 
 
 def test_parse_label_remap_zero_one():
@@ -120,20 +120,21 @@ def test_parse_regression_targets_untouched():
 
 def test_parse_skips_blank_lines():
     ds = parse_libsvm(io.StringIO("+1 1:1\n\n   \n-1 1:2\n"))
-    assert ds.meta.n == 2
+    assert ds.matrix.n_rows == 2
 
 
 def test_parse_forced_column_count():
     ds = parse_libsvm(io.StringIO("+1 1:1\n"), n_cols=5)
-    assert ds.meta.d == 5
     assert ds.matrix.to_dense().shape == (1, 5)
 
 
-def test_parse_from_path_uses_filename(tmp_path):
+def test_parse_from_path_uses_filename(tmp_path, caplog):
     path = tmp_path / "tiny.txt"
-    path.write_text("+1 1:1\n")
-    ds = parse_libsvm(str(path))
-    assert ds.meta.name == str(path)
+    path.write_text("+1 1:1\n\n-1 1:2\n")
+    with caplog.at_level(logging.INFO, logger="pdbfw.data_io"):
+        ds = parse_libsvm(str(path), name="ignored")
+    np.testing.assert_array_equal(ds.labels, [1.0, -1.0])
+    assert caplog.messages == [f"{path}: skipping empty line 2"]
 
 
 @pytest.mark.parametrize("text,lineno,fragment", [
@@ -163,44 +164,43 @@ def test_parse_rejects_index_beyond_forced_width():
 
 
 # ---------------------------------------------------------------------------
-# Writer round trip
+# Round trip through repr-formatted text
+
+
+def _text(dense, labels):
+    """The index:value text of a dense design, values written with repr."""
+    lines = []
+    for i in range(dense.shape[0]):
+        parts = [repr(float(labels[i]))]
+        for j in np.flatnonzero(dense[i]):
+            parts.append(f"{j + 1}:{float(dense[i, j])!r}")
+        lines.append(" ".join(parts) + "\n")
+    return "".join(lines)
 
 
 def test_write_then_parse_round_trips(tmp_path):
-    text = "+1 1:0.5 3:-2.25\n-1 2:0.1\n+1 1:3.0 2:1e-3\n"
-    ds = parse_libsvm(io.StringIO(text))
-    path = str(tmp_path / "roundtrip.txt")
-    write_libsvm(ds, path)
-    back = parse_libsvm(path, n_cols=ds.meta.d)
-    # repr-formatted values survive the trip bit for bit
-    np.testing.assert_array_equal(back.matrix.to_dense(),
-                                  ds.matrix.to_dense())
-    np.testing.assert_array_equal(back.labels, ds.labels)
-
-
-def test_write_to_open_handle():
-    ds = parse_libsvm(io.StringIO("+1 1:0.5\n-1 1:1.5\n"))
-    sink = io.StringIO()
-    write_libsvm(ds, sink)
-    assert sink.getvalue() == "1.0 1:0.5\n-1.0 1:1.5\n"
-
-
-def test_write_rejects_matrix_targets():
-    rng = PortableRng(1)
-    from pdbfw.core_linalg import SparseDesignMatrix
-    matrix = SparseDesignMatrix.from_dense(rng.normals(6).reshape(3, 2))
-    ds = Dataset(matrix=matrix, labels=rng.normals(6).reshape(3, 2),
-                 meta=DatasetMeta("m", 3, 2, 6))
-    with pytest.raises(ValueError, match="1-D"):
-        write_libsvm(ds, io.StringIO())
+    # repr-formatted values survive the trip bit for bit, at every scale
+    # and density, from a path and from an open handle
+    rng = PortableRng(41)
+    path = tmp_path / "roundtrip.txt"
+    for trial in range(6):
+        n, d = 12, 40
+        keep = rng.uniforms(n * d).reshape(n, d) < 0.05 + 0.15 * trial
+        dense = np.where(keep, rng.normals(n * d).reshape(n, d)
+                         * 10.0 ** (trial - 3), 0.0)
+        labels = rng.normals(n)
+        path.write_text(_text(dense, labels))
+        for source in (str(path), io.StringIO(path.read_text())):
+            back = parse_libsvm(source, n_cols=d)
+            np.testing.assert_array_equal(back.matrix.to_dense(), dense)
+            np.testing.assert_array_equal(back.labels, labels)
 
 
 def test_dataset_rejects_label_row_mismatch():
     from pdbfw.core_linalg import SparseDesignMatrix
     matrix = SparseDesignMatrix.from_dense(np.eye(3))
     with pytest.raises(ValueError, match="labels"):
-        Dataset(matrix=matrix, labels=np.zeros(2),
-                meta=DatasetMeta("m", 3, 3, 3))
+        Dataset(matrix=matrix, labels=np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,7 @@ def test_normalize_rows_idempotent():
     from pdbfw.core_linalg import SparseDesignMatrix
     dense = rng.normals(20).reshape(4, 5) * 7.0
     ds = Dataset(matrix=SparseDesignMatrix.from_dense(dense),
-                 labels=np.ones(4), meta=DatasetMeta("m", 4, 5, 20))
+                 labels=np.ones(4))
     once = normalize_rows(ds)
     twice = normalize_rows(once)
     np.testing.assert_allclose(twice.matrix.to_dense(),
@@ -255,6 +255,12 @@ def _refuse_dense(monkeypatch):
     monkeypatch.setattr(SparseDesignMatrix, "to_dense", refuse)
 
 
+def _row(matrix, i):
+    """(column indices, values) of row i's stored nonzeros."""
+    lo, hi = matrix._csr.indptr[i], matrix._csr.indptr[i + 1]
+    return matrix._csr.indices[lo:hi], matrix._csr.data[lo:hi]
+
+
 def _very_sparse_dataset():
     # 3 x 10^7 design with 5 nonzeros and an empty middle row; its dense
     # copy would take 240 MB
@@ -262,8 +268,7 @@ def _very_sparse_dataset():
         3, _WIDE_D, np.array([0, 0, 0, 2, 2]),
         np.array([4, 123_456, _WIDE_D - 1, 0, _WIDE_D - 2]),
         np.array([3.0, -4.0, 12.0, 0.5, -1e-3]))
-    return Dataset(matrix=matrix, labels=np.array([1.0, -1.0, 0.25]),
-                   meta=DatasetMeta("wide", 3, _WIDE_D, matrix.nnz))
+    return Dataset(matrix=matrix, labels=np.array([1.0, -1.0, 0.25]))
 
 
 def test_normalize_rows_never_densifies(monkeypatch):
@@ -271,51 +276,27 @@ def test_normalize_rows_never_densifies(monkeypatch):
     _refuse_dense(monkeypatch)
     out = normalize_rows(ds)
     # [DERIVED] row 0 is (3, -4, 12) with norm 13; the empty row stays empty
-    cols, vals = out.matrix.row(0)
+    cols, vals = _row(out.matrix, 0)
     np.testing.assert_array_equal(cols, [4, 123_456, _WIDE_D - 1])
     np.testing.assert_array_equal(vals, [3.0 / 13.0, -4.0 / 13.0, 12.0 / 13.0])
-    assert out.matrix.row(1)[0].size == 0
+    assert _row(out.matrix, 1)[0].size == 0
     np.testing.assert_allclose(out.matrix.row_norms_sq, [1.0, 0.0, 1.0],
                                rtol=1e-15)
     assert out.matrix.shape == (3, _WIDE_D)
-    assert out.meta.nnz == 5
+    assert out.matrix.nnz == 5
 
 
-def test_write_libsvm_never_densifies(monkeypatch):
-    ds = _very_sparse_dataset()
+def test_parse_never_densifies(monkeypatch):
     _refuse_dense(monkeypatch)
-    sink = io.StringIO()
-    write_libsvm(ds, sink)
-    assert sink.getvalue() == ("1.0 5:3.0 123457:-4.0 10000000:12.0\n"
-                               "-1.0\n"
-                               "0.25 1:0.5 9999999:-0.001\n")
-
-
-def _dense_route_text(dataset):
-    """Oracle: the writer's text built from the dense rows."""
-    dense = dataset.matrix.to_dense()
-    lines = []
-    for i in range(dense.shape[0]):
-        parts = [repr(float(dataset.labels[i]))]
-        for j in np.flatnonzero(dense[i]):
-            parts.append(f"{j + 1}:{float(dense[i, j])!r}")
-        lines.append(" ".join(parts) + "\n")
-    return "".join(lines)
-
-
-def test_write_libsvm_text_matches_dense_route():
-    rng = PortableRng(41)
-    for trial in range(6):
-        n, d = 12, 40
-        keep = rng.uniforms(n * d).reshape(n, d) < 0.05 + 0.15 * trial
-        values = rng.normals(n * d).reshape(n, d) * 10.0 ** (trial - 3)
-        matrix = SparseDesignMatrix.from_dense(np.where(keep, values, 0.0))
-        ds = Dataset(matrix=matrix, labels=rng.normals(n),
-                     meta=DatasetMeta("m", n, d, matrix.nnz))
-        for data in (ds, normalize_rows(ds)):
-            sink = io.StringIO()
-            write_libsvm(data, sink)
-            assert sink.getvalue() == _dense_route_text(data)
+    ds = parse_libsvm(io.StringIO("1.0 5:3.0 123457:-4.0 10000000:12.0\n"
+                                  "-1.0\n"
+                                  "0.25 1:0.5 9999999:-0.001\n"))
+    want = _very_sparse_dataset()
+    assert ds.matrix.shape == (3, _WIDE_D)
+    for i in range(3):
+        for got, expected in zip(_row(ds.matrix, i), _row(want.matrix, i)):
+            np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(ds.labels, want.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +315,6 @@ def test_synthetic_sparse_deterministic_and_consistent():
     assert np.count_nonzero(x1) == 4
     # noiseless targets are exactly the design applied to the truth
     np.testing.assert_array_equal(ds1.labels, ds1.matrix.to_dense() @ x1)
-    assert ds1.meta.name == "sparse_regression-seed9"
 
 
 def test_synthetic_rows_unit_norm():

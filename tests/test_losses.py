@@ -38,8 +38,10 @@ def test_hinge_negative_label_mirrors():
     # f_i(p) = h(p * label), so the loss falls as p decreases
     assert h.values(np.array([-2.0, 0.0, 1.0])).tolist() == [0.0, 0.5, 1.5]
     assert loss_derivative(h, 1.0, 0) == 1.0
-    lower, upper = h.conjugate_box()
-    assert lower[0] == 0.0 and upper[0] == 1.0
+    # the conjugate is finite on [0, 1] for label -1
+    assert np.isinf(h.conjugates(np.array([-1e-9, 0.0, 1.0 + 1e-9]))).tolist() \
+        == [True, False, True]
+    assert np.isfinite(h.conjugates(np.array([1.0, 0.5, 0.0]))).all()
 
 
 def test_hinge_is_continuously_differentiable_at_branch_points():
@@ -91,8 +93,7 @@ def test_quadratic_values_and_conjugate():
     assert loss_derivative(q, 0.0, 0) == -2.0
     # f*(y) = y^2/2 + b y
     assert q.conjugates(np.array([1.0, -2.0])).tolist() == [2.5, 4.0]
-    lower, upper = q.conjugate_box()
-    assert np.all(np.isinf(lower)) and np.all(np.isinf(upper))
+    assert np.isfinite(q.conjugates(np.array([-1e150, 1e150]))).all()
 
 
 def test_quadratic_fenchel_young_on_grid():
@@ -131,7 +132,7 @@ def test_dual_prox_vector_matches_scalar():
     labels = rng.choice([-1.0, 1.0], size=8)
     h = smooth_hinge_loss(labels)
     w = rng.normal(size=8) * 2
-    lower, upper = h.conjugate_box()
+    lower, upper = box_oracle(h)
     y = rng.uniform(lower, upper)
     out = h.dual_prox(w, y, 1.7, 8)
     for i in range(8):
@@ -230,10 +231,7 @@ def test_stored_box_and_conjugate_sum_keep_their_bits(n, seed, where, delta):
     rng = np.random.default_rng(seed)
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     h = smooth_hinge_loss(labels)
-    lower, upper = h.conjugate_box()
-    want_lower, want_upper = box_oracle(h)
-    assert np.array_equal(lower, want_lower)
-    assert np.array_equal(upper, want_upper)
+    lower, upper = box_oracle(h)
     # y = -u * label with u in [-1, 0] lies in the box
     y = -labels * rng.uniform(0.0, 1.0, size=n)
     if where == "edges":
@@ -253,16 +251,6 @@ def test_stored_box_and_conjugate_sum_keep_their_bits(n, seed, where, delta):
     q = quadratic_loss(rng.normal(size=n))
     assert (np.float64(q.conjugate_sum(w)).view(np.int64)
             == np.float64(conjugate_sum_oracle(q, w)).view(np.int64))
-
-
-def test_conjugate_box_is_stored_read_only():
-    h = smooth_hinge_loss(np.array([1.0, -1.0]))
-    assert h.conjugate_box() is h.conjugate_box()
-    lower, upper = h.conjugate_box()
-    with pytest.raises(ValueError):
-        lower[0] = 5.0
-    with pytest.raises(ValueError):
-        upper[0] = 5.0
 
 
 def test_primal_objective_matches_manual_sum():

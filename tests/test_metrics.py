@@ -37,10 +37,9 @@ def test_trace_append_and_accessors():
     assert len(tr) == 2
     assert tr.final.iteration == 5
     assert tr.final.gap == pytest.approx(0.5, abs=0.0)
-    assert tr.gap_at(0) == pytest.approx(2.0, abs=0.0)
-    np.testing.assert_array_equal(tr.iterations(), [0, 5])
-    np.testing.assert_array_equal(tr.primals(), [3.0, 2.0])
-    np.testing.assert_array_equal(tr.gaps(), [2.0, 0.5])
+    assert [(r.iteration, r.elapsed_seconds, r.primal, r.dual, r.gap,
+             r.flops, r.support) for r in tr.records] == \
+        [(0, 0.0, 3.0, 1.0, 2.0, 10, 2), (5, 0.5, 2.0, 1.5, 0.5, 30, 3)]
 
 
 def test_trace_rejects_non_increasing_iterations():
@@ -62,13 +61,6 @@ def test_trace_nonfinite_objective_raises_divergence_error():
         tr.append(1, 0.1, 1.0, float("inf"), 1, 0)
     # the failed appends must not have grown the trace
     assert len(tr) == 1
-
-
-def test_trace_gap_at_missing_iteration():
-    tr = ConvergenceTrace()
-    tr.append(0, 0.0, 1.0, 0.0, 0, 0)
-    with pytest.raises(KeyError):
-        tr.gap_at(7)
 
 
 # ---------------------------------------------------------------------------

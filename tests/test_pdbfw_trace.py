@@ -42,7 +42,7 @@ def _resolve(cfg, A, loss, reg):
 def test_zero_factor():
     f = LowRankFactor.zero(4, 3)
     assert f.rank == 0
-    assert f.trace_norm == 0.0
+    assert f.singular.sum() == 0.0
     np.testing.assert_array_equal(f.to_dense(), np.zeros((4, 3)))
 
 
@@ -53,7 +53,7 @@ def test_factor_dense_reconstruction():
                       right=np.array([[0.0], [1.0], [0.0]]))
     np.testing.assert_array_equal(f.to_dense(),
                                   [[0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
-    assert f.trace_norm == 2.0
+    assert f.singular.sum() == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def test_approx_prox_factors_orthonormal():
     np.testing.assert_allclose(f.right.T @ f.right, np.eye(f.rank), atol=1e-10)
     assert np.all(f.singular > 0.0)
     assert np.all(np.diff(f.singular) <= 1e-12)
-    assert f.trace_norm <= 4.0 * (1 + 1e-12)
+    assert f.singular.sum() <= 4.0 * (1 + 1e-12)
 
 
 def test_approx_prox_matches_dense_svd_oracle():
@@ -271,7 +271,7 @@ def test_solve_trace_recovers_planted_low_rank(monkeypatch):
     assert len(audit) == trace.final.iteration
     assert all(rec.satisfied(0.5, cfg.gap_tol / 8.0) for rec in audit)
     # gap column is P - D for the recorded pair throughout
-    assert trace.gaps().min() >= -1e-9
+    assert min(r.gap for r in trace.records) >= -1e-9
 
 
 @pytest.mark.parametrize("noise, max_iters", [(0.0, 300), (1e-3, 20)])
