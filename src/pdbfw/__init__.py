@@ -11,7 +11,7 @@ from .losses import LossModel, MatrixQuadraticLoss, Regularizer, \
     quadratic_loss, smooth_hinge_loss
 from .metrics import ConvergenceTrace, DivergenceError, TraceRecord, \
     dual_objective, dual_objective_trace, project_nuclear_ball
-from .pdbfw_l1 import ConfigurationError, SolverConfig, SolverState, solve
+from .pdbfw_l1 import SolverConfig, SolverState, solve
 from .pdbfw_trace import ApproximationError, LowRankFactor, \
     approx_lowrank_prox, solve_trace
 
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproximationError",
     "BaselineConfig",
-    "ConfigurationError",
     "ConvergenceTrace",
     "Dataset",
     "DivergenceError",

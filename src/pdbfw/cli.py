@@ -141,7 +141,7 @@ def _solver_calls(args: argparse.Namespace, dataset: Dataset):
                 s=args.s if args.s is not None else s_default,
                 k=args.k, eta=args.eta, delta=args.delta,
                 max_iters=args.max_iters, gap_tol=args.gap_tol)
-            cfg = pdbfw_l1.resolve(cfg, A, reg, *defaults(cfg, A))
+            cfg = pdbfw_l1.resolve(cfg, A, defaults(cfg, A))
             call = functools.partial(solve, A, loss, reg, cfg)
         else:
             cfg = BaselineConfig(kind=solver, radius=args.radius,
@@ -169,7 +169,7 @@ def run(args: argparse.Namespace) -> int:
         except (DivergenceError, ApproximationError) as exc:
             print(f"error: solver {solver} failed: {exc}", file=sys.stderr)
             return EXIT_SOLVER_FAILURE
-        except ValueError as exc:  # covers ConfigurationError
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         csv_path = os.path.join(args.output_dir, f"{solver}.csv")
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--eta", type=float, default=None,
                        help="primal step size (default 0.5)")
     run_p.add_argument("--delta", type=float, default=None,
-                       help="dual prox weight (default from theory)")
+                       help="dual prox weight (default n, the sample count)")
     run_p.add_argument("--max-iters", type=int, default=500)
     run_p.add_argument("--gap-tol", type=float, default=1e-8)
     run_p.add_argument("--solvers", type=_solver_list, default="pdbfw",

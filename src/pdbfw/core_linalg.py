@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import svds
 
 
 class SparseDesignMatrix:
@@ -139,24 +138,6 @@ class SparseDesignMatrix:
             return self._dense_rows[rows].T @ np.asarray(block, dtype=np.float64)
         sub = self._csr[rows, :]
         return np.asarray(sub.T @ np.asarray(block, dtype=np.float64))
-
-    def spectral_norm_sq(self) -> float:
-        """sigma_max(A)^2 by Lanczos iteration (ARPACK, through `svds`) on
-        the CSR layout, converged to machine precision.
-
-        The start vector is fixed, so repeat calls give the same bits. Power
-        iteration is slow on a clustered spectrum and reads low when it
-        stops early; this estimate does not.
-        """
-        if self.nnz == 0:
-            return 0.0
-        m = min(self.shape)
-        if m == 1:
-            # one row or one column: its norm is the only singular value
-            return float(self.row_norms_sq.sum())
-        v0 = np.cos(np.arange(m, dtype=np.float64) + 0.5) + 1.5
-        sigma = svds(self._csr, k=1, v0=v0, return_singular_vectors=False)
-        return float(sigma[0]) ** 2
 
 
 @dataclass(frozen=True)

@@ -128,8 +128,8 @@ class LossModel:
         target; hinge coordinates are then clipped to their box (exact because
         the objective is concave).
         """
-        if not delta > 0:
-            raise ValueError(f"delta must be positive, got {delta}")
+        if not 0.0 < delta < np.inf:
+            raise ValueError(f"delta must be positive and finite, got {delta}")
         r = delta / n
         u = (y + r * (w - self.targets)) / (1.0 + r)
         if self.kind == SMOOTH_HINGE:
@@ -181,8 +181,8 @@ class MatrixQuadraticLoss:
 
     def dual_prox(self, W: np.ndarray, Y: np.ndarray, delta: float,
                   n: int) -> np.ndarray:
-        if not delta > 0:
-            raise ValueError(f"delta must be positive, got {delta}")
+        if not 0.0 < delta < np.inf:
+            raise ValueError(f"delta must be positive and finite, got {delta}")
         r = delta / n
         return (Y + r * (W - self.B)) / (1.0 + r)
 

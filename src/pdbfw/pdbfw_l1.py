@@ -28,22 +28,21 @@ from .metrics import dual_objective, run_to_gap
 DEFAULT_GAP_TOL = 1e-8
 
 
-class ConfigurationError(ValueError):
-    """Raised when resolved step sizes are degenerate (non-finite or <= 0)."""
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Constraint radius, budgets, and step sizes for both block solvers.
 
-    Fields left as None are resolved to their theory defaults against the
-    problem instance:
+    Fields left as None are resolved against the problem instance:
 
       eta   = mu / (2 L) = 1/2, since g = (mu/2)||x||^2 has L = mu
       k     = ceil(n s / d) for the l1 solver,
               ceil(n s (1/c + 1/d)) for the trace solver (both clamped to [1, n])
-      delta = (1/k) / ( L/(mu n) + (5 R)/(2 mu n^2) (1 + 4 L/mu) )
-              with 4 -> 8 and R the spectral bound in the trace case
+      delta = n, the sample count
+
+    With delta = n the dual prox moves each selected coordinate halfway from
+    y_i to w_i - t_i (f_i'(w_i) for the quadratic loss; the hinge box clip
+    follows), whatever the scale of A, mu or k. The paper's theory step is
+    safe, but it ended at the iteration cap on every instance tried.
 
     mu comes from the Regularizer passed to the solver; the losses' own
     constants are 1 (see `losses`). The run stops at the first record whose
@@ -68,54 +67,34 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 0")
         if self.eta is not None and not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if self.delta is not None and not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if self.delta is not None and not 0.0 < self.delta < math.inf:
+            raise ValueError(
+                f"delta must be positive and finite, got {self.delta}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if math.isnan(self.gap_tol):
             raise ValueError("gap_tol must be a number, got nan")
 
 
-def default_delta(k: int, n: int, R: float, reg: Regularizer,
-                  curvature_factor: float) -> float:
-    """Theory default dual step; curvature_factor is 4 (l1) or 8 (trace)."""
-    L = mu = reg.mu  # g = (mu/2)||x||^2 is exactly mu-smooth
-    denom = (L / (mu * n) + (5.0 * R) / (2.0 * mu * n * n)
-             * (1.0 + curvature_factor * L / mu))
-    delta = 1.0 / (k * denom)
-    if not np.isfinite(delta) or delta <= 0:
-        raise ConfigurationError(
-            f"default dual step is degenerate (delta={delta!r}); "
-            f"check mu={mu}, R={R}")
-    return delta
-
-
-def resolve(cfg: SolverConfig, A: SparseDesignMatrix, reg: Regularizer,
-            k_default: float, delta_terms) -> SolverConfig:
-    """Fill in the eta, k and delta defaults of a block solver.
-
-    The constraint set supplies the unclamped default `k_default` and
-    `delta_terms(k)`, the (R, curvature_factor) pair of `default_delta`,
-    which is only evaluated when delta is left unset.
-    """
+def resolve(cfg: SolverConfig, A: SparseDesignMatrix,
+            k_default: float) -> SolverConfig:
+    """Fill in the eta, k and delta defaults of a block solver; the
+    constraint set supplies the unclamped default `k_default`."""
     n = A.n_rows
     eta = cfg.eta if cfg.eta is not None else 0.5
     k = cfg.k if cfg.k is not None else max(1, min(n, math.ceil(k_default)))
     if k > n:
         raise ValueError(f"k={k} exceeds sample count {n}")
-    delta = cfg.delta
-    if delta is None:
-        R, curvature_factor = delta_terms(k)
-        delta = default_delta(k, n, R, reg, curvature_factor)
+    delta = cfg.delta if cfg.delta is not None else float(n)
     return replace(cfg, eta=eta, k=k, delta=delta)
 
 
-def l1_defaults(cfg: SolverConfig, A: SparseDesignMatrix):
-    """The l1 ball's arguments to `resolve`, after checking s against d."""
+def l1_defaults(cfg: SolverConfig, A: SparseDesignMatrix) -> float:
+    """The l1 ball's default k before clamping, after checking s against d."""
     n, d = A.n_rows, A.n_cols
     if cfg.s > d:
         raise ValueError(f"s={cfg.s} exceeds feature dimension {d}")
-    return n * cfg.s / d, lambda k: (A.max_row_norm_sq, 4.0)
+    return n * cfg.s / d
 
 
 @dataclass
@@ -195,7 +174,7 @@ def solve(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
         One record per iteration including iteration 0; flop counts cover
         the column/row-restricted products only.
     """
-    rc = resolve(cfg, A, reg, *l1_defaults(cfg, A))
+    rc = resolve(cfg, A, l1_defaults(cfg, A))
     state = SolverState.zeros(A.n_rows, A.n_cols)
 
     def step(st):

@@ -62,24 +62,6 @@ class LowRankFactor:
                    right=np.zeros((c, 0)))
 
 
-def compute_r_k(A: SparseDesignMatrix, k: int) -> float:
-    """Upper bound on r_k = max over k-row subsets I of sigma_max(A_I)^2.
-
-    k = 1 is exact: the largest squared row norm. For any other k, both
-    sigma_max(A)^2 (a Lanczos estimate converged to machine precision) and
-    the sum of the k largest squared row norms (the squared Frobenius norm
-    of the heaviest subset) bound r_k from above, and the smaller is
-    returned; neither densifies.
-    """
-    n = A.n_rows
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    if k == 1:
-        return A.max_row_norm_sq
-    heaviest = float(np.sort(A.row_norms_sq)[n - k:].sum())
-    return min(A.spectral_norm_sq(), heaviest)
-
-
 @functools.lru_cache(maxsize=16)
 def _power_start(c: int, b: int) -> np.ndarray:
     """Orthonormal c x b start block of the power iteration, read-only.
@@ -137,14 +119,13 @@ def approx_lowrank_prox(M: np.ndarray, radius: float, s: int) -> LowRankFactor:
                          right=right[:, keep])
 
 
-def trace_defaults(cfg: SolverConfig, A: SparseDesignMatrix, c: int):
-    """The trace-norm ball's arguments to `resolve`, after checking s
-    against min(d, c); R is the restricted spectral bound r_k."""
+def trace_defaults(cfg: SolverConfig, A: SparseDesignMatrix, c: int) -> float:
+    """The trace-norm ball's default k before clamping, after checking s
+    against min(d, c)."""
     n, d = A.n_rows, A.n_cols
     if cfg.s > min(d, c):
         raise ValueError(f"rank budget s={cfg.s} exceeds min(d, c)={min(d, c)}")
-    return (n * cfg.s * (1.0 / c + 1.0 / d),
-            lambda k: (compute_r_k(A, k), 8.0))
+    return n * cfg.s * (1.0 / c + 1.0 / d)
 
 
 def primal_step_trace(state: SolverState, cfg: SolverConfig,
@@ -206,7 +187,7 @@ def solve_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
     is the full SVD's count; the dual value can move in its last bits.
     """
     c = loss.n_tasks
-    rc = resolve(cfg, A, reg, *trace_defaults(cfg, A, c))
+    rc = resolve(cfg, A, trace_defaults(cfg, A, c))
     state = SolverState.zeros(A.n_rows, A.n_cols, c)
     block = _power_start(c, min(rc.s + POWER_OVERSAMPLE, A.n_cols, c))
     rank_sv, dual_sv = SketchedSpectrum(block), SketchedSpectrum(block)

@@ -338,7 +338,7 @@ def test_criterion_07_cache_maintenance_after_100_iterations():
     loss = smooth_hinge_loss(np.where(rng.uniforms(n) > 0.5, 1.0, -1.0))
     reg = Regularizer(mu=0.2)
     cfg = SolverConfig(radius=2.0, s=5, k=10, delta=1.0)
-    cfg = resolve(cfg, A, reg, *l1_defaults(cfg, A))
+    cfg = resolve(cfg, A, l1_defaults(cfg, A))
     state = SolverState.zeros(n, d)
     for t in range(1, 101):
         state.iteration = t
@@ -353,7 +353,7 @@ def test_criterion_07_cache_maintenance_after_100_iterations():
     A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
     mloss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     mcfg = SolverConfig(radius=5.0, s=3, k=12, delta=2.0)
-    mcfg = resolve(mcfg, A, reg, *trace_defaults(mcfg, A, c))
+    mcfg = resolve(mcfg, A, trace_defaults(mcfg, A, c))
     mstate = SolverState.zeros(n, d, c)
     for t in range(1, 101):
         mstate.iteration = t

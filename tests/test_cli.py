@@ -157,11 +157,15 @@ def test_bad_solver_parameters_exit_usage(tmp_path, capsys):
     (["--synthetic", "trace_sensing", "--constraint", "trace", "--n", "30",
       "--d", "12", "--c", "8", "--sparsity", "2", "--s", "50"],
      "s=50 exceeds min(d, c)=8"),
-], ids=["l1", "trace"])
+    (["--synthetic", "sparse_regression", "--n", "50", "--d", "40",
+      "--radius", "1", "--delta", "inf"],
+     "delta must be positive and finite, got inf"),
+], ids=["l1", "trace", "delta_inf"])
 def test_setting_one_solver_rejects_writes_nothing(tmp_path, capsys, argv,
                                                    fragment):
     # pdbfw's s is checked against the instance; the run must stop on it
-    # before the output directory exists, even after an earlier solver
+    # before the output directory exists, even after an earlier solver. An
+    # infinite delta would make every dual prox NaN, so y would never move
     out = tmp_path / "res"
     assert main(["run", *argv, "--output-dir", str(out)]) == EXIT_USAGE
     assert fragment in capsys.readouterr().err

@@ -400,43 +400,6 @@ def test_matrix_rejects_nonfinite():
         SparseDesignMatrix.from_dense(np.array([[np.inf, 1.0]]))
 
 
-def test_spectral_norm_sq_matches_svd():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        dense = rng.normal(size=(int(rng.integers(2, 15)), int(rng.integers(2, 15))))
-        A = SparseDesignMatrix.from_dense(dense)
-        exact = np.linalg.norm(dense, 2) ** 2
-        assert A.spectral_norm_sq() == pytest.approx(exact, rel=1e-7)
-
-
-def test_spectral_norm_sq_on_a_clustered_spectrum(monkeypatch):
-    # orthogonal rows of norms 1 to 1.995: sigma_max^2 = 1.995^2, with the
-    # next values a hair below it, where 200 power sweeps read 3.97619
-    n, d = 200, 20_000
-    rows = np.arange(n)
-    A = SparseDesignMatrix.from_coo(n, d, rows=rows, cols=rows * 97,
-                                    vals=1.0 + rows / n)
-
-    def refuse(self):
-        raise AssertionError("to_dense called")
-
-    monkeypatch.setattr(SparseDesignMatrix, "to_dense", refuse)
-    exact = (1.0 + (n - 1) / n) ** 2
-    got = A.spectral_norm_sq()
-    assert got >= exact * (1.0 - 1e-12)
-    assert got <= exact * (1.0 + 1e-12)
-    assert got == A.spectral_norm_sq()
-
-
-def test_spectral_norm_sq_single_row_column_and_empty():
-    row = SparseDesignMatrix.from_dense(np.array([[3.0, 0.0, -4.0]]))
-    assert row.spectral_norm_sq() == 25.0
-    assert SparseDesignMatrix.from_dense(row.to_dense().T
-                                         ).spectral_norm_sq() == 25.0
-    assert SparseDesignMatrix.from_dense(np.zeros((3, 2))
-                                         ).spectral_norm_sq() == 0.0
-
-
 def test_dual_layout_consistency_random():
     # CSR and CSC views must describe the same matrix
     rng = np.random.default_rng(23)

@@ -161,8 +161,9 @@ def test_dual_prox_rejects_bad_delta():
         q.dual_prox(np.zeros(1), np.zeros(1), 0.0, 1)
     m = MatrixQuadraticLoss(B=np.zeros((1, 2)))
     for loss, shape in ((q, 1), (m, (1, 2))):
-        with pytest.raises(ValueError, match="delta must be positive"):
-            loss.dual_prox(np.zeros(shape), np.zeros(shape), np.nan, 1)
+        for delta in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                loss.dual_prox(np.zeros(shape), np.zeros(shape), delta, 1)
 
 
 # ------------------------------------------------------------ loss plumbing

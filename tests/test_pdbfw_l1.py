@@ -3,6 +3,7 @@ examples, invariants of the iterates, cache maintenance, and equivalence to a
 dense full-budget reference implementation.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -10,13 +11,12 @@ import pytest
 
 from pdbfw.baselines import BASELINE_KINDS, BaselineConfig, solve_baseline
 from pdbfw.core_linalg import SparseDesignMatrix, project_l1_ball
-from pdbfw.data_io import PortableRng
+from pdbfw.data_io import PortableRng, SyntheticSpec, generate_synthetic
 from pdbfw.losses import (MatrixQuadraticLoss, Regularizer, quadratic_loss,
                           smooth_hinge_loss)
 from pdbfw.metrics import DivergenceError
-from pdbfw.pdbfw_l1 import (ConfigurationError, SolverConfig, SolverState,
-                            default_delta, dual_step, l1_defaults, primal_step,
-                            resolve, solve)
+from pdbfw.pdbfw_l1 import (SolverConfig, SolverState, dual_step, l1_defaults,
+                            primal_step, resolve, solve)
 from pdbfw.pdbfw_trace import solve_trace
 
 
@@ -31,7 +31,7 @@ def _random_instance(seed, n, d, kind="quadratic"):
 
 
 def _resolve(cfg, A, reg):
-    return resolve(cfg, A, reg, *l1_defaults(cfg, A))
+    return resolve(cfg, A, l1_defaults(cfg, A))
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +271,27 @@ def test_resolve_fills_theory_defaults():
     rc = _resolve(SolverConfig(radius=1.0, s=3), A, reg)
     assert rc.eta == 0.5  # mu/(2L) with L = mu
     assert rc.k == math.ceil(20 * 3 / 10)
-    want_delta = default_delta(rc.k, 20, A.max_row_norm_sq, reg,
-                               curvature_factor=4.0)
-    assert rc.delta == pytest.approx(want_delta, rel=1e-15)
+    assert rc.delta == 20.0  # n, the sample count
+
+
+def test_default_steps_certify_the_sweep_grid():
+    # k and delta left unset on every mu = 10/n instance of a seeded grid:
+    # two shapes, an interior and a binding radius, both losses, two seeds
+    failed = []
+    for (n, d), radius, kind, seed in itertools.product(
+            [(200, 400), (400, 100)], [1.0, 100.0],
+            ["quadratic", "smooth_hinge"], [1, 2]):
+        ds, _ = generate_synthetic(SyntheticSpec(
+            kind="sparse_regression", n=n, d=d, true_sparsity_or_rank=10,
+            noise_level=0.1, seed=seed))
+        loss = (quadratic_loss(ds.labels) if kind == "quadratic" else
+                smooth_hinge_loss(np.where(ds.labels >= 0.0, 1.0, -1.0)))
+        _, _, trace = solve(ds.matrix, loss, Regularizer(mu=10.0 / n),
+                            SolverConfig(radius=radius, s=d, max_iters=1000,
+                                         gap_tol=1e-8))
+        if not trace.final.gap <= 1e-8:
+            failed.append((n, d, radius, kind, seed, trace.final.gap))
+    assert not failed, failed
 
 
 def test_resolve_respects_overrides():
@@ -293,12 +311,6 @@ def test_resolve_rejects_oversized_budgets():
         _resolve(SolverConfig(radius=1.0, s=1, k=9), A, reg)
 
 
-def test_default_delta_rejects_degenerate_result():
-    reg = Regularizer(mu=1.0)
-    with pytest.raises(ConfigurationError, match="degenerate"):
-        default_delta(1, 10, math.inf, reg, curvature_factor=4.0)
-
-
 @pytest.mark.parametrize("kwargs", [
     dict(radius=0.0, s=1),
     dict(radius=-1.0, s=1),
@@ -312,6 +324,7 @@ def test_default_delta_rejects_degenerate_result():
     dict(radius=1.0, s=1, eta=math.nan),
     dict(radius=1.0, s=1, delta=math.nan),
     dict(radius=1.0, s=1, gap_tol=math.nan),
+    dict(radius=1.0, s=1, delta=math.inf),
 ])
 def test_solver_config_validation(kwargs):
     with pytest.raises(ValueError):

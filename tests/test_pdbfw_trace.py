@@ -2,6 +2,7 @@
 dense-SVD oracle, the greedy row dual step, cache maintenance, audited prox
 calls, and end-to-end recovery of a planted low-rank matrix."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,9 +16,8 @@ from pdbfw.pdbfw_l1 import SolverConfig, SolverState, resolve
 from pdbfw.pdbfw_l1 import dual_step as dual_step_vector
 from pdbfw import metrics, pdbfw_trace
 from pdbfw.pdbfw_trace import (ApproximationError, LowRankFactor,
-                               approx_lowrank_prox, compute_r_k,
-                               dual_step_trace, primal_step_trace,
-                               solve_trace, trace_defaults)
+                               approx_lowrank_prox, dual_step_trace,
+                               primal_step_trace, solve_trace, trace_defaults)
 
 from lowrank_audit import (ProxAudit, audit_prox_calls,
                            exact_lowrank_prox_dense)
@@ -32,7 +32,7 @@ def _spectrum_matrix(rng, d, c, spectrum):
 
 
 def _resolve(cfg, A, loss, reg):
-    return resolve(cfg, A, reg, *trace_defaults(cfg, A, loss.n_tasks))
+    return resolve(cfg, A, trace_defaults(cfg, A, loss.n_tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +348,27 @@ def test_resolve_trace_defaults():
     rc = _resolve(SolverConfig(radius=1.0, s=2), A, loss, reg)
     assert rc.eta == pytest.approx(0.5)
     assert rc.k == min(n, math.ceil(n * 2 * (1 / c + 1 / d)))
-    assert rc.delta > 0.0
+    assert rc.delta == float(n)
+
+
+def test_default_steps_certify_the_trace_sweep_grid():
+    # everything but s and mu = 10/n left at its default, on planted rank-3
+    # instances of two shapes, at a binding radius (half the planted
+    # trace norm) and at radius 30
+    failed = []
+    for (n, d, c), seed, binding in itertools.product(
+            [(200, 100, 20), (60, 40, 30)], range(4), [True, False]):
+        ds, X0 = generate_synthetic(SyntheticSpec(
+            kind="trace_sensing", n=n, d=d, c=c, true_sparsity_or_rank=3,
+            seed=seed))
+        radius = (0.5 * np.linalg.svd(X0, compute_uv=False).sum()
+                  if binding else 30.0)
+        _, _, trace = solve_trace(ds.matrix, MatrixQuadraticLoss(B=ds.labels),
+                                  Regularizer(mu=10.0 / n),
+                                  SolverConfig(radius=radius, s=min(10, d, c)))
+        if not trace.final.gap <= 1e-8:
+            failed.append((n, d, c, seed, radius, trace.final.gap))
+    assert not failed, failed
 
 
 def test_resolve_trace_rejects_oversized_rank_budget():
@@ -360,80 +380,7 @@ def test_resolve_trace_rejects_oversized_rank_budget():
 
 
 # ---------------------------------------------------------------------------
-# Restricted spectral bound and prox audit record
-
-
-def test_compute_r_k_small_cases():
-    rng = PortableRng(280)
-    A_dense = rng.normals(12).reshape(4, 3)
-    A = SparseDesignMatrix.from_dense(A_dense)
-    # independent enumeration of all 2-row submatrices: the bound is never
-    # below it (the Lanczos estimate may sit a few ulps under sigma_max^2)
-    import itertools
-    want = max(np.linalg.norm(A_dense[list(pair)], 2) ** 2
-               for pair in itertools.combinations(range(4), 2))
-    assert compute_r_k(A, 2) >= want * (1.0 - 1e-9)
-    # k = n is the full spectral norm
-    assert compute_r_k(A, 4) == pytest.approx(
-        np.linalg.norm(A_dense, 2) ** 2, rel=1e-10)
-    # r_k is nondecreasing in k
-    values = [compute_r_k(A, k) for k in (1, 2, 3, 4)]
-    assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-
-
-def test_compute_r_k_falls_back_to_global_bound():
-    rng = PortableRng(281)
-    A = SparseDesignMatrix.from_dense(rng.normals(12).reshape(4, 3))
-    top2 = float(np.sort(A.row_norms_sq)[-2:].sum())
-    assert compute_r_k(A, 2) == min(A.spectral_norm_sq(), top2)
-    # orthogonal rows: sigma_max^2 is the largest squared row norm, far
-    # below the sum of the two largest
-    D = SparseDesignMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
-    assert compute_r_k(D, 2) == D.spectral_norm_sq()
-    assert compute_r_k(D, 2) == pytest.approx(9.0, rel=1e-9)
-    # rows along one line: the sum of the two largest is sigma_max^2 of
-    # that pair and below the whole matrix's
-    L = SparseDesignMatrix.from_dense(np.outer([1.0, 2.0, 3.0], [1.0, 1.0]))
-    assert compute_r_k(L, 2) == 26.0
-    with pytest.raises(ValueError, match="k must be"):
-        compute_r_k(A, 0)
-    with pytest.raises(ValueError, match="k must be"):
-        compute_r_k(A, 5)
-
-
-def refuse_to_densify(monkeypatch):
-    def refuse(self):
-        raise AssertionError("to_dense called")
-
-    monkeypatch.setattr(SparseDesignMatrix, "to_dense", refuse)
-
-
-def test_compute_r_k_ends_never_densify(monkeypatch):
-    # k = 1 and k = n may not build the dense copy of a wide sparse design
-    n, d = 3, 100_000
-    A = SparseDesignMatrix.from_coo(
-        n, d, rows=np.array([0, 0, 1, 1, 2]),
-        cols=np.array([5, 70_000, 5, 99_999, 123]),
-        vals=np.array([1.0, -2.0, 0.5, 1.5, 2.5]))
-    sigma_max_sq = np.linalg.norm(A.to_dense(), 2) ** 2
-    refuse_to_densify(monkeypatch)
-    assert compute_r_k(A, 1) == 6.25
-    assert compute_r_k(A, n) == A.spectral_norm_sq()
-    assert compute_r_k(A, n) == pytest.approx(sigma_max_sq, rel=1e-9)
-
-
-def test_compute_r_k_never_densifies_for_n_minus_one(monkeypatch):
-    # only n subsets of n - 1 rows, but enumerating them would densify this
-    # 200 x 20000 design and make 200 SVDs of 199 x 20000 rows
-    n, d = 200, 20_000
-    rows = np.arange(n)
-    vals = np.where(rows == 0, 3.0, 1.0 + rows / n)
-    A = SparseDesignMatrix.from_coo(n, d, rows=rows, cols=rows * 97, vals=vals)
-    refuse_to_densify(monkeypatch)
-    # orthogonal rows: r_k is the largest squared row norm, 9
-    got = compute_r_k(A, n - 1)
-    assert got >= 9.0 * (1.0 - 1e-9)
-    assert got == pytest.approx(9.0, rel=1e-9)
+# Prox audit record
 
 
 def test_lmo_audit_record_arithmetic():
