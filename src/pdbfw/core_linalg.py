@@ -32,18 +32,19 @@ class SparseDesignMatrix:
     """
 
     def __init__(self, matrix):
-        csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        csr.sort_indices()
+        if isinstance(matrix, np.ndarray):
+            csr = _dense_to_csr(np.asarray(matrix))
+        else:
+            csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
+            csr.sum_duplicates()
+            csr.eliminate_zeros()
+            csr.sort_indices()
         if not np.all(np.isfinite(csr.data)):
             raise ValueError("design matrix contains non-finite entries")
         self._csr = csr
-        self._csc = csr.tocsc()
-        self._csc.sort_indices()
         self.n_rows, self.n_cols = csr.shape
-        self.row_norms_sq = np.asarray(
-            csr.multiply(csr).sum(axis=1)).ravel().astype(np.float64)
+        self.row_norms_sq = _row_norms_sq(csr)  # squares freed before the CSC
+        self._csc = csr.tocsc()  # scipy marks its result sorted
         # nnz per row / per column, used by callers for arithmetic-cost accounting
         self.row_nnz = np.diff(csr.indptr).astype(np.int64)
         self.col_nnz = np.diff(self._csc.indptr).astype(np.int64)
@@ -138,6 +139,35 @@ class SparseDesignMatrix:
             return self._dense_rows[rows].T @ np.asarray(block, dtype=np.float64)
         sub = self._csr[rows, :]
         return np.asarray(sub.T @ np.asarray(block, dtype=np.float64))
+
+
+def _dense_to_csr(a: np.ndarray) -> sp.csr_matrix:
+    """The canonical CSR that scipy's COO round trip makes of a dense array
+    (a 1-D array is one row, +-0.0 is dropped, indices are int32 unless a
+    size needs int64), built from the nonzero mask without n*d indices."""
+    a = np.atleast_2d(a)
+    if a.ndim != 2:
+        raise ValueError(f"design matrix must be 2-D, got {a.ndim}-D")
+    mask = a != 0.0
+    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+    idx = sp.get_index_dtype(maxval=max(indptr[-1], *a.shape))
+    cols = np.broadcast_to(np.arange(a.shape[1], dtype=idx), a.shape)[mask]
+    return sp.csr_matrix((a[mask], cols, indptr.astype(idx)), shape=a.shape,
+                         dtype=np.float64)
+
+
+def _row_norms_sq(csr: sp.csr_matrix) -> np.ndarray:
+    """The bits of `csr.multiply(csr).sum(axis=1)` without the product: its
+    reduceat over the squares, which drops those that underflow to 0.0, as
+    the product does, since a zero term moves the sum's association."""
+    sq, ptr = np.square(csr.data), csr.indptr
+    if not sq.all():
+        ptr = np.concatenate(([0], np.cumsum(sq != 0.0)))[ptr]
+        sq = sq[sq != 0.0]
+    rows = np.flatnonzero(np.diff(ptr))
+    norms = np.zeros(csr.shape[0])
+    norms[rows] = np.add.reduceat(sq, ptr[rows])
+    return norms
 
 
 @dataclass(frozen=True)

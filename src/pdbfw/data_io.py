@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, TextIO, Union
 
@@ -106,16 +107,17 @@ def parse_libsvm(source: Union[str, TextIO], n_cols: Optional[int] = None,
     """Parse the index:value text format into a Dataset.
 
     source is a path or an open text handle. n_cols forces the column count
-    (errors if any index exceeds it); otherwise the max seen index is used.
+    (errors on the line of an index that exceeds it); otherwise the max seen
+    index is used. Columns and values are collected in typed buffers.
     """
     if isinstance(source, str):
         handle, owned, name = open(source, "r"), True, source
     else:
         handle, owned = source, False
-    rows, cols, vals, labels = [], [], [], []
+    cols, vals = array("q"), array("d")
+    counts, labels = [], []
     max_index = 0
     try:
-        row = 0
         for lineno, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped:
@@ -139,6 +141,9 @@ def parse_libsvm(source: Union[str, TextIO], n_cols: Optional[int] = None,
                         lineno, f"bad index:value pair {token!r}") from None
                 if index < 1:
                     raise ParseError(lineno, f"index {index} is not 1-based")
+                if n_cols is not None and index > n_cols:
+                    raise ParseError(
+                        lineno, f"index {index} exceeds n_cols={n_cols}")
                 if index <= prev_index:
                     raise ParseError(
                         lineno,
@@ -146,23 +151,17 @@ def parse_libsvm(source: Union[str, TextIO], n_cols: Optional[int] = None,
                 if not math.isfinite(value):
                     raise ParseError(lineno, f"non-finite value in {token!r}")
                 prev_index = index
-                rows.append(row)
                 cols.append(index - 1)
                 vals.append(value)
             max_index = max(max_index, prev_index)
+            counts.append(len(fields) - 1)
             labels.append(label)
-            row += 1
     finally:
         if owned:
             handle.close()
-    if row == 0:
+    if not labels:
         raise ParseError(1, "no samples in input")
-    if n_cols is not None:
-        if max_index > n_cols:
-            raise ParseError(1, f"index {max_index} exceeds n_cols={n_cols}")
-        d = n_cols
-    else:
-        d = max_index
+    d = max_index if n_cols is None else n_cols
     label_arr = np.asarray(labels, dtype=np.float64)
     distinct = set(np.unique(label_arr).tolist())
     if distinct == {0.0, 1.0}:
@@ -172,8 +171,9 @@ def parse_libsvm(source: Union[str, TextIO], n_cols: Optional[int] = None,
         logger.info("%s: remapping labels {1,2} -> {+1,-1}", name)
         label_arr = np.where(label_arr == 1.0, 1.0, -1.0)
     matrix = SparseDesignMatrix.from_coo(
-        row, d, np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=np.float64))
+        len(counts), d, np.repeat(np.arange(len(counts)), counts),
+        np.frombuffer(cols, dtype=np.int64),
+        np.frombuffer(vals, dtype=np.float64))
     return Dataset(matrix=matrix, labels=label_arr)
 
 

@@ -1,7 +1,9 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
@@ -398,6 +400,12 @@ def test_matrix_rejects_nonfinite():
         SparseDesignMatrix.from_dense(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):
         SparseDesignMatrix.from_dense(np.array([[np.inf, 1.0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            SparseDesignMatrix(np.array([[1.0, 0.0], [bad, 2.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            SparseDesignMatrix.from_coo(2, 2, np.array([0, 1]),
+                                        np.array([1, 1]), np.array([3.0, bad]))
 
 
 def test_dual_layout_consistency_random():
@@ -411,6 +419,110 @@ def test_dual_layout_consistency_random():
         y = rng.normal(size=n)
         assert_allclose(A.matvec(x), dense @ x, atol=1e-12)
         assert_allclose(A.rmatvec(y), dense.T @ y, atol=1e-12)
+
+
+# The reference construction: scipy's COO round trip, canonicalization and
+# the squared product matrix. Building dense input from its nonzero mask and
+# the row norms from the squared data must give the same arrays, bit for bit.
+
+def old_construction(matrix):
+    csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    csr.sort_indices()
+    csc = csr.tocsc()
+    csc.sort_indices()
+    norms = np.asarray(csr.multiply(csr).sum(axis=1)).ravel().astype(np.float64)
+    return csr, csc, norms
+
+
+def assert_same_construction(A, matrix):
+    csr, csc, norms = old_construction(matrix)
+    for got, want in ((A._csr, csr), (A._csc, csc)):
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype, name
+            assert g.tobytes() == w.tobytes(), name
+    assert A.row_norms_sq.dtype == norms.dtype
+    assert A.row_norms_sq.tobytes() == norms.tobytes()
+    assert (A._dense_rows is not None) == (csr.nnz == np.prod(csr.shape))
+
+
+@st.composite
+def dense_inputs(draw):
+    """A dense array with entries over eight decades, exact zeros and -0.0,
+    empty rows and columns and 0 x d shapes; also as a 1-D array, an
+    np.matrix or int8 entries."""
+    n, d = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = rng.random((n, d)) < draw(st.sampled_from([0.0, 0.3, 0.8]))
+    signed_zeros = np.where(rng.random((n, d)) < 0.5, 0.0, -0.0)
+    dense = np.where(zeros, signed_zeros, _random_entries(rng, n, d))
+    if n and draw(st.booleans()):
+        dense[draw(st.integers(0, n - 1))] = -0.0
+    if d and draw(st.booleans()):
+        dense[:, draw(st.integers(0, d - 1))] = 0.0
+    form = draw(st.sampled_from(["array", "1-D", "matrix", "int8"]))
+    if form == "1-D":
+        return dense.ravel()
+    if form == "matrix":
+        with warnings.catch_warnings():  # np.matrix is pending deprecation
+            warnings.simplefilter("ignore", PendingDeprecationWarning)
+            return np.matrix(dense)
+    if form == "int8":
+        return np.where(dense != 0.0, rng.integers(-128, 128, size=(n, d)),
+                        0).astype(np.int8)
+    return dense
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_inputs())
+def test_dense_construction_matches_the_coo_round_trip(dense):
+    assert_same_construction(SparseDesignMatrix(dense), dense)
+    assert_same_construction(SparseDesignMatrix.from_dense(dense), dense)
+
+
+@st.composite
+def coo_inputs(draw):
+    """COO triplets with duplicate positions, some pairs cancelling to 0."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k, cancel = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = rng.integers(0, n, size=k), rng.integers(0, d, size=k)
+    vals = _random_entries(rng, 1, k).ravel()
+    cancel = min(cancel, k)
+    return (n, d, np.concatenate([rows, rows[:cancel]]),
+            np.concatenate([cols, cols[:cancel]]),
+            np.concatenate([vals, -vals[:cancel]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coo_inputs())
+def test_coo_construction_matches_the_old_route(triplets):
+    n, d, rows, cols, vals = triplets
+    assert_same_construction(
+        SparseDesignMatrix.from_coo(n, d, rows, cols, vals),
+        sp.coo_matrix((vals, (rows, cols)), shape=(n, d)))
+
+
+def test_row_norms_keep_their_bits_when_squares_underflow():
+    # the squared product drops the three 1e-170 squares; summing them as
+    # zeros instead would move this row's norm by one rounding
+    rng = np.random.default_rng(0)
+    row = rng.normal(size=(1, 40)) * 10.0 ** rng.integers(-4, 5, size=(1, 40))
+    row[0, rng.integers(0, 40, size=3)] = 1e-170
+    naive = np.add.reduceat(np.square(row.ravel()), [0])
+    A = SparseDesignMatrix.from_dense(row)
+    assert not np.array_equal(A.row_norms_sq, naive)
+    assert_same_construction(A, row)
+
+
+def test_three_dimensional_input_raises():
+    with pytest.raises(ValueError):
+        SparseDesignMatrix(np.ones((2, 3, 4)))
+    with pytest.raises(ValueError):
+        SparseDesignMatrix.from_dense(np.ones((2, 3, 4)))
 
 
 # ----------------------------------------------------------- partial updates

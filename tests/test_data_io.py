@@ -159,8 +159,11 @@ def test_parse_errors_carry_line_numbers(text, lineno, fragment):
 
 
 def test_parse_rejects_index_beyond_forced_width():
-    with pytest.raises(ParseError, match="exceeds"):
-        parse_libsvm(io.StringIO("+1 3:1\n"), n_cols=2)
+    # the error names the line that holds the index, not line 1
+    with pytest.raises(ParseError, match="exceeds n_cols=2") as exc:
+        parse_libsvm(io.StringIO("+1 1:1\n-1 2:1\n+1 1:1 3:1\n"), n_cols=2)
+    assert exc.value.line_number == 3
+    assert str(exc.value) == "line 3: index 3 exceeds n_cols=2"
 
 
 # ---------------------------------------------------------------------------

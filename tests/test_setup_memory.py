@@ -1,0 +1,51 @@
+"""Peak-memory guards for building a design.
+
+A design holds both of its layouts, so a fully stored n x d design costs
+three times its dense array (the CSR and the CSC each hold the values and
+int32 indices). Building it must not cost much more than that, and the text
+parser must not hold boxed Python numbers per stored entry.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from pdbfw.core_linalg import SparseDesignMatrix
+from pdbfw.data_io import SyntheticSpec, generate_synthetic, parse_libsvm
+
+
+def peak_bytes(call):
+    """tracemalloc peak of one call, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_from_dense_peaks_near_the_two_layouts():
+    dense = np.random.default_rng(0).normal(size=(500, 1000))
+    assert SparseDesignMatrix.from_dense(dense).nnz == dense.size
+    assert peak_bytes(lambda: SparseDesignMatrix.from_dense(dense)) \
+        <= 3.5 * dense.nbytes
+
+
+def test_generate_synthetic_peaks_near_the_design_and_its_layouts():
+    spec = SyntheticSpec(kind="sparse_regression", n=500, d=1000,
+                         true_sparsity_or_rank=10, noise_level=1.0, seed=0)
+    assert peak_bytes(lambda: generate_synthetic(spec)) <= 4.5 * 500 * 1000 * 8
+
+
+def test_parse_libsvm_peaks_below_100_bytes_per_entry(tmp_path):
+    rng = np.random.default_rng(0)
+    lines = []
+    for _ in range(1000):
+        cols = np.sort(rng.choice(5000, size=20, replace=False)) + 1
+        pairs = " ".join(f"{j}:{v!r}" for j, v in
+                         zip(cols.tolist(), rng.normal(size=20).tolist()))
+        lines.append(f"+1 {pairs}\n")
+    path = tmp_path / "rows.txt"
+    path.write_text("".join(lines))
+    assert parse_libsvm(str(path)).matrix.nnz == 20_000
+    assert peak_bytes(lambda: parse_libsvm(str(path))) <= 100 * 20_000
