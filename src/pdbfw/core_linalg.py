@@ -295,23 +295,47 @@ def _slice_positions(indptr: np.ndarray, sel: np.ndarray):
     return pos, counts
 
 
+# Bytes of the buffer `_dense_slices_sum` folds through: the running sum and
+# one block of selected rows, small enough to stay in a core's L2 cache.
+_FOLD_BYTES = 512 * 1024
+
+
 def _dense_slices_sum(dense: np.ndarray, sel: np.ndarray,
                        coeffs: np.ndarray, first: np.ndarray) -> np.ndarray:
     """first + sum_i coeffs[i] * dense[sel[i]], with the terms added one row
     at a time in the order of `sel`, as `np.add.at` adds them on the sparse
     route; the products are the same too, so the result has the same bits.
 
+    The rows are folded in blocks through one reused buffer of about
+    `_FOLD_BYTES`: row 0 holds the running sum, the next rows a block of the
+    selection, and one einsum pass with the weights [1.0, block coeffs]
+    writes the new running sum into `first`. `1.0 * x` is exact, and
+    einsum's own loop (optimize=False; BLAS would reorder the sums) adds
+    one weighted row at a time in row order, multiplying before it adds.
+    The buffer's size is bounded whatever the selection's length. A lone
+    column is the exception: there einsum and numpy's reductions sum
+    pairwise, so its terms are gathered whole and accumulated in order.
+
     `sel` must be non-empty and in range: `take` runs with mode="clip", which
     skips numpy's buffering of `out` and would clip a bad index silently.
+    `first` is overwritten with the result.
     """
-    buf = np.empty((sel.size + 1, dense.shape[1]))
-    buf[0] = first
-    np.take(dense, sel, axis=0, out=buf[1:], mode="clip")
-    buf[1:] *= coeffs[:, None]
-    if buf.shape[1] == 1:
-        # numpy reduces a lone column pairwise; accumulate keeps the order
-        return np.add.accumulate(buf, axis=0)[-1]
-    return np.add.reduce(buf, axis=0)
+    d = dense.shape[1]
+    if d == 1:
+        terms = np.concatenate((first, coeffs * dense[sel, 0]))
+        return np.add.accumulate(terms)[-1:]
+    block = max(1, _FOLD_BYTES // (8 * d) - 1)
+    buf = np.empty((min(block, sel.size) + 1, d))
+    weights = np.empty(buf.shape[0])
+    weights[0] = 1.0
+    for lo in range(0, sel.size, block):
+        part = sel[lo:lo + block]
+        m = part.size + 1
+        buf[0] = first
+        np.take(dense, part, axis=0, out=buf[1:m], mode="clip")
+        weights[1:m] = coeffs[lo:lo + block]
+        np.einsum("i,ij->j", weights[:m], buf[:m], out=first)
+    return first
 
 
 def apply_sparse_col_product(A: SparseDesignMatrix, dx: SparseUpdate,

@@ -29,6 +29,8 @@ logger = logging.getLogger(__name__)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+# largest column index the int64 buffers and a design's shape can hold
+_MAX_INDEX = int(np.iinfo(np.int64).max)
 
 
 class PortableRng:
@@ -141,6 +143,9 @@ def parse_libsvm(source: Union[str, TextIO], n_cols: Optional[int] = None,
                         lineno, f"bad index:value pair {token!r}") from None
                 if index < 1:
                     raise ParseError(lineno, f"index {index} is not 1-based")
+                if index > _MAX_INDEX:
+                    raise ParseError(
+                        lineno, f"index {index} exceeds the int64 range")
                 if n_cols is not None and index > n_cols:
                     raise ParseError(
                         lineno, f"index {index} exceeds n_cols={n_cols}")

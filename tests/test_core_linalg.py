@@ -714,6 +714,59 @@ def test_apply_row_slice_transpose_dense_route_bit_identical_to_loop(
     check_row_transpose(*design, data)
 
 
+# The dense route folds the selection through a buffer of `_FOLD_BYTES`, one
+# block of rows at a time; the designs above are too small for a selection
+# to cross a block at the default budget, so these shrink it.
+
+def fold_budget(rows, width):
+    """A `_FOLD_BYTES` that fits `rows` rows of `width` and the running sum."""
+    return 8 * (rows + 1) * width
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@settings(max_examples=200, deadline=None)
+@given(dense_designs(), st.data())
+def test_apply_sparse_col_product_bit_identical_across_blocks(
+        rows, design, data):
+    A, _ = design
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core_linalg, "_FOLD_BYTES", fold_budget(rows, A.n_rows))
+        check_col_product(*design, data)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@settings(max_examples=200, deadline=None)
+@given(dense_designs(), st.data())
+def test_apply_row_slice_transpose_bit_identical_across_blocks(
+        rows, design, data):
+    A, _ = design
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core_linalg, "_FOLD_BYTES", fold_budget(rows, A.n_cols))
+        check_row_transpose(*design, data)
+
+
+def test_dense_route_bit_identical_across_blocks_at_the_default_budget():
+    # 500 rows or columns, drawn with repeats, cross three or more blocks at
+    # the default budget and end partway through one
+    rng = np.random.default_rng(14)
+    A = SparseDesignMatrix.from_dense(_random_entries(rng, 300, 400))
+    for width in (A.n_rows, A.n_cols):
+        block = core_linalg._FOLD_BYTES // (8 * width) - 1
+        assert 500 > 2 * block and 500 % block != 0
+    coef = rng.normal(size=500) * 10.0 ** rng.integers(-8, 9, size=500)
+    cols = rng.integers(0, A.n_cols, size=500)
+    assert np.unique(cols).size < cols.size
+    dx = SparseUpdate(indices=cols, values=coef)
+    w = rng.normal(size=A.n_rows)
+    assert np.array_equal(apply_sparse_col_product(A, dx, w, 0.75, 1.5),
+                          col_product_oracle(A, dx, w, 0.75, 1.5))
+    rows = rng.integers(0, A.n_rows, size=500)
+    assert np.unique(rows).size < rows.size
+    z = rng.normal(size=A.n_cols)
+    assert np.array_equal(apply_row_slice_transpose(A, rows, coef, z),
+                          row_transpose_oracle(A, rows, coef, z))
+
+
 # column 2 and row 1 are empty
 EDGE_DESIGN = np.array([[1.0, 0.0, 0.0, 2.5],
                         [0.0, 0.0, 0.0, 0.0],

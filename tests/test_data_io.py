@@ -137,7 +137,14 @@ def test_parse_from_path_uses_filename(tmp_path, caplog):
     assert caplog.messages == [f"{path}: skipping empty line 2"]
 
 
-@pytest.mark.parametrize("text,lineno,fragment", [
+def parse_error(text, lineno, fragment, n_cols=None):
+    # the id names the three fields alone, as before n_cols was a field
+    return pytest.param(text, lineno, fragment, n_cols,
+                        id=f"{text}-{lineno}-{fragment}"
+                        + ("" if n_cols is None else f"-n_cols={n_cols}"))
+
+
+PARSE_ERRORS = [
     ("abc 1:1\n", 1, "bad label"),
     ("+1 novalue\n", 1, "index:value"),
     ("+1 1:abc\n", 1, "index:value"),
@@ -150,10 +157,18 @@ def test_parse_from_path_uses_filename(tmp_path, caplog):
     ("+1 1:1\nbad 1:1\n", 2, "bad label"),
     ("", 1, "no samples"),
     ("\n\n", 1, "no samples"),
-])
-def test_parse_errors_carry_line_numbers(text, lineno, fragment):
+    # beyond int64: a ParseError with or without n_cols, not an OverflowError
+    ("+1 1:1\n-1 99999999999999999999:1\n", 2, "index 99999999999999999999"),
+    ("+1 1:1\n-1 99999999999999999999:1\n", 2, "index 99999999999999999999",
+     5),
+]
+
+
+@pytest.mark.parametrize("text,lineno,fragment,n_cols",
+                         [parse_error(*case) for case in PARSE_ERRORS])
+def test_parse_errors_carry_line_numbers(text, lineno, fragment, n_cols):
     with pytest.raises(ParseError, match=fragment) as exc:
-        parse_libsvm(io.StringIO(text))
+        parse_libsvm(io.StringIO(text), n_cols=n_cols)
     assert exc.value.line_number == lineno
     assert f"line {lineno}:" in str(exc.value)
 

@@ -1,16 +1,18 @@
-"""Peak-memory guards for building a design.
+"""Peak-memory guards for building a design and for its update kernels.
 
 A design holds both of its layouts, so a fully stored n x d design costs
 three times its dense array (the CSR and the CSC each hold the values and
 int32 indices). Building it must not cost much more than that, and the text
-parser must not hold boxed Python numbers per stored entry.
+parser must not hold boxed Python numbers per stored entry. On a fully
+stored design the update kernels fold the selected rows through a buffer of
+bounded size, not one that grows with the selection.
 """
 
 import tracemalloc
 
 import numpy as np
 
-from pdbfw.core_linalg import SparseDesignMatrix
+from pdbfw.core_linalg import SparseDesignMatrix, apply_row_slice_transpose
 from pdbfw.data_io import SyntheticSpec, generate_synthetic, parse_libsvm
 
 
@@ -49,3 +51,14 @@ def test_parse_libsvm_peaks_below_100_bytes_per_entry(tmp_path):
     path.write_text("".join(lines))
     assert parse_libsvm(str(path)).matrix.nnz == 20_000
     assert peak_bytes(lambda: parse_libsvm(str(path))) <= 100 * 20_000
+
+
+def test_dense_row_transpose_peaks_below_one_megabyte():
+    # gathering all 250 selected rows of 1000 entries would take 2.0 MB
+    rng = np.random.default_rng(0)
+    A = SparseDesignMatrix.from_dense(rng.normal(size=(500, 1000)))
+    assert A._dense_rows is not None
+    rows = np.sort(rng.choice(500, size=250, replace=False))
+    dy, z = rng.normal(size=250), rng.normal(size=1000)
+    assert peak_bytes(lambda: apply_row_slice_transpose(A, rows, dy, z)) \
+        < 1_000_000
