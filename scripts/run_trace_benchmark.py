@@ -11,7 +11,7 @@ from pdbfw.cli import build_parser, main
 # k is widened past its default of 24; with it the solver certifies a 1e-8
 # gap on this instance in under 30 iterations
 DEFAULTS = [
-    "--synthetic", "trace_sensing", "--constraint", "trace",
+    "--synthetic", "trace_sensing",
     "--n", "100", "--d", "80", "--c", "60", "--sparsity", "5",
     "--seed", "0", "--radius", "30.0", "--s", "8",
     "--k", "50",

@@ -1,8 +1,12 @@
 """Benchmark command line.
 
 `pdbfw run` solves one problem instance with one or more solvers and writes
-a CSV trace per solver plus a summary.tsv. `pdbfw compare` reads those CSVs
-back and tabulates time-to-accuracy.
+a CSV trace per solver plus a summary.tsv. The targets pick the constraint
+set: a vector of n targets selects the l1 ball, and n x c targets (as
+`--synthetic trace_sensing` makes them) select the trace-norm ball. Nothing
+is written until every solver has returned, so a run that fails at any
+point leaves no output. `pdbfw compare` reads those CSVs back and
+tabulates time-to-accuracy.
 
 Trace CSVs have the pinned header
 
@@ -53,27 +57,16 @@ class UsageError(Exception):
 def _usage_check(args: argparse.Namespace) -> None:
     if (args.dataset is None) == (args.synthetic is None):
         raise UsageError("exactly one of --dataset and --synthetic is required")
+    if not args.solvers:
+        raise UsageError("--solvers names no solver")
     unknown = [s for s in args.solvers if s not in VALID_SOLVERS]
     if unknown:
         raise UsageError(
             f"unknown solver(s) {', '.join(unknown)}; "
             f"valid solvers are: {', '.join(VALID_SOLVERS)}")
-    if args.constraint == "trace":
-        wrong = [s for s in args.solvers if s != "pdbfw"]
-        if wrong:
-            raise UsageError(
-                f"--constraint trace only supports the pdbfw solver, "
-                f"got {', '.join(wrong)}")
-        if args.dataset is not None:
-            raise UsageError(
-                "--constraint trace needs matrix targets; use "
-                "--synthetic trace_sensing")
-        if args.synthetic != "trace_sensing":
-            raise UsageError("--constraint trace requires --synthetic trace_sensing")
-        if args.loss != "quadratic":
-            raise UsageError("--constraint trace only supports --loss quadratic")
-    elif args.synthetic == "trace_sensing":
-        raise UsageError("--synthetic trace_sensing requires --constraint trace")
+    if len(set(args.solvers)) < len(args.solvers):
+        raise UsageError(
+            f"--solvers names a solver twice: {','.join(args.solvers)}")
 
 
 def _load(args: argparse.Namespace) -> Dataset:
@@ -115,24 +108,29 @@ def write_trace_csv(path: str, trace: ConvergenceTrace) -> None:
 
 def _solver_calls(args: argparse.Namespace, dataset: Dataset):
     """(solver, call) per requested solver, where `call()` returns a tuple
-    that ends with the trace. Every config is built here, and pdbfw's is
-    resolved against the instance, before any solver runs, so a rejected
-    setting leaves no output behind."""
+    that ends with the trace. Every config is built before any solver runs.
+    n x c targets select the trace-norm ball, which only pdbfw solves, and
+    only with the quadratic loss."""
     A = dataset.matrix
     d = A.n_cols
     mu = args.mu if args.mu is not None else 10.0 / A.n_rows
     reg = Regularizer(mu=mu)
-    if args.constraint == "trace":
+    if dataset.labels.ndim == 2:
+        wrong = [s for s in args.solvers if s != "pdbfw"]
+        if wrong:
+            raise UsageError(
+                f"n x c targets select the trace-norm ball, which only the "
+                f"pdbfw solver supports; got {', '.join(wrong)}")
+        if args.loss != "quadratic":
+            raise UsageError(
+                "the trace-norm ball only supports --loss quadratic")
         loss = MatrixQuadraticLoss(B=dataset.labels)
         s_default, solve = min(10, d, loss.n_tasks), pdbfw_trace.solve_trace
-        defaults = functools.partial(pdbfw_trace.trace_defaults,
-                                     c=loss.n_tasks)
     else:
         make_loss = (smooth_hinge_loss if args.loss == "smooth_hinge"
                      else quadratic_loss)
         loss = make_loss(dataset.labels)
         s_default, solve = min(10, d), pdbfw_l1.solve
-        defaults = pdbfw_l1.l1_defaults
     calls = []
     for solver in args.solvers:
         if solver == "pdbfw":
@@ -141,7 +139,6 @@ def _solver_calls(args: argparse.Namespace, dataset: Dataset):
                 s=args.s if args.s is not None else s_default,
                 k=args.k, eta=args.eta, delta=args.delta,
                 max_iters=args.max_iters, gap_tol=args.gap_tol)
-            cfg = pdbfw_l1.resolve(cfg, A, defaults(cfg, A))
             call = functools.partial(solve, A, loss, reg, cfg)
         else:
             cfg = BaselineConfig(kind=solver, radius=args.radius,
@@ -154,38 +151,32 @@ def _solver_calls(args: argparse.Namespace, dataset: Dataset):
 
 def run(args: argparse.Namespace) -> int:
     """Execute one benchmark run from the parsed `run` flags; returns the
-    process exit code."""
+    process exit code. The output directory is made only once every solver
+    has returned, so a failed run leaves none behind."""
+    traces = []
     try:
         _usage_check(args)
-        calls = _solver_calls(args, _load(args))
+        for solver, call in _solver_calls(args, _load(args)):
+            traces.append((solver, call()[-1]))
     except (UsageError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (DivergenceError, ApproximationError) as exc:
+        print(f"error: solver {solver} failed: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
     os.makedirs(args.output_dir, exist_ok=True)
-    summary_rows = []
-    for solver, call in calls:
-        try:
-            trace = call()[-1]
-        except (DivergenceError, ApproximationError) as exc:
-            print(f"error: solver {solver} failed: {exc}", file=sys.stderr)
-            return EXIT_SOLVER_FAILURE
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        csv_path = os.path.join(args.output_dir, f"{solver}.csv")
-        write_trace_csv(csv_path, trace)
-        final = trace.final
-        summary_rows.append((solver, final.primal, final.gap,
-                             final.iteration, final.elapsed_seconds))
-        print(f"{solver}: primal {final.primal:.6e}, gap {final.gap:.3e}, "
-              f"{final.iteration} iterations, {final.elapsed_seconds:.3f} s "
-              f"-> {csv_path}")
-    summary_path = os.path.join(args.output_dir, "summary.tsv")
-    with open(summary_path, "w") as handle:
-        handle.write("solver\tfinal_primal\tfinal_gap\titerations\twall_seconds\n")
-        for solver, primal, gap, iters, wall in summary_rows:
-            handle.write(f"{solver}\t{_format_float(primal)}\t"
-                         f"{_format_float(gap)}\t{iters}\t{wall:.6f}\n")
+    with open(os.path.join(args.output_dir, "summary.tsv"), "w") as summary:
+        summary.write("solver\tfinal_primal\tfinal_gap\titerations\twall_seconds\n")
+        for solver, trace in traces:
+            csv_path = os.path.join(args.output_dir, f"{solver}.csv")
+            write_trace_csv(csv_path, trace)
+            final = trace.final
+            summary.write(f"{solver}\t{_format_float(final.primal)}\t"
+                          f"{_format_float(final.gap)}\t{final.iteration}\t"
+                          f"{final.elapsed_seconds:.6f}\n")
+            print(f"{solver}: primal {final.primal:.6e}, gap {final.gap:.3e}, "
+                  f"{final.iteration} iterations, {final.elapsed_seconds:.3f} s "
+                  f"-> {csv_path}")
     return EXIT_OK
 
 
@@ -271,14 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--loss", choices=["smooth_hinge", "quadratic"],
                        default="quadratic")
-    run_p.add_argument("--constraint", choices=["l1", "trace"], default="l1")
     run_p.add_argument("--radius", type=float, default=300.0,
                        help="constraint ball radius (default 300)")
     run_p.add_argument("--mu", type=float, default=None,
                        help="l2 regularization weight (default 10/n)")
     run_p.add_argument("--s", type=int, default=None,
                        help="primal sparsity/rank budget (default min(10, d), "
-                       "or min(10, d, c) for --constraint trace)")
+                       "or min(10, d, c) for n x c targets)")
     run_p.add_argument("--k", type=int, default=None,
                        help="dual block size (default from theory)")
     run_p.add_argument("--eta", type=float, default=None,

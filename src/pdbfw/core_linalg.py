@@ -315,6 +315,9 @@ def _dense_slices_sum(dense: np.ndarray, sel: np.ndarray,
     The buffer's size is bounded whatever the selection's length. A lone
     column is the exception: there einsum and numpy's reductions sum
     pairwise, so its terms are gathered whole and accumulated in order.
+    einsum also starts each sum at +0.0, where the loop starts at `first`:
+    an entry that starts at -0.0 and gains only -0.0 terms stays -0.0 in
+    the loop, so such entries are noted before the fold and restored after.
 
     `sel` must be non-empty and in range: `take` runs with mode="clip", which
     skips numpy's buffering of `out` and would clip a bad index silently.
@@ -328,6 +331,8 @@ def _dense_slices_sum(dense: np.ndarray, sel: np.ndarray,
     buf = np.empty((min(block, sel.size) + 1, d))
     weights = np.empty(buf.shape[0])
     weights[0] = 1.0
+    zeros = np.flatnonzero(first == 0.0)
+    neg_zeros = zeros[np.signbit(first[zeros])]
     for lo in range(0, sel.size, block):
         part = sel[lo:lo + block]
         m = part.size + 1
@@ -335,6 +340,10 @@ def _dense_slices_sum(dense: np.ndarray, sel: np.ndarray,
         np.take(dense, part, axis=0, out=buf[1:m], mode="clip")
         weights[1:m] = coeffs[lo:lo + block]
         np.einsum("i,ij->j", weights[:m], buf[:m], out=first)
+    if neg_zeros.size:
+        terms = coeffs[:, None] * dense[sel[:, None], neg_zeros]
+        stays = ((terms == 0.0) & np.signbit(terms)).all(axis=0)
+        first[neg_zeros[stays]] = -0.0
     return first
 
 

@@ -474,8 +474,8 @@ def test_criterion_10_repeat_runs_byte_identical(tmp_path):
                "--d", "40", "--sparsity", "4", "--noise", "0.5",
                "--seed", "12", "--radius", "8.0", "--max-iters", "60",
                "--solvers", "pdbfw,fw,acc_pgd,svrg"]
-    trace_args = ["run", "--synthetic", "trace_sensing", "--constraint",
-                  "trace", "--n", "40", "--d", "16", "--c", "10",
+    trace_args = ["run", "--synthetic", "trace_sensing",
+                  "--n", "40", "--d", "16", "--c", "10",
                   "--sparsity", "2", "--radius", "10.0", "--s", "4",
                   "--max-iters", "40"]
     for label, args in (("l1", l1_args), ("trace", trace_args)):

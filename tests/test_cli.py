@@ -10,7 +10,11 @@ import sys
 import pytest
 
 import pdbfw
-from pdbfw.cli import CSV_HEADER, EXIT_OK, EXIT_USAGE, compare, main
+from pdbfw import pdbfw_l1, pdbfw_trace
+from pdbfw.cli import (CSV_HEADER, EXIT_OK, EXIT_SOLVER_FAILURE, EXIT_USAGE,
+                        compare, main)
+from pdbfw.metrics import DivergenceError
+from pdbfw.pdbfw_trace import ApproximationError
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts")
 
@@ -67,8 +71,8 @@ def test_repeated_runs_are_byte_identical(tmp_path):
 
 def test_trace_constraint_run(tmp_path):
     out = str(tmp_path / "res")
-    code = main(["run", "--synthetic", "trace_sensing", "--constraint",
-                 "trace", "--n", "30", "--d", "10", "--c", "8",
+    code = main(["run", "--synthetic", "trace_sensing",
+                 "--n", "30", "--d", "10", "--c", "8",
                  "--sparsity", "2", "--radius", "8.0", "--s", "4",
                  "--max-iters", "30", "--output-dir", out])
     assert code == EXIT_OK
@@ -77,8 +81,8 @@ def test_trace_constraint_run(tmp_path):
 
 
 def test_trace_reruns_byte_identical(tmp_path):
-    args = lambda out: ["run", "--synthetic", "trace_sensing", "--constraint",
-                        "trace", "--n", "25", "--d", "8", "--c", "6",
+    args = lambda out: ["run", "--synthetic", "trace_sensing",
+                        "--n", "25", "--d", "8", "--c", "6",
                         "--sparsity", "2", "--radius", "6.0", "--s", "3",
                         "--max-iters", "20", "--output-dir", out]
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -102,6 +106,20 @@ def test_unknown_solver_lists_valid_ones(tmp_path, capsys):
     assert "pdbfw, fw, acc_pgd, svrg" in err
 
 
+@pytest.mark.parametrize("solvers, fragment", [
+    (",", "names no solver"),
+    ("pdbfw,pdbfw", "names a solver twice: pdbfw,pdbfw"),
+], ids=["empty", "repeated"])
+def test_solver_list_must_name_each_solver_once(tmp_path, capsys, solvers,
+                                                fragment):
+    # an empty list would write a header-only summary; a repeated name
+    # would solve twice and write its CSV and summary row twice
+    out = tmp_path / "res"
+    assert main(_tiny_args(str(out), **{"--solvers": solvers})) == EXIT_USAGE
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dataset_and_synthetic_conflict(tmp_path, capsys):
     out = ["--output-dir", str(tmp_path)]
     code = main(["run", "--dataset", "x.txt", "--synthetic",
@@ -112,20 +130,30 @@ def test_dataset_and_synthetic_conflict(tmp_path, capsys):
     assert main(["run", *out]) == EXIT_USAGE
 
 
-def test_trace_constraint_flag_combinations(tmp_path, capsys):
-    base = ["run", "--synthetic", "trace_sensing", "--output-dir",
-            str(tmp_path)]
-    # trace_sensing without trace constraint
-    assert main(base + ["--constraint", "l1"]) == EXIT_USAGE
-    # trace constraint with a baseline solver
-    assert main(base + ["--constraint", "trace",
-                        "--solvers", "pdbfw,fw"]) == EXIT_USAGE
-    # trace constraint with hinge loss
-    assert main(base + ["--constraint", "trace",
-                        "--loss", "smooth_hinge"]) == EXIT_USAGE
-    # trace constraint with a file dataset
-    assert main(["run", "--constraint", "trace", "--dataset", "x.txt",
-                 "--output-dir", str(tmp_path)]) == EXIT_USAGE
+def test_matrix_targets_pick_the_trace_ball(tmp_path, capsys):
+    # trace_sensing's n x c targets select the trace-norm ball, which only
+    # pdbfw solves, and only with the quadratic loss
+    out = tmp_path / "res"
+    base = ["run", "--synthetic", "trace_sensing", "--output-dir", str(out)]
+    assert main(base + ["--solvers", "pdbfw,fw"]) == EXIT_USAGE
+    assert "only the pdbfw solver supports; got fw" in capsys.readouterr().err
+    assert main(base + ["--loss", "smooth_hinge"]) == EXIT_USAGE
+    assert "only supports --loss quadratic" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_constraint_flag_is_gone(tmp_path, capsys):
+    # argparse rejects the flag the targets made redundant
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--synthetic", "trace_sensing", "--constraint", "trace",
+              "--output-dir", str(tmp_path / "res")])
+    assert exit_info.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --constraint trace" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert "--constraint" not in capsys.readouterr().out
 
 
 def test_missing_dataset_file(tmp_path, capsys):
@@ -150,24 +178,46 @@ def test_bad_solver_parameters_exit_usage(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, fragment", [
+def _raise(error):
+    def fail(*args, **kwargs):
+        raise error
+    return fail
+
+
+@pytest.mark.parametrize("argv, patch, code, fragment", [
     (["--synthetic", "sparse_regression", "--n", "30", "--d", "12",
       "--sparsity", "2", "--s", "50", "--solvers", "fw,pdbfw"],
-     "s=50 exceeds feature dimension 12"),
-    (["--synthetic", "trace_sensing", "--constraint", "trace", "--n", "30",
-      "--d", "12", "--c", "8", "--sparsity", "2", "--s", "50"],
-     "s=50 exceeds min(d, c)=8"),
+     None, EXIT_USAGE, "s=50 exceeds feature dimension 12"),
+    (["--synthetic", "trace_sensing", "--n", "30", "--d", "12", "--c", "8",
+      "--sparsity", "2", "--s", "50"],
+     None, EXIT_USAGE, "s=50 exceeds min(d, c)=8"),
     (["--synthetic", "sparse_regression", "--n", "50", "--d", "40",
       "--radius", "1", "--delta", "inf"],
-     "delta must be positive and finite, got inf"),
-], ids=["l1", "trace", "delta_inf"])
-def test_setting_one_solver_rejects_writes_nothing(tmp_path, capsys, argv,
-                                                   fragment):
-    # pdbfw's s is checked against the instance; the run must stop on it
-    # before the output directory exists, even after an earlier solver. An
-    # infinite delta would make every dual prox NaN, so y would never move
+     None, EXIT_USAGE, "delta must be positive and finite, got inf"),
+    (["--synthetic", "sparse_regression", "--n", "30", "--d", "12",
+      "--sparsity", "2", "--radius", "1e-300", "--solvers", "svrg,pdbfw"],
+     None, EXIT_USAGE, "radius 1e-300 is below the rounding"),
+    (["--synthetic", "trace_sensing", "--n", "30", "--d", "12", "--c", "8",
+      "--sparsity", "2", "--s", "4"],
+     (pdbfw_trace, "approx_lowrank_prox", ApproximationError(1e-3, 100)),
+     EXIT_SOLVER_FAILURE, "solver pdbfw failed: low-rank prox"),
+    (["--synthetic", "sparse_regression", "--n", "30", "--d", "12",
+      "--sparsity", "2", "--solvers", "fw,pdbfw"],
+     (pdbfw_l1, "primal_step", DivergenceError(3)),
+     EXIT_SOLVER_FAILURE, "solver pdbfw failed: solver diverged at iteration 3"),
+], ids=["l1", "trace", "delta_inf", "radius_underflow", "approximation",
+        "divergence"])
+def test_setting_one_solver_rejects_writes_nothing(tmp_path, capsys,
+                                                   monkeypatch, argv, patch,
+                                                   code, fragment):
+    # a run that fails, whether on a setting, inside a solve or in a later
+    # solver after an earlier one returned, must leave no output directory.
+    # An infinite delta would make every dual prox NaN, so y would never move
+    if patch is not None:
+        module, name, error = patch
+        monkeypatch.setattr(module, name, _raise(error))
     out = tmp_path / "res"
-    assert main(["run", *argv, "--output-dir", str(out)]) == EXIT_USAGE
+    assert main(["run", *argv, "--output-dir", str(out)]) == code
     assert fragment in capsys.readouterr().err
     assert not out.exists()
 

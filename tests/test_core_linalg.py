@@ -661,6 +661,15 @@ def dense_designs(draw):
 coefficients = st.floats(-1e6, 1e6, allow_nan=False)
 
 
+def start_vector(rng, size):
+    """Normals with about a quarter of the entries set to +0.0 or -0.0, so
+    that zero coefficients leave signed zeros for the checks to compare."""
+    v = rng.normal(size=size)
+    zero = rng.random(size) < 0.25
+    v[zero] = np.where(rng.random(size) < 0.5, -0.0, 0.0)[zero]
+    return v
+
+
 def check_col_product(A, rng, data):
     cols = data.draw(st.lists(st.integers(0, A.n_cols - 1), max_size=12))
     dx = SparseUpdate(indices=np.array(cols, dtype=np.int64),
@@ -668,12 +677,11 @@ def check_col_product(A, rng, data):
                           coefficients, min_size=len(cols),
                           max_size=len(cols))), dtype=np.float64))
     scale_old, scale_new = data.draw(coefficients), data.draw(coefficients)
-    w = rng.normal(size=A.n_rows)
+    w = start_vector(rng, A.n_rows)
     w_before = w.copy()
     got = apply_sparse_col_product(A, dx, w, scale_old, scale_new)
-    expect = col_product_oracle(A, dx, w, scale_old, scale_new)
-    assert np.array_equal(got, expect)
-    assert np.array_equal(w, w_before)
+    assert_same_bits(got, col_product_oracle(A, dx, w, scale_old, scale_new))
+    assert_same_bits(w, w_before)
 
 
 def check_row_transpose(A, rng, data):
@@ -681,11 +689,11 @@ def check_row_transpose(A, rng, data):
                                        max_size=12)), dtype=np.int64)
     dy = np.array(data.draw(st.lists(coefficients, min_size=rows.size,
                                      max_size=rows.size)), dtype=np.float64)
-    z = rng.normal(size=A.n_cols)
+    z = start_vector(rng, A.n_cols)
     z_before = z.copy()
     got = apply_row_slice_transpose(A, rows, dy, z)
-    assert np.array_equal(got, row_transpose_oracle(A, rows, dy, z))
-    assert np.array_equal(z, z_before)
+    assert_same_bits(got, row_transpose_oracle(A, rows, dy, z))
+    assert_same_bits(z, z_before)
 
 
 @settings(max_examples=300, deadline=None)
@@ -758,13 +766,29 @@ def test_dense_route_bit_identical_across_blocks_at_the_default_budget():
     assert np.unique(cols).size < cols.size
     dx = SparseUpdate(indices=cols, values=coef)
     w = rng.normal(size=A.n_rows)
-    assert np.array_equal(apply_sparse_col_product(A, dx, w, 0.75, 1.5),
-                          col_product_oracle(A, dx, w, 0.75, 1.5))
+    assert_same_bits(apply_sparse_col_product(A, dx, w, 0.75, 1.5),
+                     col_product_oracle(A, dx, w, 0.75, 1.5))
     rows = rng.integers(0, A.n_rows, size=500)
     assert np.unique(rows).size < rows.size
     z = rng.normal(size=A.n_cols)
-    assert np.array_equal(apply_row_slice_transpose(A, rows, coef, z),
-                          row_transpose_oracle(A, rows, coef, z))
+    assert_same_bits(apply_row_slice_transpose(A, rows, coef, z),
+                     row_transpose_oracle(A, rows, coef, z))
+
+
+def test_dense_route_keeps_negative_zero():
+    # einsum starts each sum at +0.0; the loop keeps the -0.0 it starts
+    # from when every term it adds is -0.0 too
+    A = SparseDesignMatrix.from_dense(np.array([[1.0, 2.0], [3.0, -4.0]]))
+    assert A._dense_rows is not None
+    start, sel, coef = np.array([-0.0, 1.0]), np.array([0]), np.array([-0.0])
+    want = np.array([-0.0, 1.0])
+    got = apply_row_slice_transpose(A, sel, coef, start)
+    assert_same_bits(got, want)
+    assert_same_bits(got, row_transpose_oracle(A, sel, coef, start))
+    dx = SparseUpdate(indices=sel, values=coef)
+    got = apply_sparse_col_product(A, dx, start, 1.0, 1.0)
+    assert_same_bits(got, want)
+    assert_same_bits(got, col_product_oracle(A, dx, start, 1.0, 1.0))
 
 
 # column 2 and row 1 are empty
