@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Run the benchmark of two source trees in alternating pairs and summarize.
 
-    python3 scripts/ab_bench.py --base ../parent --new . --workload l1_dense \\
-        --seed 5 --pairs 10 --seconds 30 --trace 0
+    python3 scripts/ab_bench.py --base ../parent --new . \\
+        --workload l1_dense,trace_lowrank --seed 5 --pairs 10 --seconds 30 \\
+        --trace 0
 
-Each pair runs `perfbench/run.py` once in each tree, with the same arguments;
+`--workload` names one workload or a comma-separated list of them; the
+workloads run one after another, all pairs of one before the next. Each
+pair runs `perfbench/run.py` once in each tree, with the same arguments;
 the side that runs first alternates from pair to pair. Every standard output
-is saved under results/ab/. For each metric the summary gives each side's
+is saved under results/ab/. After a workload's last pair, one summary block
+headed by the workload's name follows. For each metric it gives each side's
 median and quartiles and the number of pairs the new side won (a tie counts
 for neither side). A gain holds when both rules hold: the new side won at
 least nine tenths of the pairs, and its median is better than the base's by
@@ -79,8 +83,8 @@ def summarize(base: list, new: list, spec: dict) -> list:
     return lines
 
 
-def run_once(tree: Path, args, out: Path) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+def run_once(tree: Path, workload: str, args, out: Path) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", str(args.trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -91,11 +95,27 @@ def run_once(tree: Path, args, out: Path) -> dict:
     return last_json(done.stdout)
 
 
+def run_pairs(workload: str, args, outdir: Path) -> dict:
+    """The alternating pairs of one workload; each side's result objects."""
+    stem = f"{workload}-seed{args.seed}-trace{args.trace}"
+    results = {"base": [], "new": []}
+    for pair in range(args.pairs):
+        order = ("base", "new") if pair % 2 == 0 else ("new", "base")
+        for side in order:
+            out = outdir / f"{stem}-pair{pair:02d}-{side}.txt"
+            results[side].append(
+                run_once(getattr(args, side), workload, args, out))
+        print(f"# {workload}: pair {pair + 1} of {args.pairs} done "
+              f"({order[0]} first)", flush=True)
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True)
     parser.add_argument("--new", type=Path, required=True)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload or a comma-separated list of them")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
@@ -104,19 +124,22 @@ def main(argv=None) -> int:
     for tree in (args.base, args.new):
         if not (tree / "perfbench" / "run.py").is_file():
             parser.error(f"no perfbench/run.py under {tree}")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = args.workload.split(",")
+    for workload in workloads:
+        if workload not in known:
+            parser.error(f"unknown workload {workload!r}; choose from "
+                         f"{', '.join(known)}")
+    if len(set(workloads)) != len(workloads):
+        parser.error(f"workload named twice in {args.workload!r}")
     outdir = ROOT / "results" / "ab"
     outdir.mkdir(parents=True, exist_ok=True)
-    stem = f"{args.workload}-seed{args.seed}-trace{args.trace}"
-    results = {"base": [], "new": []}
-    for pair in range(args.pairs):
-        order = ("base", "new") if pair % 2 == 0 else ("new", "base")
-        for side in order:
-            out = outdir / f"{stem}-pair{pair:02d}-{side}.txt"
-            results[side].append(run_once(getattr(args, side), args, out))
-        print(f"# pair {pair + 1} of {args.pairs} done ({order[0]} first)",
-              flush=True)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    print("\n".join(summarize(results["base"], results["new"], spec)))
+    for workload in workloads:
+        results = run_pairs(workload, args, outdir)
+        print(f"## {workload}: seed {args.seed}, {args.pairs} pairs, "
+              f"--seconds {args.seconds:g}, --trace {args.trace}")
+        print("\n".join(summarize(results["base"], results["new"], spec)))
     return 0
 
 

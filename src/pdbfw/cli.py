@@ -30,6 +30,8 @@ import os
 import sys
 from typing import List, Optional
 
+from numpy.linalg import LinAlgError
+
 from . import pdbfw_l1, pdbfw_trace
 from .baselines import BASELINE_KINDS, BaselineConfig, solve_baseline
 from .data_io import Dataset, ParseError, SyntheticSpec, generate_synthetic, \
@@ -158,12 +160,13 @@ def run(args: argparse.Namespace) -> int:
         _usage_check(args)
         for solver, call in _solver_calls(args, _load(args)):
             traces.append((solver, call()[-1]))
+    except (DivergenceError, ApproximationError, LinAlgError) as exc:
+        # before the usage arm: LinAlgError is a ValueError
+        print(f"error: solver {solver} failed: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
     except (UsageError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DivergenceError, ApproximationError) as exc:
-        print(f"error: solver {solver} failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
     os.makedirs(args.output_dir, exist_ok=True)
     with open(os.path.join(args.output_dir, "summary.tsv"), "w") as summary:
         summary.write("solver\tfinal_primal\tfinal_gap\titerations\twall_seconds\n")

@@ -1,5 +1,5 @@
-"""Sparse/dense linear-algebra kernels and the projection/selection oracles
-shared by every solver step.
+"""Sparse/dense linear-algebra kernels, the projection/selection oracles
+shared by every solver step, and the range finder of the trace-norm solver.
 
 The design matrix is stored in both compressed-row and compressed-column
 layouts so that column-restricted products (maintaining w = Ax) and
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 
 class SparseDesignMatrix:
@@ -262,6 +263,33 @@ def top_k_by_magnitude(v: np.ndarray, k: int) -> np.ndarray:
     idx = np.concatenate([above, ties])
     idx.sort()
     return idx.astype(np.int64)
+
+
+def _lapack_out(name: str, *out):
+    """A LAPACK wrapper's outputs without the trailing info flag."""
+    if out[-1] != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {name} failed (info={out[-1]})")
+    return out[:-1]
+
+
+def range_svd(M: np.ndarray, block: np.ndarray, compute_uv: bool = True):
+    """One range-finder sweep on the d x c matrix M from the c x b `block`
+    (Halko, Martinsson & Tropp, arXiv:0909.4061).
+
+    Q (d x min(d, b)) is an orthonormal basis of range(M @ block) from
+    LAPACK's dgeqrf and dorgqr, and B = Q'M. dgesdd factors the tall matrix
+    B' = M'Q = right diag(sv) R', so QB = left diag(sv) right' with
+    left = QR. Returns (Q, B, left, sv, right), left and right None unless
+    compute_uv; raises np.linalg.LinAlgError when LAPACK reports failure.
+    """
+    qr, tau, _ = _lapack_out("dgeqrf", *lapack.dgeqrf(M @ block))
+    Q, _ = _lapack_out("dorgqr", *lapack.dorgqr(qr[:, :tau.size], tau))
+    B = Q.T @ M
+    right, sv, Rt = _lapack_out("dgesdd", *lapack.dgesdd(
+        B.T, compute_uv=compute_uv, full_matrices=False))
+    if not compute_uv:
+        return Q, B, None, sv, None
+    return Q, B, Q @ Rt.T, sv, right
 
 
 def sparse_l1_prox(v: np.ndarray, radius: float, s: int) -> SparseUpdate:

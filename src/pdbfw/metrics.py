@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_linalg import SparseDesignMatrix, project_l1_ball
+from .core_linalg import SparseDesignMatrix, project_l1_ball, range_svd
 from .losses import LossModel, MatrixQuadraticLoss, Regularizer
 
 
@@ -141,17 +141,15 @@ def _sketched_singular_values(M: np.ndarray, block: np.ndarray):
     """Singular values of M (d x c) from its range sketch on the c x b
     `block`, or None when the sketch cannot vouch for them.
 
-    With Q = qr(M @ block) and B = Q'M, the residual r = ||M - QB||_F bounds
-    how far each singular value of B lies from M's (Weyl), and M's values
-    past the b-th lie below r (Halko, Martinsson & Tropp, arXiv:0909.4061).
+    With Q and B = Q'M from `range_svd(M, block)`, the residual
+    r = ||M - QB||_F bounds how far each singular value of B lies from M's
+    (Weyl), and M's values past the b-th lie below r.
     With tau = max(d, c) eps sv[0], the numerical-rank threshold, the sketch
     is accepted only when r <= tau/4, the last value is below tau (the
     sketch is wider than the rank, so a full-rank M always misses), and no
     value lies within r + tau/2 of tau, so no rank count can flip.
     """
-    Q, _ = np.linalg.qr(M @ block)
-    B = Q.T @ M
-    sv = np.linalg.svd(B, compute_uv=False)
+    Q, B, _, sv, _ = range_svd(M, block, compute_uv=False)
     residual = np.linalg.norm(M - Q @ B)
     tau = sv[0] * max(M.shape) * np.finfo(float).eps
     if residual > 0.25 * tau:

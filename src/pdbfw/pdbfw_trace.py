@@ -2,20 +2,22 @@
 
 The primal step replaces the sparse l1 prox with a rank-s spectral prox
 (top-s SVD of the shifted iterate, then l1 projection of the singular
-values), computed by block power iteration so the per-iteration cost stays
-O(nds + ncs) instead of a full decomposition. The dual step updates the k
-rows with the largest proximal displacement in Euclidean norm. Both steps
-run in `metrics.run_to_gap`, on matrix iterates.
+values), computed by block power iteration warm-started from the previous
+call's block, so the per-iteration cost stays O(nds + ncs) instead of a
+full decomposition. The dual step updates the k rows with the largest
+proximal displacement in Euclidean norm. Both steps run in
+`metrics.run_to_gap`, on matrix iterates.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .core_linalg import (SparseDesignMatrix, project_l1_ball,
+from .core_linalg import (SparseDesignMatrix, project_l1_ball, range_svd,
                           top_k_by_magnitude)
 from .data_io import PortableRng
 from .losses import MatrixQuadraticLoss, Regularizer
@@ -26,6 +28,7 @@ from .pdbfw_l1 import SolverConfig, SolverState, resolve
 POWER_OVERSAMPLE = 4
 POWER_MAX_SWEEPS = 100
 POWER_TOL = 1e-10
+VALUE_RTOL = 1e-14
 _POWER_SEED = 0x1E5D
 
 
@@ -43,11 +46,13 @@ class ApproximationError(RuntimeError):
 @dataclass(frozen=True)
 class LowRankFactor:
     """Rank-r matrix left @ diag(singular) @ right.T with orthonormal factors
-    and non-increasing positive singular values."""
+    and non-increasing positive singular values. `block` is the prox's last
+    c x b right block, the warm start of its next call."""
 
     left: np.ndarray      # d x r
     singular: np.ndarray  # r
     right: np.ndarray     # c x r
+    block: Optional[np.ndarray] = None
 
     @property
     def rank(self) -> int:
@@ -73,14 +78,19 @@ def _power_start(c: int, b: int) -> np.ndarray:
     return Q
 
 
-def approx_lowrank_prox(M: np.ndarray, radius: float, s: int) -> LowRankFactor:
+def approx_lowrank_prox(M: np.ndarray, radius: float, s: int,
+                        start: Optional[np.ndarray] = None) -> LowRankFactor:
     """Rank-s spectral prox of M onto the trace-norm ball.
 
     Exact target: keep the top-s singular triplets of M, then project the
     kept singular values onto the l1 ball of the given radius. The triplets
-    come from oversampled block power iteration run to a relative SVD
-    residual of POWER_TOL, so the result is exact to working precision
-    whenever the iteration converges within POWER_MAX_SWEEPS sweeps.
+    come from oversampled block power iteration, one `range_svd` per sweep,
+    from the c x b `start` block (by default `_power_start`; the solver
+    passes the previous call's `block`). It stops at the first sweep whose
+    relative SVD residual is at most POWER_TOL, or whose subproblem value
+    sv.p - p.p/2 (p the projected values) moved by at most VALUE_RTOL
+    relative since the sweep before; POWER_MAX_SWEEPS sweeps without either
+    raise ApproximationError.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -89,34 +99,28 @@ def approx_lowrank_prox(M: np.ndarray, radius: float, s: int) -> LowRankFactor:
     M = np.asarray(M, dtype=np.float64)
     d, c = M.shape
     s_eff = min(s, d, c)
-    scale = np.linalg.norm(M)
-    if scale == 0.0:
+    if not M.any():
         return LowRankFactor.zero(d, c)
 
-    Q = _power_start(c, min(s_eff + POWER_OVERSAMPLE, d, c))
-    residual = np.inf
-    left = sv = right = None
-    for sweep in range(POWER_MAX_SWEEPS):
-        U, _ = np.linalg.qr(M @ Q)
-        B = U.T @ M
-        Ub, sv_all, Vt = np.linalg.svd(B, full_matrices=False)
-        left_all = U @ Ub
-        left = left_all[:, :s_eff]
-        sv = sv_all[:s_eff]
-        right = Vt[:s_eff].T
+    block = (_power_start(c, min(s_eff + POWER_OVERSAMPLE, d, c))
+             if start is None else start)
+    value = np.nan
+    for _ in range(POWER_MAX_SWEEPS):
+        _, _, left_all, sv_all, block = range_svd(M, block)
+        left, sv, right = left_all[:, :s_eff], sv_all[:s_eff], block[:, :s_eff]
         # M'(left) = right*sv holds exactly by construction, so the residual
         # of the forward map alone certifies the triplets
         residual = np.linalg.norm(M @ right - left * sv) / max(sv_all[0], 1e-300)
-        if residual <= POWER_TOL:
+        projected = project_l1_ball(sv, radius)
+        last, value = value, float(sv @ projected - 0.5 * projected @ projected)
+        if residual <= POWER_TOL or abs(value - last) <= VALUE_RTOL * abs(value):
             break
-        Q = Vt.T
     else:
         raise ApproximationError(float(residual), POWER_MAX_SWEEPS)
 
-    projected = project_l1_ball(sv, radius)
     keep = projected > 0.0
     return LowRankFactor(left=left[:, keep], singular=projected[keep],
-                         right=right[:, keep])
+                         right=right[:, keep], block=block)
 
 
 def trace_defaults(cfg: SolverConfig, A: SparseDesignMatrix, c: int) -> float:
@@ -130,15 +134,17 @@ def trace_defaults(cfg: SolverConfig, A: SparseDesignMatrix, c: int) -> float:
 
 def primal_step_trace(state: SolverState, cfg: SolverConfig,
                       A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
-                      reg: Regularizer) -> LowRankFactor:
-    """Rank-s Frank-Wolfe primal update; maintains W through the factor."""
+                      reg: Regularizer,
+                      start: Optional[np.ndarray] = None) -> LowRankFactor:
+    """Rank-s Frank-Wolfe primal update from the prox start block `start`;
+    maintains W through the factor."""
     n = A.n_rows
     d, c = state.x.shape
     eta = cfg.eta
     l_eta = reg.mu * eta
     G = state.z / n + reg.grad(state.x)
     M = state.x - G / l_eta
-    factor = approx_lowrank_prox(M, cfg.radius, cfg.s)
+    factor = approx_lowrank_prox(M, cfg.radius, cfg.s, start)
     r = factor.rank
     state.x *= 1.0 - eta
     state.w *= 1.0 - eta
@@ -181,8 +187,9 @@ def solve_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
     Returns (X, Y, trace). The trace's support column records the numerical
     rank of X.
 
-    Both records take their singular values from a `SketchedSpectrum` on
-    the prox's start block: from a range sketch while it captures the matrix
+    Each prox starts from the previous one's right block. Both records take
+    their singular values from a `SketchedSpectrum` on the fixed
+    `_power_start` block: from a range sketch while it captures the matrix
     to rounding, from the full SVD after its first miss. The support column
     is the full SVD's count; the dual value can move in its last bits.
     """
@@ -191,9 +198,11 @@ def solve_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
     state = SolverState.zeros(A.n_rows, A.n_cols, c)
     block = _power_start(c, min(rc.s + POWER_OVERSAMPLE, A.n_cols, c))
     rank_sv, dual_sv = SketchedSpectrum(block), SketchedSpectrum(block)
+    warm = None
 
     def step(st):
-        primal_step_trace(st, rc, A, loss, reg)
+        nonlocal warm
+        warm = primal_step_trace(st, rc, A, loss, reg, warm).block
         dual_step_trace(st, rc, A, loss)
 
     def certificate(st):

@@ -36,17 +36,18 @@ class ProxAudit(NamedTuple):
 
 def audit_prox_calls(monkeypatch) -> list:
     """Wrap `pdbfw_trace.primal_step_trace` so every call appends a
-    ProxAudit to the returned list; `solve_trace` looks the step up when it
-    starts, so the wrapper also sees every call of a solve."""
+    ProxAudit to the returned list; `solve_trace` looks the step up at each
+    call, so the wrapper also sees every call of a solve. The prox's start
+    block is passed through."""
     audits = []
     step = pdbfw_trace.primal_step_trace
 
-    def audited(state, cfg, A, loss, reg):
+    def audited(state, cfg, A, loss, reg, *start):
         l_eta = reg.mu * cfg.eta
         G = state.z / A.n_rows + reg.grad(state.x)
         X = state.x.copy()
         V_star = exact_lowrank_prox_dense(X - G / l_eta, cfg.radius, cfg.s)
-        factor = step(state, cfg, A, loss, reg)
+        factor = step(state, cfg, A, loss, reg, *start)
         audits.append(ProxAudit(
             _subproblem_value(G, X, factor.to_dense(), l_eta),
             _subproblem_value(G, X, V_star, l_eta)))

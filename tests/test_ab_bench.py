@@ -4,6 +4,8 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -74,3 +76,56 @@ def test_summary_counts_failed_calls_and_incorrect_runs():
     got = rows(ab_bench.summarize(base, new, SPEC))
     assert got["new:"] == ("new: 2 of 120 solver calls failed, "
                            "1 of 3 runs not correct")
+
+
+def _trees(tmp_path):
+    """Two source trees that hold a perfbench/run.py."""
+    for side in ("base", "new"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    return ["--base", str(tmp_path / "base"), "--new", str(tmp_path / "new")]
+
+
+def test_main_runs_a_workload_list_one_workload_at_a_time(tmp_path, capsys,
+                                                          monkeypatch):
+    # each workload's pairs run before the next workload's, the first side
+    # alternates per pair, and each workload gets its own summary block
+    calls = []
+    solves = {"trace_lowrank": (0.058, 0.049), "l1_dense": (0.0100, 0.0100)}
+
+    def fake_run(tree, workload, args, out):
+        side = tree.name
+        calls.append((workload, side))
+        return ab_bench.last_json(stdout(solves[workload][side == "new"],
+                                         0.048))
+
+    monkeypatch.setattr(ab_bench, "run_once", fake_run)
+    assert ab_bench.main([*_trees(tmp_path), "--workload",
+                          "trace_lowrank,l1_dense", "--seed", "29",
+                          "--pairs", "3"]) == 0
+    assert calls == [(w, side) for w in ("trace_lowrank", "l1_dense")
+                     for side in ("base", "new", "new", "base", "base",
+                                  "new")]
+    out = capsys.readouterr().out
+    blocks = out.split("## ")[1:]
+    assert [b.split(":")[0] for b in blocks] == ["trace_lowrank", "l1_dense"]
+    first, second = (rows([line for line in b.splitlines()[1:]
+                           if not line.startswith("#")]) for b in blocks)
+    assert "3/3" in first["pdbfw_solve_s"]
+    assert " 0/3" in second["pdbfw_solve_s"]
+    assert blocks[0].startswith("trace_lowrank: seed 29, 3 pairs")
+
+
+@pytest.mark.parametrize("workloads, fragment", [
+    ("l1_dense,no_such", "unknown workload 'no_such'"),
+    ("l1_dense,l1_dense", "workload named twice"),
+    ("l1_dense,", "unknown workload ''"),
+])
+def test_main_rejects_bad_workload_lists(tmp_path, capsys, monkeypatch,
+                                         workloads, fragment):
+    monkeypatch.setattr(ab_bench, "run_once", None)  # nothing may run
+    with pytest.raises(SystemExit) as exc:
+        ab_bench.main([*_trees(tmp_path), "--workload", workloads,
+                       "--seed", "29"])
+    assert exc.value.code == 2
+    assert fragment in capsys.readouterr().err

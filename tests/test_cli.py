@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pdbfw
@@ -201,12 +202,18 @@ def _raise(error):
       "--sparsity", "2", "--s", "4"],
      (pdbfw_trace, "approx_lowrank_prox", ApproximationError(1e-3, 100)),
      EXIT_SOLVER_FAILURE, "solver pdbfw failed: low-rank prox"),
+    # LinAlgError subclasses ValueError but is a solver failure
+    (["--synthetic", "trace_sensing", "--n", "30", "--d", "12", "--c", "8",
+      "--sparsity", "2", "--s", "4"],
+     (pdbfw_trace, "approx_lowrank_prox",
+      np.linalg.LinAlgError("LAPACK dgesdd failed (info=-4)")),
+     EXIT_SOLVER_FAILURE, "solver pdbfw failed: LAPACK dgesdd failed"),
     (["--synthetic", "sparse_regression", "--n", "30", "--d", "12",
       "--sparsity", "2", "--solvers", "fw,pdbfw"],
      (pdbfw_l1, "primal_step", DivergenceError(3)),
      EXIT_SOLVER_FAILURE, "solver pdbfw failed: solver diverged at iteration 3"),
 ], ids=["l1", "trace", "delta_inf", "radius_underflow", "approximation",
-        "divergence"])
+        "linalg", "divergence"])
 def test_setting_one_solver_rejects_writes_nothing(tmp_path, capsys,
                                                    monkeypatch, argv, patch,
                                                    code, fragment):

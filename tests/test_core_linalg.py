@@ -11,7 +11,7 @@ from pdbfw import core_linalg, metrics, pdbfw_l1
 from pdbfw.core_linalg import (SparseDesignMatrix, SparseUpdate,
                                apply_row_slice_transpose,
                                apply_sparse_col_product, project_l1_ball,
-                               sparse_l1_prox, top_k_by_magnitude)
+                               range_svd, sparse_l1_prox, top_k_by_magnitude)
 from pdbfw.data_io import PortableRng
 from pdbfw.losses import Regularizer, smooth_hinge_loss
 
@@ -1046,3 +1046,58 @@ def test_sparse_update_dense_roundtrip():
     update = SparseUpdate(indices=np.array([1, 3]), values=np.array([2.0, -1.0]))
     assert update.support_size == 2
     assert_allclose(to_dense(update, 5), [0.0, 2.0, 0.0, -1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# Range finder
+
+
+@pytest.mark.parametrize("d, c, b, rank", [
+    (30, 20, 8, 20),   # tall, full rank: the block sees part of the range
+    (20, 20, 20, 20),  # square, the block as wide as M
+    (5, 20, 8, 5),     # wide: d < b, so Q has only d columns
+    (30, 20, 8, 0),    # zero
+    (30, 20, 12, 3),   # rank-deficient: the block is wider than the rank
+], ids=["tall", "square", "wide", "zero", "rank_deficient"])
+def test_range_svd_matches_numpy_qr_and_svd(d, c, b, rank):
+    # [DERIVED] Q is an orthonormal basis holding range(M @ block), so
+    # QQ'Y = Y; Q'M has the singular values of the projection of M onto
+    # range(Y), whatever basis numpy's QR picks; QB = left diag(sv) right'
+    rng = PortableRng(300 + 7 * d + b + rank)
+    M = (rng.normals(d * rank).reshape(d, rank)
+         @ rng.normals(rank * c).reshape(rank, c))
+    block, _ = np.linalg.qr(rng.normals(c * b).reshape(c, b))
+    Q, B, left, sv, right = range_svd(M, block)
+    k = min(d, b)
+    assert Q.shape == (d, k) and B.shape == (k, c) and sv.shape == (k,)
+    assert left.shape == (d, k) and right.shape == (c, k)
+    assert_allclose(Q.T @ Q, np.eye(k), rtol=0, atol=1e-14)
+    Y = M @ block
+    scale = max(1.0, float(np.abs(Y).max()))
+    assert_allclose(Q @ (Q.T @ Y), Y, rtol=0, atol=1e-14 * scale)
+    Q_np, _ = np.linalg.qr(Y)
+    want = np.linalg.svd(Q_np.T @ M, compute_uv=False)
+    tol = 1e-14 * max(1.0, float(want[0]))
+    assert_allclose(sv, want, rtol=0, atol=tol)
+    assert np.all(np.diff(sv) <= 0.0)
+    assert_allclose(left.T @ left, np.eye(k), rtol=0, atol=1e-14)
+    assert_allclose(right.T @ right, np.eye(k), rtol=0, atol=1e-14)
+    assert_allclose((left * sv) @ right.T, Q @ B, rtol=0, atol=tol)
+    if rank <= k:  # the block captures M, so these are M's values
+        assert_allclose(sv[:min(d, c)], np.linalg.svd(M, compute_uv=False)[:k],
+                        rtol=0, atol=tol)
+    Q0, B0, left0, sv0, right0 = range_svd(M, block, compute_uv=False)
+    assert left0 is None and right0 is None
+    assert np.array_equal(Q0, Q) and np.array_equal(B0, B)
+    assert_allclose(sv0, sv, rtol=0, atol=tol)
+
+
+def test_range_svd_raises_linalg_error_on_non_finite_input():
+    rng = PortableRng(310)
+    M = rng.normals(60).reshape(10, 6)
+    block, _ = np.linalg.qr(rng.normals(18).reshape(6, 3))
+    for bad in (np.nan, np.inf):
+        M[2, 3] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(np.linalg.LinAlgError, match="LAPACK dgesdd"):
+            range_svd(M, block)
