@@ -47,8 +47,9 @@ class BaselineConfig:
         if self.kind not in BASELINE_KINDS:
             raise ValueError(
                 f"unknown baseline {self.kind!r}, expected one of {BASELINE_KINDS}")
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(
+                f"radius must be positive and finite, got {self.radius}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if math.isnan(self.gap_tol):

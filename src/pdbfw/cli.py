@@ -17,9 +17,9 @@ where `seconds` is virtual time: the cumulative flop count divided by a
 and machines; real wall-clock timings go to summary.tsv only. Floats are
 written with repr() so they round-trip exactly.
 
-Exit codes: 0 success, 1 solver failure (divergence or a low-rank prox that
-did not converge), 2 usage errors (bad flags, unknown solver, unreadable
-input).
+Exit codes: 0 success, 1 solver failure (divergence, a low-rank prox that
+did not converge, or a LAPACK failure), 2 usage errors (bad flags, unknown
+solver, unreadable input).
 """
 
 from __future__ import annotations

@@ -323,55 +323,23 @@ def _slice_positions(indptr: np.ndarray, sel: np.ndarray):
     return pos, counts
 
 
-# Bytes of the buffer `_dense_slices_sum` folds through: the running sum and
-# one block of selected rows, small enough to stay in a core's L2 cache.
+# Bytes of one block of rows that `_dense_slices_sum` gathers, small enough
+# to stay in a core's L2 cache.
 _FOLD_BYTES = 512 * 1024
 
 
 def _dense_slices_sum(dense: np.ndarray, sel: np.ndarray,
                        coeffs: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """first + sum_i coeffs[i] * dense[sel[i]], with the terms added one row
-    at a time in the order of `sel`, as `np.add.at` adds them on the sparse
-    route; the products are the same too, so the result has the same bits.
+    """first + sum_i coeffs[i] * dense[sel[i]], one BLAS product per block of
+    at most `_FOLD_BYTES` of gathered rows, so the gathered copy stays bounded
+    whatever the selection's length. BLAS sums in its own order, as the dense
+    route's other products do.
 
-    The rows are folded in blocks through one reused buffer of about
-    `_FOLD_BYTES`: row 0 holds the running sum, the next rows a block of the
-    selection, and one einsum pass with the weights [1.0, block coeffs]
-    writes the new running sum into `first`. `1.0 * x` is exact, and
-    einsum's own loop (optimize=False; BLAS would reorder the sums) adds
-    one weighted row at a time in row order, multiplying before it adds.
-    The buffer's size is bounded whatever the selection's length. A lone
-    column is the exception: there einsum and numpy's reductions sum
-    pairwise, so its terms are gathered whole and accumulated in order.
-    einsum also starts each sum at +0.0, where the loop starts at `first`:
-    an entry that starts at -0.0 and gains only -0.0 terms stays -0.0 in
-    the loop, so such entries are noted before the fold and restored after.
-
-    `sel` must be non-empty and in range: `take` runs with mode="clip", which
-    skips numpy's buffering of `out` and would clip a bad index silently.
-    `first` is overwritten with the result.
+    `sel` must be in range. `first` is overwritten with the result.
     """
-    d = dense.shape[1]
-    if d == 1:
-        terms = np.concatenate((first, coeffs * dense[sel, 0]))
-        return np.add.accumulate(terms)[-1:]
-    block = max(1, _FOLD_BYTES // (8 * d) - 1)
-    buf = np.empty((min(block, sel.size) + 1, d))
-    weights = np.empty(buf.shape[0])
-    weights[0] = 1.0
-    zeros = np.flatnonzero(first == 0.0)
-    neg_zeros = zeros[np.signbit(first[zeros])]
+    block = max(1, _FOLD_BYTES // (8 * dense.shape[1]))
     for lo in range(0, sel.size, block):
-        part = sel[lo:lo + block]
-        m = part.size + 1
-        buf[0] = first
-        np.take(dense, part, axis=0, out=buf[1:m], mode="clip")
-        weights[1:m] = coeffs[lo:lo + block]
-        np.einsum("i,ij->j", weights[:m], buf[:m], out=first)
-    if neg_zeros.size:
-        terms = coeffs[:, None] * dense[sel[:, None], neg_zeros]
-        stays = ((terms == 0.0) & np.signbit(terms)).all(axis=0)
-        first[neg_zeros[stays]] = -0.0
+        first += coeffs[lo:lo + block] @ dense[sel[lo:lo + block]]
     return first
 
 

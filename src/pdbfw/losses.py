@@ -31,8 +31,8 @@ class Regularizer:
     mu: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0.0 < self.mu < np.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
     def value(self, x: np.ndarray) -> float:
         return 0.5 * self.mu * float(np.vdot(x, x))

@@ -59,8 +59,9 @@ class SolverConfig:
     gap_tol: float = DEFAULT_GAP_TOL
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(
+                f"radius must be positive and finite, got {self.radius}")
         if self.s < 1:
             raise ValueError(f"s must be >= 1, got {self.s}")
         if self.max_iters < 0:

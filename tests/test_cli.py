@@ -196,6 +196,12 @@ def _raise(error):
       "--radius", "1", "--delta", "inf"],
      None, EXIT_USAGE, "delta must be positive and finite, got inf"),
     (["--synthetic", "sparse_regression", "--n", "30", "--d", "12",
+      "--sparsity", "2", "--mu", "inf"],
+     None, EXIT_USAGE, "mu must be positive and finite, got inf"),
+    (["--synthetic", "sparse_regression", "--n", "30", "--d", "12",
+      "--sparsity", "2", "--radius", "inf", "--solvers", "fw"],
+     None, EXIT_USAGE, "radius must be positive and finite, got inf"),
+    (["--synthetic", "sparse_regression", "--n", "30", "--d", "12",
       "--sparsity", "2", "--radius", "1e-300", "--solvers", "svrg,pdbfw"],
      None, EXIT_USAGE, "radius 1e-300 is below the rounding"),
     (["--synthetic", "trace_sensing", "--n", "30", "--d", "12", "--c", "8",
@@ -212,8 +218,8 @@ def _raise(error):
       "--sparsity", "2", "--solvers", "fw,pdbfw"],
      (pdbfw_l1, "primal_step", DivergenceError(3)),
      EXIT_SOLVER_FAILURE, "solver pdbfw failed: solver diverged at iteration 3"),
-], ids=["l1", "trace", "delta_inf", "radius_underflow", "approximation",
-        "linalg", "divergence"])
+], ids=["l1", "trace", "delta_inf", "mu_inf", "radius_inf",
+        "radius_underflow", "approximation", "linalg", "divergence"])
 def test_setting_one_solver_rejects_writes_nothing(tmp_path, capsys,
                                                    monkeypatch, argv, patch,
                                                    code, fragment):
