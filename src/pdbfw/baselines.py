@@ -18,8 +18,8 @@ from .core_linalg import (SparseDesignMatrix, SparseUpdate,
                           apply_sparse_col_product, project_l1_ball)
 from .data_io import PortableRng
 from .losses import LossModel, Regularizer, loss_derivative
-from .metrics import dual_objective, run_to_gap
-from .pdbfw_l1 import SolverState
+from .metrics import check_run_settings, dual_objective, run_to_gap
+from .pdbfw_l1 import DEFAULT_GAP_TOL, SolverState
 
 BASELINE_KINDS = ("fw", "acc_pgd", "svrg")
 
@@ -40,26 +40,19 @@ class BaselineConfig:
     radius: float
     max_iters: int = 1000
     seed: int = 0
-    gap_tol: float = 1e-8
+    gap_tol: float = DEFAULT_GAP_TOL
     record_every: int = 1
 
     def __post_init__(self):
         if self.kind not in BASELINE_KINDS:
             raise ValueError(
                 f"unknown baseline {self.kind!r}, expected one of {BASELINE_KINDS}")
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError(
-                f"radius must be positive and finite, got {self.radius}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if math.isnan(self.gap_tol):
-            raise ValueError("gap_tol must be a number, got nan")
+        check_run_settings(self.radius, self.max_iters, self.gap_tol)
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
 
-def total_smoothness(A: SparseDesignMatrix, loss: LossModel,
-                     reg: Regularizer) -> float:
+def total_smoothness(A: SparseDesignMatrix, reg: Regularizer) -> float:
     """Upper bound on the primal objective's smoothness constant: the data
     term is (1/n)-smooth in predictions, since both losses are 1-smooth, and
     sigma_max(A)^2 <= n * R."""
@@ -115,7 +108,7 @@ def solve_acc_pgd(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
     increase; a restart redoes the iteration as a plain projected step from
     the previous point. Returns (x, trace)."""
     n, d = A.n_rows, A.n_cols
-    step_size = 1.0 / total_smoothness(A, loss, reg)
+    step_size = 1.0 / total_smoothness(A, reg)
     y = np.zeros(d)       # extrapolated point
     w_y = np.zeros(n)     # A y, maintained by the same linear combinations
     tau = 1.0
@@ -160,7 +153,7 @@ def solve_svrg(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
     to deterministic projected gradient descent. Returns (x, trace).
     """
     n = A.n_rows
-    step_size = 0.1 / total_smoothness(A, loss, reg)
+    step_size = 0.1 / total_smoothness(A, reg)
     rng = PortableRng(cfg.seed)
 
     def step(st):

@@ -19,7 +19,7 @@ written with repr() so they round-trip exactly.
 
 Exit codes: 0 success, 1 solver failure (divergence, a low-rank prox that
 did not converge, or a LAPACK failure), 2 usage errors (bad flags, unknown
-solver, unreadable input).
+solver, unreadable input, an output directory that cannot be written).
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def _solver_calls(args: argparse.Namespace, dataset: Dataset):
             cfg = pdbfw_l1.SolverConfig(
                 radius=args.radius,
                 s=args.s if args.s is not None else s_default,
-                k=args.k, eta=args.eta, delta=args.delta,
+                k=args.k, delta=args.delta,
                 max_iters=args.max_iters, gap_tol=args.gap_tol)
             call = functools.partial(solve, A, loss, reg, cfg)
         else:
@@ -167,19 +167,24 @@ def run(args: argparse.Namespace) -> int:
     except (UsageError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    os.makedirs(args.output_dir, exist_ok=True)
-    with open(os.path.join(args.output_dir, "summary.tsv"), "w") as summary:
-        summary.write("solver\tfinal_primal\tfinal_gap\titerations\twall_seconds\n")
-        for solver, trace in traces:
-            csv_path = os.path.join(args.output_dir, f"{solver}.csv")
-            write_trace_csv(csv_path, trace)
-            final = trace.final
-            summary.write(f"{solver}\t{_format_float(final.primal)}\t"
-                          f"{_format_float(final.gap)}\t{final.iteration}\t"
-                          f"{final.elapsed_seconds:.6f}\n")
-            print(f"{solver}: primal {final.primal:.6e}, gap {final.gap:.3e}, "
-                  f"{final.iteration} iterations, {final.elapsed_seconds:.3f} s "
-                  f"-> {csv_path}")
+    out = args.output_dir
+    try:
+        os.makedirs(out, exist_ok=True)
+        with open(os.path.join(out, "summary.tsv"), "w") as summary:
+            summary.write("solver\tfinal_primal\tfinal_gap\titerations\twall_seconds\n")
+            for solver, trace in traces:
+                csv_path = os.path.join(out, f"{solver}.csv")
+                write_trace_csv(csv_path, trace)
+                final = trace.final
+                summary.write(f"{solver}\t{_format_float(final.primal)}\t"
+                              f"{_format_float(final.gap)}\t{final.iteration}\t"
+                              f"{final.elapsed_seconds:.6f}\n")
+                print(f"{solver}: primal {final.primal:.6e}, gap {final.gap:.3e}, "
+                      f"{final.iteration} iterations, "
+                      f"{final.elapsed_seconds:.3f} s -> {csv_path}")
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -274,12 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "or min(10, d, c) for n x c targets)")
     run_p.add_argument("--k", type=int, default=None,
                        help="dual block size (default from theory)")
-    run_p.add_argument("--eta", type=float, default=None,
-                       help="primal step size (default 0.5)")
     run_p.add_argument("--delta", type=float, default=None,
                        help="dual prox weight (default n, the sample count)")
     run_p.add_argument("--max-iters", type=int, default=500)
-    run_p.add_argument("--gap-tol", type=float, default=1e-8)
+    run_p.add_argument("--gap-tol", type=float, default=pdbfw_l1.DEFAULT_GAP_TOL)
     run_p.add_argument("--solvers", type=_solver_list, default="pdbfw",
                        help="comma-separated list: " + ", ".join(VALID_SOLVERS))
     run_p.add_argument("--output-dir", default="results")

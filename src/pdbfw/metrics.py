@@ -18,6 +18,7 @@ defines the deterministic `seconds` axis written to trace CSVs.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -72,6 +73,17 @@ class ConvergenceTrace:
     @property
     def final(self) -> TraceRecord:
         return self.records[-1]
+
+
+def check_run_settings(radius: float, max_iters: int, gap_tol: float) -> None:
+    """Check the settings every solver's config shares: a positive finite
+    ball radius, max_iters >= 0 and any gap_tol but NaN."""
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if math.isnan(gap_tol):
+        raise ValueError("gap_tol must be a number, got nan")
 
 
 def run_to_gap(A: SparseDesignMatrix, loss, reg: Regularizer, state, step,

@@ -23,26 +23,28 @@ from .core_linalg import (SparseDesignMatrix, SparseUpdate,
                           apply_row_slice_transpose, apply_sparse_col_product,
                           sparse_l1_prox, top_k_by_magnitude)
 from .losses import LossModel, Regularizer
-from .metrics import dual_objective, run_to_gap
+from .metrics import check_run_settings, dual_objective, run_to_gap
 
 DEFAULT_GAP_TOL = 1e-8
+# the primal step mu / (2 L) of both balls: g = (mu/2)||x||^2 has L = mu
+ETA = 0.5
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Constraint radius, budgets, and step sizes for both block solvers.
+    """Constraint radius and budgets for both block solvers.
 
     Fields left as None are resolved against the problem instance:
 
-      eta   = mu / (2 L) = 1/2, since g = (mu/2)||x||^2 has L = mu
       k     = ceil(n s / d) for the l1 solver,
               ceil(n s (1/c + 1/d)) for the trace solver (both clamped to [1, n])
       delta = n, the sample count
 
-    With delta = n the dual prox moves each selected coordinate halfway from
-    y_i to w_i - t_i (f_i'(w_i) for the quadratic loss; the hinge box clip
-    follows), whatever the scale of A, mu or k. The paper's theory step is
-    safe, but it ended at the iteration cap on every instance tried.
+    The primal step is the fixed ETA = mu / (2 L) = 1/2. With delta = n the
+    dual prox moves each selected coordinate halfway from y_i to w_i - t_i
+    (f_i'(w_i) for the quadratic loss; the hinge box clip follows), whatever
+    the scale of A, mu or k. The paper's theory step is safe, but it ended
+    at the iteration cap on every instance tried.
 
     mu comes from the Regularizer passed to the solver; the losses' own
     constants are 1 (see `losses`). The run stops at the first record whose
@@ -53,49 +55,40 @@ class SolverConfig:
     radius: float
     s: int
     k: int = None
-    eta: float = None
     delta: float = None
     max_iters: int = 1000
     gap_tol: float = DEFAULT_GAP_TOL
 
     def __post_init__(self):
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError(
-                f"radius must be positive and finite, got {self.radius}")
+        check_run_settings(self.radius, self.max_iters, self.gap_tol)
         if self.s < 1:
             raise ValueError(f"s must be >= 1, got {self.s}")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
-        if self.eta is not None and not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
         if self.delta is not None and not 0.0 < self.delta < math.inf:
             raise ValueError(
                 f"delta must be positive and finite, got {self.delta}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if math.isnan(self.gap_tol):
-            raise ValueError("gap_tol must be a number, got nan")
 
 
 def resolve(cfg: SolverConfig, A: SparseDesignMatrix,
-            k_default: float) -> SolverConfig:
-    """Fill in the eta, k and delta defaults of a block solver; the
-    constraint set supplies the unclamped default `k_default`."""
-    n = A.n_rows
-    eta = cfg.eta if cfg.eta is not None else 0.5
+            c: int = None) -> SolverConfig:
+    """Fill in the k and delta defaults of a block solver after checking the
+    budget s: against d for the l1 ball, and against min(d, c) for the
+    trace-norm ball with c tasks."""
+    n, d = A.n_rows, A.n_cols
+    if c is None:
+        if cfg.s > d:
+            raise ValueError(f"s={cfg.s} exceeds feature dimension {d}")
+        k_default = n * cfg.s / d
+    else:
+        if cfg.s > min(d, c):
+            raise ValueError(f"rank budget s={cfg.s} exceeds min(d, c)={min(d, c)}")
+        k_default = n * cfg.s * (1.0 / c + 1.0 / d)
     k = cfg.k if cfg.k is not None else max(1, min(n, math.ceil(k_default)))
     if k > n:
         raise ValueError(f"k={k} exceeds sample count {n}")
     delta = cfg.delta if cfg.delta is not None else float(n)
-    return replace(cfg, eta=eta, k=k, delta=delta)
-
-
-def l1_defaults(cfg: SolverConfig, A: SparseDesignMatrix) -> float:
-    """The l1 ball's default k before clamping, after checking s against d."""
-    n, d = A.n_rows, A.n_cols
-    if cfg.s > d:
-        raise ValueError(f"s={cfg.s} exceeds feature dimension {d}")
-    return n * cfg.s / d
+    return replace(cfg, k=k, delta=delta)
 
 
 @dataclass
@@ -121,20 +114,19 @@ class SolverState:
 
 
 def primal_step(state: SolverState, cfg: SolverConfig, A: SparseDesignMatrix,
-                loss: LossModel, reg: Regularizer) -> SparseUpdate:
+                reg: Regularizer) -> SparseUpdate:
     """Sparse Frank-Wolfe primal update; maintains w through x_tilde.
 
-    Minimizes <c, v - x> + (L eta / 2)||v - x||^2 over the s-sparse l1 ball
+    Minimizes <c, v - x> + (L ETA / 2)||v - x||^2 over the s-sparse l1 ball
     with c = z/n + grad g(x), whose exact solution is the sparse l1 prox of
-    x - c/(L eta). The iterate moves to (1 - eta) x + eta x_tilde.
+    x - c/(L ETA). The iterate moves to (1 - ETA) x + ETA x_tilde.
     """
-    eta = cfg.eta
     c = state.z / A.n_rows + reg.grad(state.x)
-    v = state.x - c / (reg.mu * eta)
+    v = state.x - c / (reg.mu * ETA)
     x_tilde = sparse_l1_prox(v, cfg.radius, cfg.s)
-    state.x *= 1.0 - eta
-    state.x[x_tilde.indices] += eta * x_tilde.values
-    state.w = apply_sparse_col_product(A, x_tilde, state.w, 1.0 - eta, eta)
+    state.x *= 1.0 - ETA
+    state.x[x_tilde.indices] += ETA * x_tilde.values
+    state.w = apply_sparse_col_product(A, x_tilde, state.w, 1.0 - ETA, ETA)
     state.flops += int(A.col_nnz[x_tilde.indices].sum())
     return x_tilde
 
@@ -165,7 +157,7 @@ def solve(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
     reg : Regularizer
         Strongly convex l2 regularizer g.
     cfg : SolverConfig
-        Radius, budgets, and (optionally) step-size overrides.
+        Radius, budgets, and (optionally) k and delta overrides.
 
     Returns
     -------
@@ -175,11 +167,11 @@ def solve(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
         One record per iteration including iteration 0; flop counts cover
         the column/row-restricted products only.
     """
-    rc = resolve(cfg, A, l1_defaults(cfg, A))
+    rc = resolve(cfg, A)
     state = SolverState.zeros(A.n_rows, A.n_cols)
 
     def step(st):
-        primal_step(st, rc, A, loss, reg)
+        primal_step(st, rc, A, reg)
         dual_step(st, rc, A, loss)
 
     def certificate(st):

@@ -22,7 +22,7 @@ from .core_linalg import (SparseDesignMatrix, project_l1_ball, range_svd,
 from .data_io import PortableRng
 from .losses import MatrixQuadraticLoss, Regularizer
 from .metrics import SketchedSpectrum, dual_objective_trace, run_to_gap
-from .pdbfw_l1 import SolverConfig, SolverState, resolve
+from .pdbfw_l1 import ETA, SolverConfig, SolverState, resolve
 
 # block power iteration limits (oversampled by 4 over the rank budget)
 POWER_OVERSAMPLE = 4
@@ -123,35 +123,23 @@ def approx_lowrank_prox(M: np.ndarray, radius: float, s: int,
                          right=right[:, keep], block=block)
 
 
-def trace_defaults(cfg: SolverConfig, A: SparseDesignMatrix, c: int) -> float:
-    """The trace-norm ball's default k before clamping, after checking s
-    against min(d, c)."""
-    n, d = A.n_rows, A.n_cols
-    if cfg.s > min(d, c):
-        raise ValueError(f"rank budget s={cfg.s} exceeds min(d, c)={min(d, c)}")
-    return n * cfg.s * (1.0 / c + 1.0 / d)
-
-
 def primal_step_trace(state: SolverState, cfg: SolverConfig,
-                      A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
-                      reg: Regularizer,
+                      A: SparseDesignMatrix, reg: Regularizer,
                       start: Optional[np.ndarray] = None) -> LowRankFactor:
     """Rank-s Frank-Wolfe primal update from the prox start block `start`;
     maintains W through the factor."""
     n = A.n_rows
     d, c = state.x.shape
-    eta = cfg.eta
-    l_eta = reg.mu * eta
     G = state.z / n + reg.grad(state.x)
-    M = state.x - G / l_eta
+    M = state.x - G / (reg.mu * ETA)
     factor = approx_lowrank_prox(M, cfg.radius, cfg.s, start)
     r = factor.rank
-    state.x *= 1.0 - eta
-    state.w *= 1.0 - eta
+    state.x *= 1.0 - ETA
+    state.w *= 1.0 - ETA
     if r > 0:
-        state.x += eta * factor.to_dense()
+        state.x += ETA * factor.to_dense()
         AU = A.matvec(factor.left)  # n x r
-        state.w += eta * ((AU * factor.singular) @ factor.right.T)
+        state.w += ETA * ((AU * factor.singular) @ factor.right.T)
         state.flops += A.nnz * r + n * r * c + d * r * c
     return factor
 
@@ -194,7 +182,7 @@ def solve_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
     is the full SVD's count; the dual value can move in its last bits.
     """
     c = loss.n_tasks
-    rc = resolve(cfg, A, trace_defaults(cfg, A, c))
+    rc = resolve(cfg, A, c)
     state = SolverState.zeros(A.n_rows, A.n_cols, c)
     block = _power_start(c, min(rc.s + POWER_OVERSAMPLE, A.n_cols, c))
     rank_sv, dual_sv = SketchedSpectrum(block), SketchedSpectrum(block)
@@ -202,7 +190,7 @@ def solve_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
 
     def step(st):
         nonlocal warm
-        warm = primal_step_trace(st, rc, A, loss, reg, warm).block
+        warm = primal_step_trace(st, rc, A, reg, warm).block
         dual_step_trace(st, rc, A, loss)
 
     def certificate(st):

@@ -6,6 +6,7 @@ from typing import NamedTuple
 import numpy as np
 
 from pdbfw import pdbfw_trace
+from pdbfw.pdbfw_l1 import ETA
 from pdbfw.core_linalg import project_l1_ball
 
 
@@ -25,7 +26,7 @@ def _subproblem_value(G, X, V, l_eta):
 
 class ProxAudit(NamedTuple):
     """One primal prox call: the subproblem value <G, V - X> +
-    (L eta / 2)||V - X||^2 at the computed V, and at the dense-SVD one."""
+    (L ETA / 2)||V - X||^2 at the computed V, and at the dense-SVD one."""
 
     value: float
     exact: float
@@ -42,12 +43,12 @@ def audit_prox_calls(monkeypatch) -> list:
     audits = []
     step = pdbfw_trace.primal_step_trace
 
-    def audited(state, cfg, A, loss, reg, *start):
-        l_eta = reg.mu * cfg.eta
+    def audited(state, cfg, A, reg, *start):
+        l_eta = reg.mu * ETA
         G = state.z / A.n_rows + reg.grad(state.x)
         X = state.x.copy()
         V_star = exact_lowrank_prox_dense(X - G / l_eta, cfg.radius, cfg.s)
-        factor = step(state, cfg, A, loss, reg, *start)
+        factor = step(state, cfg, A, reg, *start)
         audits.append(ProxAudit(
             _subproblem_value(G, X, factor.to_dense(), l_eta),
             _subproblem_value(G, X, V_star, l_eta)))

@@ -29,10 +29,9 @@ from pdbfw.data_io import PortableRng, SyntheticSpec, generate_synthetic
 from pdbfw.losses import (MatrixQuadraticLoss, Regularizer, quadratic_loss,
                           smooth_hinge_loss)
 from pdbfw.metrics import project_nuclear_ball
-from pdbfw.pdbfw_l1 import (SolverConfig, SolverState, dual_step, l1_defaults,
-                            primal_step, resolve, solve)
-from pdbfw.pdbfw_trace import (dual_step_trace, primal_step_trace, solve_trace,
-                               trace_defaults)
+from pdbfw.pdbfw_l1 import (SolverConfig, SolverState, dual_step, primal_step,
+                            resolve, solve)
+from pdbfw.pdbfw_trace import dual_step_trace, primal_step_trace, solve_trace
 
 from lowrank_audit import audit_prox_calls
 
@@ -338,11 +337,11 @@ def test_criterion_07_cache_maintenance_after_100_iterations():
     loss = smooth_hinge_loss(np.where(rng.uniforms(n) > 0.5, 1.0, -1.0))
     reg = Regularizer(mu=0.2)
     cfg = SolverConfig(radius=2.0, s=5, k=10, delta=1.0)
-    cfg = resolve(cfg, A, l1_defaults(cfg, A))
+    cfg = resolve(cfg, A)
     state = SolverState.zeros(n, d)
     for t in range(1, 101):
         state.iteration = t
-        primal_step(state, cfg, A, loss, reg)
+        primal_step(state, cfg, A, reg)
         dual_step(state, cfg, A, loss)
     assert _relative_distance(state.w, A.matvec(state.x)) <= 1e-9
     assert _relative_distance(state.z, A.rmatvec(state.y)) <= 1e-9
@@ -353,11 +352,11 @@ def test_criterion_07_cache_maintenance_after_100_iterations():
     A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
     mloss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     mcfg = SolverConfig(radius=5.0, s=3, k=12, delta=2.0)
-    mcfg = resolve(mcfg, A, trace_defaults(mcfg, A, c))
+    mcfg = resolve(mcfg, A, c)
     mstate = SolverState.zeros(n, d, c)
     for t in range(1, 101):
         mstate.iteration = t
-        primal_step_trace(mstate, mcfg, A, mloss, reg)
+        primal_step_trace(mstate, mcfg, A, reg)
         dual_step_trace(mstate, mcfg, A, mloss)
     dense = A.to_dense()
     assert _relative_distance(mstate.w, dense @ mstate.x) <= 1e-8

@@ -59,8 +59,7 @@ def test_nonpositive_gap_tol_runs_whole_budget(kind, gap_tol):
 def test_total_smoothness_frozen():
     # [DERIVED] max row norm sq of [[3,4],[0,1]] is 25; beta = 1; mu = 0.5
     A = SparseDesignMatrix.from_dense(np.array([[3.0, 4.0], [0.0, 1.0]]))
-    loss = quadratic_loss(np.zeros(2))
-    assert total_smoothness(A, loss, Regularizer(mu=0.5)) == \
+    assert total_smoothness(A, Regularizer(mu=0.5)) == \
         pytest.approx(25.5, abs=1e-12)
 
 
@@ -116,7 +115,7 @@ def test_svrg_single_sample_reduces_to_projected_gradient():
     cfg = BaselineConfig(kind="svrg", radius=1.2, max_iters=40, gap_tol=1e-16)
     x, _ = solve_svrg(A, loss, reg, cfg)
 
-    step = 0.1 / total_smoothness(A, loss, reg)
+    step = 0.1 / total_smoothness(A, reg)
     x_ref = np.zeros(3)
     for _ in range(40):
         g = a * (a @ x_ref - 1.5) + reg.mu * x_ref

@@ -157,6 +157,29 @@ def test_constraint_flag_is_gone(tmp_path, capsys):
     assert "--constraint" not in capsys.readouterr().out
 
 
+def test_eta_flag_is_gone(tmp_path, capsys):
+    # argparse rejects the step-size flag; the primal step is fixed
+    with pytest.raises(SystemExit) as exit_info:
+        main(_tiny_args(str(tmp_path / "res"), **{"--eta": "0.5"}))
+    assert exit_info.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --eta 0.5" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert "--eta" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["taken", os.path.join("taken", "sub")],
+                         ids=["existing_file", "under_a_file"])
+def test_unwritable_output_dir_exits_usage(tmp_path, capsys, target):
+    # the solves succeed, then the output directory cannot be made
+    (tmp_path / "taken").write_text("kept\n")
+    out = str(tmp_path / target)
+    assert main(_tiny_args(out)) == EXIT_USAGE
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
 def test_missing_dataset_file(tmp_path, capsys):
     code = main(["run", "--dataset", str(tmp_path / "absent.txt"),
                  "--output-dir", str(tmp_path)])

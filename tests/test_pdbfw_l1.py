@@ -15,7 +15,7 @@ from pdbfw.data_io import PortableRng, SyntheticSpec, generate_synthetic
 from pdbfw.losses import (MatrixQuadraticLoss, Regularizer, quadratic_loss,
                           smooth_hinge_loss)
 from pdbfw.metrics import DivergenceError
-from pdbfw.pdbfw_l1 import (SolverConfig, SolverState, dual_step, l1_defaults,
+from pdbfw.pdbfw_l1 import (ETA, SolverConfig, SolverState, dual_step,
                             primal_step, resolve, solve)
 from pdbfw.pdbfw_trace import solve_trace
 
@@ -30,10 +30,6 @@ def _random_instance(seed, n, d, kind="quadratic"):
     return A, loss
 
 
-def _resolve(cfg, A, reg):
-    return resolve(cfg, A, l1_defaults(cfg, A))
-
-
 # ---------------------------------------------------------------------------
 # Single steps, frozen
 
@@ -46,10 +42,10 @@ def test_primal_step_frozen_example():
     #   costs the 2 nonzeros of column 0.
     A = SparseDesignMatrix.from_dense(np.ones((2, 3)))
     reg = Regularizer(mu=1.0)
-    cfg = SolverConfig(radius=1.0, s=1, eta=0.5, delta=1.0, k=1)
+    cfg = SolverConfig(radius=1.0, s=1, delta=1.0, k=1)
     state = SolverState.zeros(2, 3)
     state.z = np.array([-8.0, 2.0, 0.0])
-    x_tilde = primal_step(state, cfg, A, quadratic_loss(np.zeros(2)), reg)
+    x_tilde = primal_step(state, cfg, A, reg)
     np.testing.assert_array_equal(state.x, [0.5, 0.0, 0.0])
     assert x_tilde.indices.tolist() == [0]
     np.testing.assert_array_equal(x_tilde.values, [1.0])
@@ -61,7 +57,7 @@ def test_dual_step_tie_break_picks_first_rows():
     # all proximal displacements equal: the greedy rule keeps the first k
     A = SparseDesignMatrix.from_dense(np.eye(4))
     loss = quadratic_loss(np.zeros(4))
-    cfg = SolverConfig(radius=1.0, s=1, eta=0.5, delta=1.0, k=2)
+    cfg = SolverConfig(radius=1.0, s=1, delta=1.0, k=2)
     state = SolverState.zeros(4, 4)
     state.w = np.ones(4)
     rows = dual_step(state, cfg, A, loss)
@@ -74,7 +70,7 @@ def test_dual_step_tie_break_picks_first_rows():
 
 def test_dual_step_only_touches_selected_rows():
     A, loss = _random_instance(40, 6, 5)
-    cfg = SolverConfig(radius=1.0, s=2, eta=0.5, delta=0.7, k=2)
+    cfg = SolverConfig(radius=1.0, s=2, delta=0.7, k=2)
     state = SolverState.zeros(6, 5)
     state.w = PortableRng(41).normals(6)
     y_before = state.y.copy()
@@ -152,12 +148,12 @@ def _box_bounds(labels):
 def test_iterates_stay_feasible_hinge():
     A, loss = _random_instance(60, 20, 15, kind="hinge")
     reg = Regularizer(mu=0.2)
-    cfg = _resolve(SolverConfig(radius=1.5, s=3), A, reg)
+    cfg = resolve(SolverConfig(radius=1.5, s=3), A)
     state = SolverState.zeros(20, 15)
     lo, hi = _box_bounds(loss.targets)
     for t in range(1, 101):
         state.iteration = t
-        x_tilde = primal_step(state, cfg, A, loss, reg)
+        x_tilde = primal_step(state, cfg, A, reg)
         dual_step(state, cfg, A, loss)
         assert np.abs(state.x).sum() <= cfg.radius * (1 + 1e-12)
         assert np.all(state.y >= lo - 1e-12)
@@ -169,12 +165,11 @@ def test_cache_maintenance_matches_dense_products():
     # w and z are maintained incrementally; compare against fresh products
     A, loss = _random_instance(70, 25, 18)
     reg = Regularizer(mu=0.4)
-    cfg = _resolve(SolverConfig(radius=2.0, s=4, k=6, delta=1.0),
-                   A, reg)
+    cfg = resolve(SolverConfig(radius=2.0, s=4, k=6, delta=1.0), A)
     state = SolverState.zeros(25, 18)
     for t in range(1, 101):
         state.iteration = t
-        primal_step(state, cfg, A, loss, reg)
+        primal_step(state, cfg, A, reg)
         dual_step(state, cfg, A, loss)
     np.testing.assert_allclose(state.w, A.matvec(state.x),
                                rtol=0, atol=1e-9)
@@ -217,7 +212,7 @@ def test_full_budget_matches_dense_reference():
     A = SparseDesignMatrix.from_dense(A_dense)
     loss = quadratic_loss(b)
     reg = Regularizer(mu=0.6)
-    cfg = SolverConfig(radius=1.2, s=d, k=n, eta=0.5, delta=0.8,
+    cfg = SolverConfig(radius=1.2, s=d, k=n, delta=0.8,
                        max_iters=50, gap_tol=-1.0)
     x, y, _ = solve(A, loss, reg, cfg)
     x_ref, y_ref = _dense_reference(A_dense, b, reg, 1.2, 0.5, 0.8, 50)
@@ -267,9 +262,8 @@ def test_divergence_error_names_iteration():
 
 def test_resolve_fills_theory_defaults():
     A, _ = _random_instance(99, 20, 10)
-    reg = Regularizer(mu=0.5)
-    rc = _resolve(SolverConfig(radius=1.0, s=3), A, reg)
-    assert rc.eta == 0.5  # mu/(2L) with L = mu
+    rc = resolve(SolverConfig(radius=1.0, s=3), A)
+    assert ETA == 0.5  # mu/(2L) with L = mu
     assert rc.k == math.ceil(20 * 3 / 10)
     assert rc.delta == 20.0  # n, the sample count
 
@@ -296,32 +290,26 @@ def test_default_steps_certify_the_sweep_grid():
 
 def test_resolve_respects_overrides():
     A, _ = _random_instance(99, 20, 10)
-    reg = Regularizer(mu=0.5)
-    rc = _resolve(SolverConfig(radius=1.0, s=3, k=7, eta=0.25, delta=2.0),
-                  A, reg)
-    assert (rc.k, rc.eta, rc.delta) == (7, 0.25, 2.0)
+    rc = resolve(SolverConfig(radius=1.0, s=3, k=7, delta=2.0), A)
+    assert (rc.k, rc.delta) == (7, 2.0)
 
 
 def test_resolve_rejects_oversized_budgets():
     A, _ = _random_instance(99, 8, 5)
-    reg = Regularizer(mu=0.5)
     with pytest.raises(ValueError, match="exceeds feature dimension"):
-        _resolve(SolverConfig(radius=1.0, s=6), A, reg)
+        resolve(SolverConfig(radius=1.0, s=6), A)
     with pytest.raises(ValueError, match="exceeds sample count"):
-        _resolve(SolverConfig(radius=1.0, s=1, k=9), A, reg)
+        resolve(SolverConfig(radius=1.0, s=1, k=9), A)
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(radius=0.0, s=1),
     dict(radius=-1.0, s=1),
     dict(radius=1.0, s=0),
-    dict(radius=1.0, s=1, eta=0.0),
-    dict(radius=1.0, s=1, eta=1.5),
     dict(radius=1.0, s=1, delta=0.0),
     dict(radius=1.0, s=1, k=0),
     dict(radius=1.0, s=1, max_iters=-1),
     dict(radius=math.nan, s=1),
-    dict(radius=1.0, s=1, eta=math.nan),
     dict(radius=1.0, s=1, delta=math.nan),
     dict(radius=1.0, s=1, gap_tol=math.nan),
     dict(radius=1.0, s=1, delta=math.inf),
@@ -329,3 +317,23 @@ def test_resolve_rejects_oversized_budgets():
 def test_solver_config_validation(kwargs):
     with pytest.raises(ValueError):
         SolverConfig(**kwargs)
+
+
+def test_solver_config_has_no_step_size_field():
+    # the primal step is the constant ETA, not a setting
+    with pytest.raises(TypeError):
+        SolverConfig(radius=1.0, s=1, eta=0.5)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(radius=0.0), dict(radius=math.inf), dict(radius=math.nan),
+    dict(max_iters=-1), dict(gap_tol=math.nan),
+], ids=["radius_zero", "radius_inf", "radius_nan", "max_iters", "gap_tol"])
+def test_both_configs_reject_shared_settings_alike(bad):
+    # the block solvers' and the reference solvers' configs share one check
+    settings = {"radius": 1.0, **bad}
+    with pytest.raises(ValueError) as block:
+        SolverConfig(s=1, **settings)
+    with pytest.raises(ValueError) as reference:
+        BaselineConfig(kind="fw", **settings)
+    assert str(block.value) == str(reference.value)

@@ -18,7 +18,7 @@ from pdbfw.pdbfw_l1 import dual_step as dual_step_vector
 from pdbfw import metrics, pdbfw_trace
 from pdbfw.pdbfw_trace import (ApproximationError, LowRankFactor,
                                approx_lowrank_prox, dual_step_trace,
-                               primal_step_trace, solve_trace, trace_defaults)
+                               primal_step_trace, solve_trace)
 
 from lowrank_audit import (ProxAudit, audit_prox_calls,
                            exact_lowrank_prox_dense)
@@ -30,10 +30,6 @@ def _spectrum_matrix(rng, d, c, spectrum):
     U, _ = np.linalg.qr(rng.normals(d * r).reshape(d, r))
     V, _ = np.linalg.qr(rng.normals(c * r).reshape(c, r))
     return (U * np.asarray(spectrum)) @ V.T
-
-
-def _resolve(cfg, A, loss, reg):
-    return resolve(cfg, A, trace_defaults(cfg, A, loss.n_tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +193,7 @@ def test_dual_step_trace_single_task_matches_vector_rule():
     b = rng.normals(n)
     w = rng.normals(n)
     A = SparseDesignMatrix.from_dense(dense)
-    cfg = SolverConfig(radius=1.0, s=1, eta=0.5, delta=0.9, k=3)
+    cfg = SolverConfig(radius=1.0, s=1, delta=0.9, k=3)
 
     mstate = SolverState.zeros(n, d, 1)
     mstate.w = w.reshape(n, 1).copy()
@@ -218,7 +214,7 @@ def test_dual_step_trace_maintains_z():
     rng = PortableRng(240)
     A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
-    cfg = SolverConfig(radius=1.0, s=1, eta=0.5, delta=1.3, k=4)
+    cfg = SolverConfig(radius=1.0, s=1, delta=1.3, k=4)
     state = SolverState.zeros(n, d, c)
     for _ in range(5):
         state.w = state.w + rng.normals(n * c).reshape(n, c)
@@ -236,12 +232,11 @@ def test_primal_step_trace_rank_and_cache_maintenance():
     A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     reg = Regularizer(mu=0.3)
-    cfg = _resolve(SolverConfig(radius=4.0, s=2, k=8, delta=2.0),
-                   A, loss, reg)
+    cfg = resolve(SolverConfig(radius=4.0, s=2, k=8, delta=2.0), A, c)
     state = SolverState.zeros(n, d, c)
     for t in range(1, 31):
         state.iteration = t
-        factor = primal_step_trace(state, cfg, A, loss, reg)
+        factor = primal_step_trace(state, cfg, A, reg)
         assert factor.rank <= cfg.s
         dual_step_trace(state, cfg, A, loss)
         sv = np.linalg.svd(state.x, compute_uv=False)
@@ -256,13 +251,13 @@ def test_primal_step_trace_audit_against_exact_oracle(monkeypatch):
     A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     reg = Regularizer(mu=0.5)
-    cfg = _resolve(SolverConfig(radius=2.0, s=2, k=5, delta=1.0,
-                                gap_tol=1e-8), A, loss, reg)
+    cfg = resolve(SolverConfig(radius=2.0, s=2, k=5, delta=1.0, gap_tol=1e-8),
+                  A, c)
     state = SolverState.zeros(n, d, c)
     audit = audit_prox_calls(monkeypatch)
     for t in range(1, 11):
         state.iteration = t
-        pdbfw_trace.primal_step_trace(state, cfg, A, loss, reg)
+        pdbfw_trace.primal_step_trace(state, cfg, A, reg)
         dual_step_trace(state, cfg, A, loss)
     assert len(audit) == 10
     for rec in audit:
@@ -412,10 +407,7 @@ def test_resolve_trace_defaults():
     n, d, c = 30, 10, 6
     rng = PortableRng(270)
     A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
-    loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
-    reg = Regularizer(mu=0.5)
-    rc = _resolve(SolverConfig(radius=1.0, s=2), A, loss, reg)
-    assert rc.eta == pytest.approx(0.5)
+    rc = resolve(SolverConfig(radius=1.0, s=2), A, c)
     assert rc.k == min(n, math.ceil(n * 2 * (1 / c + 1 / d)))
     assert rc.delta == float(n)
 
@@ -442,10 +434,8 @@ def test_default_steps_certify_the_trace_sweep_grid():
 
 def test_resolve_trace_rejects_oversized_rank_budget():
     A = SparseDesignMatrix.from_dense(np.eye(5))
-    loss = MatrixQuadraticLoss(B=np.zeros((5, 3)))
     with pytest.raises(ValueError, match="rank budget"):
-        _resolve(SolverConfig(radius=1.0, s=4), A, loss,
-                 Regularizer(mu=1.0))
+        resolve(SolverConfig(radius=1.0, s=4), A, 3)
 
 
 # ---------------------------------------------------------------------------
