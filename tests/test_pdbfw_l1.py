@@ -306,10 +306,13 @@ def test_resolve_rejects_oversized_budgets():
     dict(radius=0.0, s=1),
     dict(radius=-1.0, s=1),
     dict(radius=1.0, s=0),
+    dict(radius=math.inf, s=1),
+    dict(radius=1.0, s=1, delta=-1.0),
     dict(radius=1.0, s=1, delta=0.0),
     dict(radius=1.0, s=1, k=0),
     dict(radius=1.0, s=1, max_iters=-1),
     dict(radius=math.nan, s=1),
+    dict(radius=1.0, s=-1),
     dict(radius=1.0, s=1, delta=math.nan),
     dict(radius=1.0, s=1, gap_tol=math.nan),
     dict(radius=1.0, s=1, delta=math.inf),
