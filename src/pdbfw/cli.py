@@ -25,6 +25,7 @@ solver, unreadable input, an output directory that cannot be written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -92,20 +93,12 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
-def write_trace_csv(path: str, trace: ConvergenceTrace) -> None:
-    with open(path, "w") as handle:
-        handle.write(CSV_HEADER + "\n")
-        for record in trace.records:
-            seconds = record.flops / VIRTUAL_FLOPS_PER_SECOND
-            handle.write(",".join([
-                str(record.iteration),
-                _format_float(seconds),
-                _format_float(record.primal),
-                _format_float(record.dual),
-                _format_float(record.gap),
-                str(record.flops),
-                str(record.support),
-            ]) + "\n")
+def _trace_csv(trace: ConvergenceTrace) -> str:
+    return CSV_HEADER + "\n" + "".join(
+        f"{r.iteration},{_format_float(r.flops / VIRTUAL_FLOPS_PER_SECOND)},"
+        f"{_format_float(r.primal)},{_format_float(r.dual)},"
+        f"{_format_float(r.gap)},{r.flops},{r.support}\n"
+        for r in trace.records)
 
 
 def _solver_calls(args: argparse.Namespace, dataset: Dataset):
@@ -154,7 +147,9 @@ def _solver_calls(args: argparse.Namespace, dataset: Dataset):
 def run(args: argparse.Namespace) -> int:
     """Execute one benchmark run from the parsed `run` flags; returns the
     process exit code. The output directory is made only once every solver
-    has returned, so a failed run leaves none behind."""
+    has returned. Each file is written under a temporary name and renamed
+    once all are written; a failed write removes what the run made, the
+    directory too if the run created it, so a failed run leaves no output."""
     traces = []
     try:
         _usage_check(args)
@@ -167,24 +162,39 @@ def run(args: argparse.Namespace) -> int:
     except (UsageError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    texts = {f"{solver}.csv": _trace_csv(trace) for solver, trace in traces}
+    texts["summary.tsv"] = (
+        "solver\tfinal_primal\tfinal_gap\titerations\twall_seconds\n" +
+        "".join(f"{solver}\t{_format_float(t.final.primal)}\t"
+                f"{_format_float(t.final.gap)}\t{t.final.iteration}\t"
+                f"{t.final.elapsed_seconds:.6f}\n" for solver, t in traces))
     out = args.output_dir
+    made_dir = not os.path.isdir(out)
+    temps = {name: os.path.join(out, f".{name}.{os.getpid()}.tmp")
+             for name in texts}
+    renamed = []
     try:
         os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "summary.tsv"), "w") as summary:
-            summary.write("solver\tfinal_primal\tfinal_gap\titerations\twall_seconds\n")
-            for solver, trace in traces:
-                csv_path = os.path.join(out, f"{solver}.csv")
-                write_trace_csv(csv_path, trace)
-                final = trace.final
-                summary.write(f"{solver}\t{_format_float(final.primal)}\t"
-                              f"{_format_float(final.gap)}\t{final.iteration}\t"
-                              f"{final.elapsed_seconds:.6f}\n")
-                print(f"{solver}: primal {final.primal:.6e}, gap {final.gap:.3e}, "
-                      f"{final.iteration} iterations, "
-                      f"{final.elapsed_seconds:.3f} s -> {csv_path}")
+        for name, text in texts.items():
+            with open(temps[name], "w") as handle:
+                handle.write(text)
+        for name, temp in temps.items():
+            os.replace(temp, os.path.join(out, name))
+            renamed.append(os.path.join(out, name))
     except OSError as exc:
+        for path in [*temps.values(), *renamed]:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if made_dir:
+            with contextlib.suppress(OSError):
+                os.rmdir(out)
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    for solver, trace in traces:
+        final = trace.final
+        print(f"{solver}: primal {final.primal:.6e}, gap {final.gap:.3e}, "
+              f"{final.iteration} iterations, {final.elapsed_seconds:.3f} s "
+              f"-> {os.path.join(out, solver + '.csv')}")
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
+from scipy.sparse import _sparsetools
 
 
 class SparseDesignMatrix:
@@ -310,17 +311,23 @@ def sparse_l1_prox(v: np.ndarray, radius: float, s: int) -> SparseUpdate:
     return SparseUpdate(indices=support[keep], values=proj[keep])
 
 
-def _slice_positions(indptr: np.ndarray, sel: np.ndarray):
-    """Storage positions of the slices `sel` of a compressed layout, laid end
-    to end in the order of `sel`, and the length of each slice.
-
-    `sel` must be non-empty and in range; repeated entries repeat their slice.
-    """
-    starts, ends = indptr[sel], indptr[sel + 1]
-    counts = ends - starts
-    offsets = np.cumsum(counts)
-    pos = np.arange(offsets[-1]) + np.repeat(ends - offsets, counts)
-    return pos, counts
+def _add_slices(layout: sp.csr_matrix, sel: np.ndarray, coeffs: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """out[idx] += data * coeffs[i] in place over each slice sel[i] of a CSR
+    or CSC layout, slice by slice and entry by entry: the per-slice loop's
+    order and products, so its bits. scipy's compiled loops gather and add,
+    checking no bounds or shapes: `sel` must be in range, `coeffs` as long
+    as `sel` and `out` a float64 vector that every stored index fits."""
+    idx = layout.indptr.dtype
+    sel = sel.astype(idx, casting="same_kind")
+    ptr = np.zeros(sel.size + 1, dtype=idx)
+    np.cumsum(layout.indptr[sel + 1] - layout.indptr[sel], out=ptr[1:])
+    indices, data = np.empty(ptr[-1], dtype=idx), np.empty(ptr[-1])
+    _sparsetools.csr_row_index(sel.size, sel, layout.indptr, layout.indices,
+                               layout.data, indices, data)
+    _sparsetools.csc_matvec(out.size, sel.size, ptr, indices, data,
+                            np.ascontiguousarray(coeffs, dtype=np.float64), out)
+    return out
 
 
 # Bytes of one block of rows that `_dense_slices_sum` gathers, small enough
@@ -349,6 +356,8 @@ def apply_sparse_col_product(A: SparseDesignMatrix, dx: SparseUpdate,
     """scale_old * w + scale_new * A[:, support(dx)] @ dx, touching only those columns."""
     if w.shape != (A.n_rows,):
         raise ValueError(f"w has shape {w.shape}, expected ({A.n_rows},)")
+    if dx.values.shape != dx.indices.shape:
+        raise ValueError("update values and indices differ in shape")
     out = scale_old * w
     if dx.support_size == 0:
         return out
@@ -357,11 +366,7 @@ def apply_sparse_col_product(A: SparseDesignMatrix, dx: SparseUpdate,
     if A._dense_cols is not None:
         return _dense_slices_sum(A._dense_cols, dx.indices,
                                  scale_new * dx.values, out)
-    csc = A._csc
-    pos, counts = _slice_positions(csc.indptr, dx.indices)
-    np.add.at(out, csc.indices[pos],
-              np.repeat(scale_new * dx.values, counts) * csc.data[pos])
-    return out
+    return _add_slices(A._csc, dx.indices, scale_new * dx.values, out)
 
 
 def apply_row_slice_transpose(A: SparseDesignMatrix, rows: np.ndarray,
@@ -380,7 +385,4 @@ def apply_row_slice_transpose(A: SparseDesignMatrix, rows: np.ndarray,
         raise ValueError("row indices out of range")
     if A._dense_rows is not None:
         return _dense_slices_sum(A._dense_rows, rows, dy, out)
-    csr = A._csr
-    pos, counts = _slice_positions(csr.indptr, rows)
-    np.add.at(out, csr.indices[pos], np.repeat(dy, counts) * csr.data[pos])
-    return out
+    return _add_slices(A._csr, rows, dy, out)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pdbfw
-from pdbfw import pdbfw_l1, pdbfw_trace
+from pdbfw import cli, pdbfw_l1, pdbfw_trace
 from pdbfw.cli import (CSV_HEADER, EXIT_OK, EXIT_SOLVER_FAILURE, EXIT_USAGE,
                         compare, main)
 from pdbfw.metrics import DivergenceError
@@ -178,6 +178,50 @@ def test_unwritable_output_dir_exits_usage(tmp_path, capsys, target):
     assert main(_tiny_args(out)) == EXIT_USAGE
     assert f"error: cannot write {out}: " in capsys.readouterr().err
     assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+def test_blocked_csv_name_leaves_no_output(tmp_path, capsys):
+    # the CSV's name is taken by a directory, so its rename fails after
+    # every file is written; no temporary or summary.tsv may remain
+    out = tmp_path / "res"
+    (out / "pdbfw.csv").mkdir(parents=True)
+    code = main(["run", "--synthetic", "sparse_regression", "--n", "20",
+                 "--d", "10", "--output-dir", str(out)])
+    assert code == EXIT_USAGE
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert os.listdir(out) == ["pdbfw.csv"]
+    assert os.listdir(out / "pdbfw.csv") == []
+
+
+def test_second_csv_failing_leaves_no_first_csv(tmp_path, capsys):
+    # the second solver's CSV cannot take its name after the first CSV has
+    # taken its own; the first one is removed again
+    out = tmp_path / "res"
+    (out / "fw.csv").mkdir(parents=True)
+    assert main(_tiny_args(str(out), **{"--solvers": "pdbfw,fw"})) == EXIT_USAGE
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert os.listdir(out) == ["fw.csv"]
+
+
+def test_failed_write_removes_the_directory_it_made(tmp_path, monkeypatch,
+                                                    capsys):
+    # the second of two CSV writes fails: the first CSV's temporary and the
+    # directory this run created are removed
+    real_open, opened = open, []
+
+    def failing_open(path, *args, **kwargs):
+        opened.append(path)
+        if len(opened) == 2:
+            raise OSError(28, "No space left on device")
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    out = tmp_path / "res"
+    assert main(_tiny_args(str(out), **{"--solvers": "pdbfw,fw"})) == EXIT_USAGE
+    assert "No space left on device" in capsys.readouterr().err
+    assert [os.path.basename(p) for p in opened] == [
+        f".pdbfw.csv.{os.getpid()}.tmp", f".fw.csv.{os.getpid()}.tmp"]
+    assert not out.exists()
 
 
 def test_missing_dataset_file(tmp_path, capsys):

@@ -580,6 +580,21 @@ def test_apply_sparse_col_product_rejects_wrong_w_shape():
             apply_sparse_col_product(A, update, w, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("dense_route", [False, True])
+@pytest.mark.parametrize("values", [[1.0], [1.0, 2.0, 3.0]],
+                         ids=["too_short", "too_long"])
+def test_apply_sparse_col_product_rejects_values_of_another_length(
+        dense_route, values):
+    # the sparse route's compiled loop would read past the end of `values`
+    A, dense = small_matrix()
+    if dense_route:
+        A = SparseDesignMatrix.from_dense(np.where(dense == 0.0, 0.5, dense))
+    assert (A._dense_cols is not None) == dense_route
+    update = SparseUpdate(indices=np.array([0, 3]), values=np.array(values))
+    with pytest.raises(ValueError, match="differ in shape"):
+        apply_sparse_col_product(A, update, np.zeros(3), 1.0, 1.0)
+
+
 def test_apply_row_slice_transpose_rejects_out_of_range_rows():
     A, _ = small_matrix()
     for bad in (-1, 3):
@@ -754,6 +769,38 @@ def test_update_kernels_dense_route_near_the_sparse_route(design, data):
                       apply_sparse_col_product(sparse_route, *args))
     check_row_transpose(*design, data, oracle=lambda _, *args:
                         apply_row_slice_transpose(sparse_route, *args))
+
+
+def with_int64_indices(A):
+    """A with both layouts' `indptr` and `indices` cast to int64, as scipy
+    stores them past 2**31 entries."""
+    for layout in (A._csr, A._csc):
+        assert layout.indptr.dtype == layout.indices.dtype == np.int32
+        layout.indptr = layout.indptr.astype(np.int64)
+        layout.indices = layout.indices.astype(np.int64)
+    return A
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_designs(), st.data())
+def test_update_kernels_bit_identical_to_loop_with_int64_indices(design,
+                                                                 data):
+    A, rng = design
+    with_int64_indices(A)
+    check_col_product(A, rng, data)
+    check_row_transpose(A, rng, data)
+
+
+def test_update_kernels_match_loop_with_int64_indices_on_repeats():
+    A = with_int64_indices(SparseDesignMatrix.from_dense(EDGE_DESIGN))
+    idx = np.array([3, 0, 3, 1, 0])  # unsorted, with repeats
+    coef = np.array([1.5, -2.0, 1e-6, 3e5, -0.25])
+    dx = SparseUpdate(indices=idx, values=coef)
+    w = np.array([0.1, -0.0, 0.3, 1e7])
+    assert_same_bits(apply_sparse_col_product(A, dx, w, 0.75, 0.25),
+                     col_product_oracle(A, dx, w, 0.75, 0.25))
+    assert_same_bits(apply_row_slice_transpose(A, idx, coef, w),
+                     row_transpose_oracle(A, idx, coef, w))
 
 
 # The dense route gathers the selection `_FOLD_BYTES` at a time, one block of
