@@ -38,9 +38,8 @@ class SparseDesignMatrix:
             csr = _dense_to_csr(np.asarray(matrix))
         else:
             csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
-            csr.sum_duplicates()
+            csr.sum_duplicates()  # sorts the indices too
             csr.eliminate_zeros()
-            csr.sort_indices()
         if not np.all(np.isfinite(csr.data)):
             raise ValueError("design matrix contains non-finite entries")
         self._csr = csr
@@ -61,12 +60,6 @@ class SparseDesignMatrix:
     @classmethod
     def from_dense(cls, array) -> "SparseDesignMatrix":
         return cls(np.asarray(array, dtype=np.float64))
-
-    @classmethod
-    def from_coo(cls, n_rows, n_cols, rows, cols, vals) -> "SparseDesignMatrix":
-        coo = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols),
-                            dtype=np.float64)
-        return cls(coo)
 
     @property
     def shape(self):
@@ -353,12 +346,13 @@ def _dense_slices_sum(dense: np.ndarray, sel: np.ndarray,
 def apply_sparse_col_product(A: SparseDesignMatrix, dx: SparseUpdate,
                              w: np.ndarray, scale_old: float,
                              scale_new: float) -> np.ndarray:
-    """scale_old * w + scale_new * A[:, support(dx)] @ dx, touching only those columns."""
+    """scale_old * w + scale_new * A[:, support(dx)] @ dx, touching only those
+    columns; float64 for any real w."""
     if w.shape != (A.n_rows,):
         raise ValueError(f"w has shape {w.shape}, expected ({A.n_rows},)")
     if dx.values.shape != dx.indices.shape:
         raise ValueError("update values and indices differ in shape")
-    out = scale_old * w
+    out = scale_old * np.asarray(w, dtype=np.float64)
     if dx.support_size == 0:
         return out
     if dx.indices.min() < 0 or dx.indices.max() >= A.n_cols:
@@ -371,14 +365,15 @@ def apply_sparse_col_product(A: SparseDesignMatrix, dx: SparseUpdate,
 
 def apply_row_slice_transpose(A: SparseDesignMatrix, rows: np.ndarray,
                               dy: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """z + A[rows, :]' @ dy, touching only the selected rows' nonzeros."""
+    """z + A[rows, :]' @ dy, touching only the selected rows' nonzeros;
+    float64 for any real z."""
     rows = np.asarray(rows, dtype=np.int64)
     dy = np.asarray(dy, dtype=np.float64)
     if z.shape != (A.n_cols,):
         raise ValueError(f"z has shape {z.shape}, expected ({A.n_cols},)")
     if dy.shape != rows.shape:
         raise ValueError("dy must be defined exactly on the selected rows")
-    out = z.copy()
+    out = np.array(z, dtype=np.float64)
     if rows.size == 0:
         return out
     if rows.min() < 0 or rows.max() >= A.n_rows:

@@ -18,9 +18,11 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, TextIO, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core_linalg import SparseDesignMatrix
 
@@ -104,70 +106,111 @@ class ParseError(ValueError):
         super().__init__(f"line {line_number}: {message}")
 
 
+# Tokens (labels and index:value pairs) that numpy casts in one batch
+_BATCH_TOKENS = 4096
+_NOT_MARKS = bytes(set(range(256)) - set(b" :"))
+
+
+def _check_line(lineno: int, fields: list, n_cols: Optional[int]) -> None:
+    """Check one line token by token; raise its first ParseError."""
+    try:
+        label = float(fields[0])
+    except ValueError:
+        raise ParseError(lineno, f"bad label {fields[0]!r}") from None
+    if not math.isfinite(label):
+        raise ParseError(lineno, f"non-finite label {fields[0]!r}")
+    prev_index = 0
+    for token in fields[1:]:
+        head, sep, tail = token.partition(":")
+        if not sep:
+            raise ParseError(lineno, f"expected index:value, got {token!r}")
+        try:
+            index, value = int(head), float(tail)
+        except ValueError:
+            raise ParseError(lineno, f"bad index:value pair {token!r}") from None
+        if index < 1:
+            raise ParseError(lineno, f"index {index} is not 1-based")
+        if index > _MAX_INDEX:
+            raise ParseError(lineno, f"index {index} exceeds the int64 range")
+        if n_cols is not None and index > n_cols:
+            raise ParseError(lineno, f"index {index} exceeds n_cols={n_cols}")
+        if index <= prev_index:
+            raise ParseError(lineno, f"index {index} not strictly "
+                             f"increasing after {prev_index}")
+        if not math.isfinite(value):
+            raise ParseError(lineno, f"non-finite value in {token!r}")
+        prev_index = index
+
+
+def _convert(batch: list, n_cols: Optional[int], name: str, buffers) -> None:
+    """Append a batch's labels, pairs per line, 0-based columns and values to
+    `buffers`, cast and checked as arrays, or raise its first bad line's
+    ParseError from the line-by-line checks."""
+    rows = [fields for _, fields in batch if fields]
+    counts = np.fromiter(map(len, rows), np.int64, len(rows)) - 1
+    parsed = None
+    try:
+        labels = np.array([fields[0] for fields in rows], dtype=np.float64)
+        # each pair then a space: with one ':' a pair, ':' and ' ' alternate
+        text = " ".join([*chain.from_iterable(f[1:] for f in rows), ""])
+        if text.encode().translate(None, _NOT_MARKS) == b": " * counts.sum():
+            parts = text.replace(" ", ":").split(":")
+            index = np.array(parts[0:-1:2], dtype=np.int64)
+            values = np.array(parts[1::2], dtype=np.float64)
+            prev = np.roll(index, 1)  # each line's first index follows a 0
+            prev[(np.cumsum(counts) - counts)[counts > 0]] = 0
+            if (np.isfinite(labels).all() and (index > prev).all()
+                    and (n_cols is None or (index <= n_cols).all())
+                    and np.isfinite(values).all()):
+                parsed = labels, counts, index - 1, values
+    except (ValueError, OverflowError):
+        pass
+    for lineno, fields in batch:
+        if not fields:
+            logger.info("%s: skipping empty line %d", name, lineno)
+        elif parsed is None:
+            _check_line(lineno, fields, n_cols)
+    if parsed is None:
+        raise RuntimeError("a batch failed the array checks, not the rescan")
+    for buffer, part in zip(buffers, parsed):
+        buffer.frombytes(memoryview(part).cast("B"))
+
+
 def parse_libsvm(source: Union[str, TextIO], n_cols: Optional[int] = None,
                  name: str = "stdin") -> Dataset:
     """Parse the index:value text format into a Dataset.
 
     source is a path or an open text handle. n_cols forces the column count
     (errors on the line of an index that exceeds it); otherwise the max seen
-    index is used. Columns and values are collected in typed buffers.
+    index is used. Lines are converted `_BATCH_TOKENS` tokens at a time into
+    typed buffers, from which the design is built as CSR.
     """
     if isinstance(source, str):
         handle, owned, name = open(source, "r"), True, source
     else:
         handle, owned = source, False
-    cols, vals = array("q"), array("d")
-    counts, labels = [], []
-    max_index = 0
+    buffers = labels, counts, cols, vals = [array(t) for t in "dqqd"]
+    batch, tokens = [], 0
     try:
         for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                logger.info("%s: skipping empty line %d", name, lineno)
-                continue
-            fields = stripped.split()
-            try:
-                label = float(fields[0])
-            except ValueError:
-                raise ParseError(lineno, f"bad label {fields[0]!r}") from None
-            prev_index = 0
-            for token in fields[1:]:
-                head, sep, tail = token.partition(":")
-                if not sep:
-                    raise ParseError(lineno, f"expected index:value, got {token!r}")
-                try:
-                    index = int(head)
-                    value = float(tail)
-                except ValueError:
-                    raise ParseError(
-                        lineno, f"bad index:value pair {token!r}") from None
-                if index < 1:
-                    raise ParseError(lineno, f"index {index} is not 1-based")
-                if index > _MAX_INDEX:
-                    raise ParseError(
-                        lineno, f"index {index} exceeds the int64 range")
-                if n_cols is not None and index > n_cols:
-                    raise ParseError(
-                        lineno, f"index {index} exceeds n_cols={n_cols}")
-                if index <= prev_index:
-                    raise ParseError(
-                        lineno,
-                        f"index {index} not strictly increasing after {prev_index}")
-                if not math.isfinite(value):
-                    raise ParseError(lineno, f"non-finite value in {token!r}")
-                prev_index = index
-                cols.append(index - 1)
-                vals.append(value)
-            max_index = max(max_index, prev_index)
-            counts.append(len(fields) - 1)
-            labels.append(label)
+            batch.append((lineno, line.split()))
+            tokens += len(batch[-1][1])
+            if tokens >= _BATCH_TOKENS:
+                _convert(batch, n_cols, name, buffers)
+                batch, tokens = [], 0
+        _convert(batch, n_cols, name, buffers)
+    except (OSError, UnicodeDecodeError):
+        _convert(batch, n_cols, name, buffers)  # a bad line before it first
+        raise
     finally:
+        batch = None  # the tokens go before the design is built
         if owned:
             handle.close()
     if not labels:
         raise ParseError(1, "no samples in input")
-    d = max_index if n_cols is None else n_cols
-    label_arr = np.asarray(labels, dtype=np.float64)
+    index = np.frombuffer(cols, dtype=np.int64)
+    d = int(index.max(initial=-1)) + 1 if n_cols is None else n_cols
+    label_arr = np.frombuffer(labels)
     distinct = set(np.unique(label_arr).tolist())
     if distinct == {0.0, 1.0}:
         logger.info("%s: remapping labels {0,1} -> {-1,+1}", name)
@@ -175,10 +218,9 @@ def parse_libsvm(source: Union[str, TextIO], n_cols: Optional[int] = None,
     elif distinct == {1.0, 2.0}:
         logger.info("%s: remapping labels {1,2} -> {+1,-1}", name)
         label_arr = np.where(label_arr == 1.0, 1.0, -1.0)
-    matrix = SparseDesignMatrix.from_coo(
-        len(counts), d, np.repeat(np.arange(len(counts)), counts),
-        np.frombuffer(cols, dtype=np.int64),
-        np.frombuffer(vals, dtype=np.float64))
+    indptr = np.concatenate(([0], np.cumsum(np.frombuffer(counts, np.int64))))
+    matrix = SparseDesignMatrix(sp.csr_matrix(
+        (np.frombuffer(vals), index, indptr), shape=(len(counts), d)))
     return Dataset(matrix=matrix, labels=label_arr)
 
 

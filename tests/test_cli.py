@@ -240,6 +240,21 @@ def test_malformed_dataset_reports_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_malformed_late_line_of_a_large_dataset_exits_usage(tmp_path):
+    # 1000 lines of eleven tokens span several parse batches; the bad value
+    # on line 950 is in a late one
+    pairs = " ".join(f"{j}:0.{j}" for j in range(1, 11))
+    lines = [f"{'+1' if i % 3 else '-1'} {pairs}\n" for i in range(1000)]
+    lines[949] = "-1 1:0.5 2:oops\n"
+    path = tmp_path / "large.txt"
+    path.write_text("".join(lines))
+    result = run_module("run", "--dataset", str(path),
+                        "--output-dir", str(tmp_path / "o"))
+    assert result.returncode == EXIT_USAGE
+    assert "line 950: bad index:value pair '2:oops'" in result.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_solver_parameters_exit_usage(tmp_path, capsys):
     out = str(tmp_path / "res")
     assert main(_tiny_args(out, **{"--radius": "-1.0"})) == EXIT_USAGE

@@ -388,9 +388,9 @@ def test_row_helpers_match_dense():
 
 
 def test_from_coo_canonicalizes_duplicates_and_zeros():
-    A = SparseDesignMatrix.from_coo(
-        2, 3, rows=np.array([0, 0, 1, 1]), cols=np.array([1, 1, 0, 2]),
-        vals=np.array([2.0, 3.0, 0.0, 1.0]))
+    A = SparseDesignMatrix(sp.coo_matrix(
+        (np.array([2.0, 3.0, 0.0, 1.0]),
+         (np.array([0, 0, 1, 1]), np.array([1, 1, 0, 2]))), shape=(2, 3)))
     assert_allclose(A.to_dense(), [[0.0, 5.0, 0.0], [0.0, 0.0, 1.0]])
     assert A.nnz == 2  # explicit zero dropped, duplicates summed
 
@@ -404,8 +404,9 @@ def test_matrix_rejects_nonfinite():
         with pytest.raises(ValueError, match="non-finite"):
             SparseDesignMatrix(np.array([[1.0, 0.0], [bad, 2.0]]))
         with pytest.raises(ValueError, match="non-finite"):
-            SparseDesignMatrix.from_coo(2, 2, np.array([0, 1]),
-                                        np.array([1, 1]), np.array([3.0, bad]))
+            SparseDesignMatrix(sp.coo_matrix(
+                (np.array([3.0, bad]), (np.array([0, 1]), np.array([1, 1]))),
+                shape=(2, 2)))
 
 
 def test_dual_layout_consistency_random():
@@ -502,7 +503,7 @@ def coo_inputs(draw):
 def test_coo_construction_matches_the_old_route(triplets):
     n, d, rows, cols, vals = triplets
     assert_same_construction(
-        SparseDesignMatrix.from_coo(n, d, rows, cols, vals),
+        SparseDesignMatrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, d))),
         sp.coo_matrix((vals, (rows, cols)), shape=(n, d)))
 
 
@@ -769,6 +770,37 @@ def test_update_kernels_dense_route_near_the_sparse_route(design, data):
                       apply_sparse_col_product(sparse_route, *args))
     check_row_transpose(*design, data, oracle=lambda _, *args:
                         apply_row_slice_transpose(sparse_route, *args))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64, np.float64])
+@pytest.mark.parametrize("route", ["sparse", "dense"])
+def test_update_kernels_return_float64_for_any_real_input(route, dtype):
+    # w or z of another real dtype is read as float64 on both routes, so the
+    # result is the loop's on the float64 copy; float64 keeps its bits
+    rng = np.random.default_rng(11)
+    dense = _random_entries(rng, 7, 5)
+    if route == "sparse":
+        dense[[0, 3, 3, 6], [1, 0, 4, 2]] = 0.0
+    A = SparseDesignMatrix.from_dense(dense)
+    assert (A._dense_rows is not None) == (route == "dense")
+    w = (100.0 * rng.normal(size=7)).astype(dtype)
+    z = (100.0 * rng.normal(size=5)).astype(dtype)
+    w_before, z_before = w.copy(), z.copy()
+    dx = SparseUpdate(indices=np.array([4, 0, 4, 2]),
+                      values=np.array([1.5, -2.0, 0.25, 3e-3]))
+    rows, dy = np.array([6, 1, 1, 3]), np.array([0.5, -3.0, 2.0, 7e4])
+    w64, z64 = w.astype(np.float64), z.astype(np.float64)
+    got = apply_sparse_col_product(A, dx, w, 0.75, -1.25)
+    assert got.dtype == np.float64
+    assert_matches_loop(got, col_product_oracle(A, dx, w64, 0.75, -1.25),
+                        route == "dense", 0.75 * w64, -1.25 * dx.values,
+                        dense.T[dx.indices])
+    got = apply_row_slice_transpose(A, rows, dy, z)
+    assert got.dtype == np.float64
+    assert_matches_loop(got, row_transpose_oracle(A, rows, dy, z64),
+                        route == "dense", z64, dy, dense[rows])
+    assert w.tobytes() == w_before.tobytes()
+    assert z.tobytes() == z_before.tobytes()
 
 
 def with_int64_indices(A):
@@ -1050,8 +1082,8 @@ def _solver_design(kind):
     flat = np.flatnonzero(rng.uniforms(n * d) < density)
     r, c = flat // d, flat % d
     keep = (r % 17 != 5) & (c % 23 != 4)  # leave a few rows and columns empty
-    A = SparseDesignMatrix.from_coo(n, d, r[keep], c[keep],
-                                    rng.normals(int(keep.sum())))
+    A = SparseDesignMatrix(sp.coo_matrix(
+        (rng.normals(int(keep.sum())), (r[keep], c[keep])), shape=(n, d)))
     assert A.row_nnz.min() == 0 and A.col_nnz.min() == 0
     return A, rng
 

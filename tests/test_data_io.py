@@ -7,10 +7,16 @@ platform or numpy regression in the vectorized path cannot hide.
 
 import io
 import logging
+import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from hypothesis import given, settings, strategies as st
+
+from pdbfw import data_io
 from pdbfw.core_linalg import SparseDesignMatrix
 from pdbfw.data_io import (Dataset, ParseError, PortableRng, SyntheticSpec,
                            generate_synthetic, normalize_rows, parse_libsvm)
@@ -161,6 +167,12 @@ PARSE_ERRORS = [
     ("+1 1:1\n-1 99999999999999999999:1\n", 2, "index 99999999999999999999"),
     ("+1 1:1\n-1 99999999999999999999:1\n", 2, "index 99999999999999999999",
      5),
+    ("nan 1:1\n", 1, "non-finite label 'nan'"),
+    ("+1 1:1\ninf 1:1\n", 2, "non-finite label 'inf'"),
+    # one pair with two colons, another with none: the colon count of the
+    # line is right, the pairs are not
+    ("+1 1:2:3 5\n", 1, "bad index:value pair '1:2:3'"),
+    ("+1 5 1:2:3\n", 1, "expected index:value, got '5'"),
 ]
 
 
@@ -179,6 +191,216 @@ def test_parse_rejects_index_beyond_forced_width():
         parse_libsvm(io.StringIO("+1 1:1\n-1 2:1\n+1 1:1 3:1\n"), n_cols=2)
     assert exc.value.line_number == 3
     assert str(exc.value) == "line 3: index 3 exceeds n_cols=2"
+
+
+# ---------------------------------------------------------------------------
+# Batches: numpy casts and checks a batch of tokens at once, and a batch that
+# fails is checked line by line for its first bad line
+
+
+def parse_oracle(text, n_cols=None):
+    """The parse token by token, as a reference: (labels, design), or the
+    line number and message of the first ParseError."""
+    rows, cols, vals, labels = [], [], [], []
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            label = float(fields[0])
+        except ValueError:
+            return lineno, f"bad label {fields[0]!r}"
+        if not math.isfinite(label):
+            return lineno, f"non-finite label {fields[0]!r}"
+        prev = 0
+        for token in fields[1:]:
+            if ":" not in token:
+                return lineno, f"expected index:value, got {token!r}"
+            head, tail = token.split(":", 1)
+            try:
+                index, value = int(head), float(tail)
+            except ValueError:
+                return lineno, f"bad index:value pair {token!r}"
+            if index < 1:
+                return lineno, f"index {index} is not 1-based"
+            if index >= 2 ** 63:
+                return lineno, f"index {index} exceeds the int64 range"
+            if n_cols is not None and index > n_cols:
+                return lineno, f"index {index} exceeds n_cols={n_cols}"
+            if index <= prev:
+                return lineno, (f"index {index} not strictly increasing "
+                                f"after {prev}")
+            if not math.isfinite(value):
+                return lineno, f"non-finite value in {token!r}"
+            prev = index
+            rows.append(len(labels))
+            cols.append(index - 1)
+            vals.append(value)
+        labels.append(label)
+    if not labels:
+        return 1, "no samples in input"
+    d = max(cols, default=-1) + 1 if n_cols is None else n_cols
+    labels = np.array(labels)
+    if set(labels.tolist()) == {0.0, 1.0}:
+        labels = np.where(labels == 0.0, -1.0, 1.0)
+    elif set(labels.tolist()) == {1.0, 2.0}:
+        labels = np.where(labels == 1.0, 1.0, -1.0)
+    coo = sp.coo_matrix((np.array(vals, dtype=np.float64),
+                         (np.array(rows, dtype=np.int64),
+                          np.array(cols, dtype=np.int64))),
+                        shape=(len(labels), d))
+    return labels, SparseDesignMatrix(coo)
+
+
+def recorded(call):
+    """call()'s result, or the ParseError it raised, and the texts of the
+    warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except ParseError as exc:
+            result = exc
+    return result, [str(w.message) for w in caught]
+
+
+def assert_parses_as_oracle(text, n_cols=None):
+    """parse_libsvm gives the oracle's labels and design bit for bit, or
+    raises its ParseError on its line, with the same warnings: a value
+    above about 1.3e154 overflows its row's squared norm, and numpy warns."""
+    want, want_warnings = recorded(lambda: parse_oracle(text, n_cols))
+    got, got_warnings = recorded(
+        lambda: parse_libsvm(io.StringIO(text), n_cols=n_cols))
+    assert got_warnings == want_warnings
+    if isinstance(want[0], int):
+        lineno, message = want
+        assert isinstance(got, ParseError)
+        assert got.line_number == lineno
+        assert str(got) == f"line {lineno}: {message}"
+        return
+    labels, matrix = want
+    assert got.labels.dtype == labels.dtype
+    assert got.labels.tobytes() == labels.tobytes()
+    assert got.matrix.shape == matrix.shape
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got.matrix._csr, name), getattr(matrix._csr, name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+    assert got.matrix.row_norms_sq.tobytes() == matrix.row_norms_sq.tobytes()
+
+
+BAD_LABELS = ["abc", "nan", "-inf", "1e400", "1:1", "0x1", "1__0"]
+BAD_PAIRS = ["x:1", "1:abc", "0:1", "-3:1", "1:2:3", "5", ":1", "1:", "1:nan",
+             "1:-inf", "1:1e400", "99999999999999999999:1", "1.0:2", "1e1:2",
+             "1:1:", "::"]
+# accepted by int() and float(), and so by the numpy casts: a sign, digit
+# groups, fullwidth and Arabic-Indic digits, signed and underflowing zeros
+ODD_PAIRS = ["+2:1", "1_0:1", "３:2", "٣:1_5", "2:-0.0", "3:0",
+             "4:1e-400", "7:.5", "8:5.", "9:-1E+3", "11:infinity"]
+
+
+@st.composite
+def libsvm_texts(draw):
+    """Lines of good, odd and bad tokens between spaces and tabs, with blank
+    lines and lines that hold a label alone; labels often {0,1} or {1,2}."""
+    label = st.one_of(
+        st.sampled_from(["0", "1", "2", "-1", "+1", "-0"]),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr))
+    value = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    space = st.sampled_from([" ", "  ", "\t", " \t"])
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", " \t "])))
+            continue
+        cols = sorted(draw(st.sets(st.integers(1, 12), max_size=6)))
+        tokens = [draw(label)] + [f"{j}:{draw(value)}" for j in cols]
+        if draw(st.integers(0, 3)) == 0:
+            tokens.insert(draw(st.integers(1, len(tokens))),
+                          draw(st.sampled_from(ODD_PAIRS)))
+        if draw(st.integers(0, 5)) == 0:
+            at = draw(st.integers(0, len(tokens) - 1))
+            tokens[at] = draw(st.sampled_from(BAD_PAIRS if at else BAD_LABELS))
+        if len(tokens) > 2 and draw(st.integers(0, 5)) == 0:
+            tokens[1], tokens[2] = tokens[2], tokens[1]
+        lines.append(draw(space).lstrip(" ")
+                     + "".join(t + draw(space) for t in tokens).rstrip(" "))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(libsvm_texts(), st.one_of(st.none(), st.integers(0, 14)),
+       st.integers(1, 12))
+def test_parse_matches_the_token_loop(text, n_cols, batch_tokens):
+    # at the default batch size every text is one batch; small batches make
+    # most texts span several
+    assert_parses_as_oracle(text, n_cols)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_io, "_BATCH_TOKENS", batch_tokens)
+        assert_parses_as_oracle(text, n_cols)
+
+
+def _rows_of_ten(count):
+    """`count` lines of a label and ten pairs: eleven tokens a line."""
+    pairs = " ".join(f"{j}:{j / 8!r}" for j in range(1, 11))
+    return [f"{'+1' if i % 2 else '-1'} {pairs}\n" for i in range(count)]
+
+
+def test_parse_names_a_bad_line_past_the_first_batch():
+    lines = _rows_of_ten(1000)
+    assert_parses_as_oracle("".join(lines))
+    assert 899 * 11 > 2 * data_io._BATCH_TOKENS  # line 900 is in batch 3
+    lines[899] = "+1 1:0.5 2:x 3:0.5\n"
+    with pytest.raises(ParseError) as exc:
+        parse_libsvm(io.StringIO("".join(lines)))
+    assert str(exc.value) == "line 900: bad index:value pair '2:x'"
+
+
+def test_parse_names_the_first_bad_line_of_a_batch():
+    # a bad pair on line 1 and a bad label on line 2: line 1 is named
+    with pytest.raises(ParseError) as exc:
+        parse_libsvm(io.StringIO("+1 1:x\nabc 1:1\n+1 2:1\n"))
+    assert str(exc.value) == "line 1: bad index:value pair '1:x'"
+
+
+@pytest.mark.parametrize("text", ["", "\n" * 5000, "  \t\n" * 3])
+def test_parse_blank_input_has_no_samples(text):
+    # blank lines hold no tokens: the one batch ends with the input, empty
+    # of samples
+    with pytest.raises(ParseError) as exc:
+        parse_libsvm(io.StringIO(text))
+    assert str(exc.value) == "line 1: no samples in input"
+
+
+def test_parse_ends_on_a_full_batch(monkeypatch):
+    # eight lines of eleven tokens fill two batches of 44, and the batch
+    # left at the end of the input is empty
+    monkeypatch.setattr(data_io, "_BATCH_TOKENS", 44)
+    assert_parses_as_oracle("".join(_rows_of_ten(8)))
+    assert parse_libsvm(io.StringIO("".join(_rows_of_ten(8)))).matrix.nnz == 80
+
+
+def test_parse_raises_when_a_batch_fails_only_the_array_checks(monkeypatch):
+    # a batch that the casts or checks reject must hold a bad line; if the
+    # line checks find none, the parser raises instead of accepting it
+    monkeypatch.setattr(data_io, "_check_line", lambda *args: None)
+    with pytest.raises(RuntimeError, match="array checks"):
+        parse_libsvm(io.StringIO("+1 0:1\n"))
+
+
+def _utf8_handle(data):
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+def test_parse_names_a_bad_line_before_a_read_error():
+    # the undecodable byte lies past the reader's first 8 KiB chunk and in
+    # the batch of the bad line 1, which is named first, as it was when the
+    # lines were checked as they were read
+    long_line = b"+1 1:0." + b"1" * 200 + b"\n"
+    with pytest.raises(ParseError) as exc:
+        parse_libsvm(_utf8_handle(b"+1 0:1\n" + long_line * 100 + b"\xff\n"))
+    assert str(exc.value) == "line 1: index 0 is not 1-based"
+    with pytest.raises(UnicodeDecodeError):
+        parse_libsvm(_utf8_handle(long_line * 100 + b"\xff\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +504,11 @@ def _row(matrix, i):
 def _very_sparse_dataset():
     # 3 x 10^7 design with 5 nonzeros and an empty middle row; its dense
     # copy would take 240 MB
-    matrix = SparseDesignMatrix.from_coo(
-        3, _WIDE_D, np.array([0, 0, 0, 2, 2]),
-        np.array([4, 123_456, _WIDE_D - 1, 0, _WIDE_D - 2]),
-        np.array([3.0, -4.0, 12.0, 0.5, -1e-3]))
+    matrix = SparseDesignMatrix(sp.coo_matrix(
+        (np.array([3.0, -4.0, 12.0, 0.5, -1e-3]),
+         (np.array([0, 0, 0, 2, 2]),
+          np.array([4, 123_456, _WIDE_D - 1, 0, _WIDE_D - 2]))),
+        shape=(3, _WIDE_D)))
     return Dataset(matrix=matrix, labels=np.array([1.0, -1.0, 0.25]))
 
 
