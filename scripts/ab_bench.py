@@ -15,7 +15,10 @@ median and quartiles and the number of pairs the new side won (a tie counts
 for neither side). A gain holds when both rules hold: the new side won at
 least nine tenths of the pairs, and its median is better than the base's by
 more than the distance between the base's quartiles. An end-to-end metric is
-also checked against the bound BENCHMARK.json gives it.
+also checked against the bound BENCHMARK.json gives it; when the base's
+quartile spread, relative to its median, is wider than that bound, the metric
+reads "unresolved" in place of a verdict, unless every new run beat every
+base run.
 """
 
 import argparse
@@ -68,7 +71,12 @@ def summarize(base: list, new: list, spec: dict) -> list:
                    f"{'gain' if most and clear else 'no gain'}")
         if "bound" in meta and b_med:
             change = sign * (n_med - b_med) / abs(b_med)
-            if change > meta["bound"]:
+            spread = (b_q3 - b_q1) / abs(b_med)
+            beat_all = max(sign * v for v in n) < min(sign * v for v in b)
+            if spread > meta["bound"] and not beat_all:
+                verdict = (f"unresolved: base spread {spread:.3g} wider "
+                           f"than bound {meta['bound']}")
+            elif change > meta["bound"]:
                 verdict += f"; WORSE than bound {meta['bound']}"
         lines.append(f"{name + ' (' + meta['unit'] + ')':40} "
                      f"{_cell(b_med, b_q1, b_q3):>30} "

@@ -72,6 +72,20 @@ class SparseDesignMatrix:
             return 0.0
         return float(self.row_norms_sq.max())
 
+    def row_norms(self) -> np.ndarray:
+        """Euclidean row norms, the square roots of the cached squares. A
+        row that holds a nonzero but whose cached square overflowed to inf
+        or underflowed to 0.0 is scaled by its largest magnitude before
+        squaring."""
+        norms = np.sqrt(self.row_norms_sq)
+        ptr = self._csr.indptr
+        bad = np.isinf(norms) | ((norms == 0.0) & (self.row_nnz > 0))
+        for i in np.flatnonzero(bad):
+            row = self._csr.data[ptr[i]:ptr[i + 1]]
+            top = np.abs(row).max()
+            norms[i] = top * np.linalg.norm(row / top)
+        return norms
+
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
 
@@ -183,15 +197,13 @@ _PROJECTION_GUESS = 1024
 _EPS = np.finfo(np.float64).eps
 
 
-def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of v onto the l1 ball of the given radius.
+def l1_threshold(a: np.ndarray, radius: float):
+    """(theta, u) of the l1 ball's projection for the magnitudes a = |v|:
+    the least theta >= 0 with sum(max(a - theta, 0)) = radius, and the active
+    magnitudes u sorted descending; (0.0, a) itself when a is in the ball. A
+    NaN or infinite entry, or a radius below rounding, raises ValueError.
 
-    Sort-based soft-threshold rule: find the smallest shrinkage theta >= 0 such
-    that sum(max(|v_i| - theta, 0)) = radius, then shrink toward zero. Returns
-    v unchanged (a copy) when it is already feasible. v must be finite: a
-    NaN or infinite entry raises ValueError.
-
-    Only the largest entries enter theta, so a long v is not sorted whole:
+    Only the largest entries enter theta, so a long a is not sorted whole:
     one partition takes its top count, and only that prefix is sorted and
     summed, in the order and with the bits of the full sort's prefix. The
     count doubles while the test could still pass past the prefix; past the
@@ -200,11 +212,9 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    v = np.asarray(v, dtype=np.float64)
-    a = np.abs(v)
     total = a.sum()
     if total <= radius:
-        return v.copy()
+        return 0.0, a
     d = a.size
     m = _PROJECTION_GUESS
     while m < d:
@@ -222,13 +232,23 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     if passing.size == 0:
         # in exact arithmetic the test passes at index 0 for finite input
         if not np.isfinite(total):
-            raise ValueError(f"v must be finite; it has "
+            raise ValueError(f"the input must be finite; it has "
                              f"{np.count_nonzero(~np.isfinite(a))} NaN or "
                              f"infinite entries")
         raise ValueError(f"radius {radius!r} is below the rounding of the "
                          f"largest magnitude {float(u[0])!r}")
     rho = passing[-1]
-    theta = (css[rho] - radius) / (rho + 1.0)
+    return (css[rho] - radius) / (rho + 1.0), u[:rho + 1]
+
+
+def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection of v onto the l1 ball: |v| shrunk by the
+    `l1_threshold` theta, or a copy of v when v is already in the ball."""
+    v = np.asarray(v, dtype=np.float64)
+    a = np.abs(v)
+    theta, u = l1_threshold(a, radius)
+    if u is a:  # already inside the ball
+        return v.copy()
     # not copysign: np.sign(v) is 0 where v is +-0.0, which keeps such
     # entries +0.0 even when rounding puts theta below zero
     return np.sign(v) * np.maximum(a - theta, 0.0)
@@ -238,9 +258,8 @@ def top_k_by_magnitude(v: np.ndarray, k: int) -> np.ndarray:
     """Indices (ascending) of the k entries of largest |v_i|.
 
     Ties break toward the lowest index, which keeps solver trajectories
-    bit-reproducible. Uses partial selection, not a full sort; when every
-    entry tied with the k-th largest is already among the k selected, the
-    selection is the answer.
+    bit-reproducible. One value partition finds the k-th largest magnitude
+    tau; when exactly k entries reach tau, they are the answer.
     """
     a = np.abs(np.asarray(v, dtype=np.float64))
     d = a.size
@@ -248,10 +267,10 @@ def top_k_by_magnitude(v: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be in [1, {d}], got {k}")
     if k == d:
         return np.arange(d, dtype=np.int64)
-    part = np.argpartition(a, d - k)[d - k:]
-    tau = a[part].min()
-    if np.count_nonzero(a >= tau) == k:
-        return np.sort(part).astype(np.int64, copy=False)
+    tau = np.partition(a, d - k)[d - k]
+    idx = np.flatnonzero(a >= tau)
+    if idx.size == k:
+        return idx
     above = np.flatnonzero(a > tau)
     ties = np.flatnonzero(a == tau)[: k - above.size]
     idx = np.concatenate([above, ties])

@@ -227,9 +227,11 @@ def parse_libsvm(source: Union[str, TextIO], n_cols: Optional[int] = None,
 def normalize_rows(dataset: Dataset) -> Dataset:
     """Scale every nonzero row to unit Euclidean norm. Idempotent.
 
-    Works on the nonzeros alone, with the norms cached at construction.
+    Works on the nonzeros alone, with the norms cached at construction; a
+    row whose squared norm overflows or underflows is rescaled first
+    (`SparseDesignMatrix.row_norms`), so no nonzero row is zeroed or skipped.
     """
-    norms = np.sqrt(dataset.matrix.row_norms_sq)
+    norms = dataset.matrix.row_norms()
     matrix = dataset.matrix.divide_rows(np.where(norms > 0.0, norms, 1.0))
     return Dataset(matrix=matrix, labels=dataset.labels.copy())
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_linalg import SparseDesignMatrix, project_l1_ball, range_svd
+from .core_linalg import (SparseDesignMatrix, l1_threshold, project_l1_ball,
+                          range_svd)
 from .losses import LossModel, MatrixQuadraticLoss, Regularizer
 
 
@@ -133,6 +134,13 @@ def project_nuclear_ball(M: np.ndarray, radius: float) -> np.ndarray:
     return (u * s_proj) @ vt
 
 
+def _inner_value(a: np.ndarray, radius: float, mu: float) -> float:
+    """min over the l1 ball of (mu/2)||x||^2 - mu <c, x>, a = |c|: it is
+    (mu/2) sum (theta - u)(u + theta) over the active u, +0.0 at c = 0."""
+    theta, u = l1_threshold(a, radius)
+    return 0.5 * mu * float(np.dot(theta - u, u + theta))
+
+
 def dual_objective(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
                    y: np.ndarray, radius: float, z: np.ndarray = None) -> float:
     """D(y) over the l1 ball of the given radius; -inf outside the conjugate box.
@@ -145,8 +153,7 @@ def dual_objective(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
     n = A.n_rows
     if z is None:
         z = A.rmatvec(y)
-    x_hat = project_l1_ball(-z / (n * reg.mu), radius)
-    return reg.value(x_hat) + float(np.dot(z, x_hat)) / n - conj / n
+    return _inner_value(np.abs(z) / (n * reg.mu), radius, reg.mu) - conj / n
 
 
 def _sketched_singular_values(M: np.ndarray, block: np.ndarray):
@@ -201,10 +208,10 @@ def dual_objective_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
     """Matrix analog of dual_objective over the trace-norm ball.
 
     The inner minimizer is project_nuclear_ball(C, radius) with
-    C = -Z/(n mu): it keeps the singular vectors of C and maps its singular
-    values sv to p = project_l1_ball(sv, radius). Both terms of the inner
-    value are then spectral, (mu/2)||X||^2 = (mu/2) p.p and
-    <Z, X>/n = -mu <C, X> = -mu sv.p, so only the singular values are needed.
+    C = -Z/(n mu): it keeps the singular vectors of C and projects its
+    singular values sv onto the l1 ball. Both terms of the inner value are
+    then spectral, (mu/2)||X||^2 and <Z, X>/n = -mu <C, X>, so it is the l1
+    ball's inner value on the magnitudes sv.
 
     `singular_values(C)` supplies sv; by default it is the full SVD. The
     solver passes a `SketchedSpectrum`, whose accepted values lie within
@@ -216,6 +223,4 @@ def dual_objective_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
     if Z is None:
         Z = A.rmatvec(Y)
     sv = singular_values(-Z / (n * mu))
-    p = project_l1_ball(sv, radius)
-    return (0.5 * mu * float(p @ p) - mu * float(sv @ p)
-            - loss.conjugate_sum(Y) / n)
+    return _inner_value(sv, radius, mu) - loss.conjugate_sum(Y) / n

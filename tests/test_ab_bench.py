@@ -129,3 +129,24 @@ def test_main_rejects_bad_workload_lists(tmp_path, capsys, monkeypatch,
                        "--seed", "29"])
     assert exc.value.code == 2
     assert fragment in capsys.readouterr().err
+
+
+def test_summary_leaves_a_metric_unresolved_when_the_base_spreads_past_its_bound():
+    # the base's quartiles lie 0.3 of its median apart, past the bound 0.25
+    solves = [0.0100, 0.0120, 0.0140, 0.0160, 0.0180,
+              0.0100, 0.0120, 0.0140, 0.0160, 0.0180]
+    base = [ab_bench.last_json(stdout(s, 0.048)) for s in solves]
+    # 40% slower in the median, but the base cannot tell
+    new = [ab_bench.last_json(stdout(s * 1.4, 0.048)) for s in solves]
+    line = rows(ab_bench.summarize(base, new, SPEC))["pdbfw_solve_s"]
+    assert "unresolved: base spread" in line and "bound 0.25" in line
+    assert "gain" not in line and "WORSE" not in line
+    # every new run beats every base run: the verdict stands
+    new = [ab_bench.last_json(stdout(0.0090, 0.048)) for _ in solves]
+    line = rows(ab_bench.summarize(base, new, SPEC))["pdbfw_solve_s"]
+    assert "10/10" in line and "unresolved" not in line
+    assert "wins hold, spread holds: gain" in line
+    # one new run ties the best base run: unresolved again
+    new[3] = ab_bench.last_json(stdout(0.0100, 0.048))
+    line = rows(ab_bench.summarize(base, new, SPEC))["pdbfw_solve_s"]
+    assert "unresolved" in line

@@ -261,6 +261,15 @@ def test_top_k_ties_straddling_the_threshold():
     # ties at zero straddle the threshold
     assert top_k_by_magnitude(v, 9).tolist() == [0, 1, 7, 8, 15, 40, 1200,
                                                  2500, 2999]
+    # +0.0 and -0.0 tie: k = 2 stops above them, larger k takes the lowest
+    w = np.array([0.0, -0.0, 2.0, -0.0, 0.0, -1.0])
+    assert top_k_by_magnitude(w, 2).tolist() == [2, 5]
+    assert top_k_by_magnitude(w, 3).tolist() == [0, 2, 5]
+    assert top_k_by_magnitude(w, 4).tolist() == [0, 1, 2, 5]
+    # every entry ties
+    w = np.array([1.5, -1.5, 1.5, 1.5, -1.5])
+    assert top_k_by_magnitude(w, 3).tolist() == [0, 1, 2]
+    assert top_k_by_magnitude(w, 5).tolist() == [0, 1, 2, 3, 4]
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,6 +278,12 @@ def test_top_k_ties_straddling_the_threshold():
 def test_top_k_bit_identical_to_selection_oracle(d, seed, decimals, data):
     rng = np.random.default_rng(seed)
     v = np.round(rng.normal(size=d), decimals)  # rounding forces ties
+    kind = data.draw(st.sampled_from(["rounded", "signed_zeros", "all_equal"]))
+    if kind == "signed_zeros":  # most entries +0.0 or -0.0
+        zeros = np.where(rng.random(d) < 0.5, 0.0, -0.0)
+        v = np.where(rng.random(d) < 0.2, v, zeros)
+    elif kind == "all_equal":
+        v = np.full(d, 1.5) * rng.choice([-1.0, 1.0], size=d)
     k = data.draw(st.integers(1, d))
     got = top_k_by_magnitude(v, k)
     want = top_k_oracle(v, k)

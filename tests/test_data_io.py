@@ -475,6 +475,38 @@ def test_normalize_rows_idempotent():
     assert np.allclose(np.linalg.norm(once.matrix.to_dense(), axis=1), 1.0)
 
 
+def _check_other_rows_keep_their_bits(ds, out, rescaled):
+    # every other row is divided by the square root of its cached square
+    norms = np.sqrt(ds.matrix.row_norms_sq)
+    want = ds.matrix.to_dense() / np.where(norms > 0.0, norms, 1.0)[:, None]
+    keep = np.arange(ds.matrix.n_rows) != rescaled
+    assert np.array_equal(out.matrix.to_dense()[keep], want[keep])
+
+
+def test_normalize_rows_rescales_a_row_whose_square_overflows():
+    # 1e200 squared is inf: dividing by sqrt(inf) would zero the row
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        ds = parse_libsvm(io.StringIO("1 1:1e200 2:1\n-1 1:3 3:4\n1 2:2\n"))
+    assert np.isinf(ds.matrix.row_norms_sq[0])
+    out = normalize_rows(ds)
+    assert out.matrix.nnz == ds.matrix.nnz == 5
+    np.testing.assert_array_equal(out.matrix.to_dense()[0],
+                                  [1.0, 1e-200, 0.0])
+    _check_other_rows_keep_their_bits(ds, out, rescaled=0)
+
+
+def test_normalize_rows_rescales_a_row_whose_square_underflows():
+    # 1e-170 squared is 0.0: the row would be left at norm 1.4e-170
+    ds = parse_libsvm(io.StringIO("-1 1:3 3:4\n1 1:1e-170 2:1e-170\n"))
+    assert ds.matrix.row_norms_sq[1] == 0.0
+    out = normalize_rows(ds)
+    assert out.matrix.nnz == ds.matrix.nnz == 4
+    np.testing.assert_allclose(out.matrix.to_dense()[1],
+                               [math.sqrt(0.5), math.sqrt(0.5), 0.0],
+                               rtol=1e-15, atol=0)
+    _check_other_rows_keep_their_bits(ds, out, rescaled=1)
+
+
 def test_normalize_rows_copies_labels():
     ds = parse_libsvm(io.StringIO("1 1:3\n"))
     out = normalize_rows(ds)

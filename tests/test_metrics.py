@@ -7,8 +7,13 @@ Oracle notes:
     the positive/negative split formulation of the l1 ball;
   - the trace-norm dual objective, which works from singular values alone,
     is checked against the dense route: project -Z/(n mu) onto the ball with
-    project_nuclear_ball and evaluate the inner objective at that matrix.
+    project_nuclear_ball and evaluate the inner objective at that matrix;
+  - both certificates read their inner value off the l1 threshold; they are
+    checked against the value at the projected point, built with the
+    full-sort projection oracle of test_core_linalg.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from pdbfw.metrics import (ConvergenceTrace, DivergenceError, SketchedSpectrum,
                            _sketched_singular_values, dual_objective,
                            dual_objective_trace, project_nuclear_ball)
 from pdbfw.pdbfw_trace import _power_start
+from test_core_linalg import project_full_sort_oracle, projection_cases
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +152,66 @@ def test_dual_objective_at_zero_is_zero():
     for kind in ("hinge", "quadratic"):
         A, loss = _small_problem(kind)
         reg = Regularizer(mu=0.4)
-        assert dual_objective(A, loss, reg, np.zeros(A.n_rows), 2.0) == 0.0
+        got = dual_objective(A, loss, reg, np.zeros(A.n_rows), 2.0)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+def test_dual_objective_names_non_finite_z():
+    A, loss = _small_problem("quadratic")
+    reg = Regularizer(mu=0.4)
+    for bad in (np.nan, np.inf, -np.inf):
+        z = np.array([1.0, bad, -2.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            dual_objective(A, loss, reg, np.zeros(A.n_rows), 2.0, z=z)
+
+
+def _certificate_tolerance(c, mu, const):
+    # [DERIVED] for one theta, both sides sum at most d terms whose
+    # magnitudes add to at most (3/2) mu sum c_i^2, then subtract the same
+    # conjugate term; each sum is within d eps of that total
+    eps = np.finfo(float).eps
+    return 4.0 * (c.size + 2) * eps * (mu * float(np.dot(c, c)) + abs(const))
+
+
+@settings(max_examples=200, deadline=None)
+@given(projection_cases(), st.floats(0.05, 5.0), st.integers(0, 2**32 - 1))
+def test_dual_objective_matches_the_projected_point(case, mu, seed):
+    # the projected-point formula: x_hat = proj(-z/(n mu)), then
+    # (mu/2)||x_hat||^2 + <z, x_hat>/n - conj/n
+    c, radius = case
+    rng = PortableRng(seed)
+    n = 3
+    A = SparseDesignMatrix.from_dense(rng.normals(n * c.size).reshape(n, -1))
+    loss = quadratic_loss(rng.normals(n))
+    reg = Regularizer(mu=mu)
+    y = rng.normals(n)
+    z = -n * mu * c
+    got = dual_objective(A, loss, reg, y, radius, z=z)
+    x_hat = project_full_sort_oracle(-z / (n * mu), radius)
+    const = loss.conjugate_sum(y) / n
+    want = reg.value(x_hat) + float(np.dot(z, x_hat)) / n - const
+    assert abs(got - want) <= _certificate_tolerance(c, mu, const)
+
+
+@settings(max_examples=200, deadline=None)
+@given(projection_cases(), st.floats(0.05, 5.0), st.integers(0, 2**32 - 1))
+def test_dual_objective_trace_matches_the_p_formula(case, mu, seed):
+    # the projected-value formula on the singular values sv:
+    # p = proj(sv), (mu/2) p.p - mu sv.p - conj/n
+    c, radius = case
+    sv = np.sort(np.abs(c))[::-1]
+    rng = PortableRng(seed)
+    n, d, cols = 3, 4, 2
+    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    loss = MatrixQuadraticLoss(B=rng.normals(n * cols).reshape(n, cols))
+    reg = Regularizer(mu=mu)
+    Y = rng.normals(n * cols).reshape(n, cols)
+    got = dual_objective_trace(A, loss, reg, Y, radius,
+                               singular_values=lambda _: sv)
+    p = project_full_sort_oracle(sv, radius)
+    const = loss.conjugate_sum(Y) / n
+    want = 0.5 * mu * float(p @ p) - mu * float(sv @ p) - const
+    assert abs(got - want) <= _certificate_tolerance(sv, mu, const)
 
 
 def test_dual_objective_outside_conjugate_box_is_neg_inf():
@@ -295,7 +360,8 @@ def test_dual_objective_trace_at_zero_is_zero():
     A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     reg = Regularizer(mu=0.2)
-    assert dual_objective_trace(A, loss, reg, np.zeros((n, c)), 2.0) == 0.0
+    got = dual_objective_trace(A, loss, reg, np.zeros((n, c)), 2.0)
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 
 def test_dual_objective_trace_inner_min_dominates_samples():
