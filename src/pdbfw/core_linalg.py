@@ -2,13 +2,15 @@
 shared by every solver step, and the range finder of the trace-norm solver.
 
 The design matrix is stored in both compressed-row and compressed-column
-layouts so that column-restricted products (maintaining w = Ax) and
-row-restricted transpose products (maintaining z = A'y) both cost time
-proportional to the nonzeros actually touched.
+layouts (a fully stored one as dense rows and columns) so that
+column-restricted products (maintaining w = Ax) and row-restricted
+transpose products (maintaining z = A'y) both cost time proportional to the
+nonzeros actually touched.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,37 +27,61 @@ class SparseDesignMatrix:
     norms are cached at construction.
 
     When every entry is stored (nnz == n_rows * n_cols; an exact zero is
-    dropped, so one zero entry makes the design sparse), the CSR data array
-    is the row-major n x d matrix and the CSC data array the column-major
-    one. `_dense_rows` (n x d) and `_dense_cols` (d x n, row j is column j)
-    are then read-only views of them; they copy nothing. The update kernels,
-    the full products and the row operations read them in place of the
-    sparse layout. On any other design both are None.
+    dropped, so one zero entry makes the design sparse), the design holds two
+    owned, read-only arrays instead: `_dense_rows` (n x d, C order) and
+    `_dense_cols` (d x n, row j is column j). The update kernels, the full
+    products and the row operations read them in place of the sparse
+    layouts, which are then built only when first read, over the memory of
+    those arrays. On any other design both are None.
     """
 
     def __init__(self, matrix):
+        csr = None
         if isinstance(matrix, np.ndarray):
-            csr = _dense_to_csr(np.asarray(matrix))
+            a = np.atleast_2d(np.asarray(matrix))
+            if a.ndim != 2:
+                raise ValueError(f"design matrix must be 2-D, got {a.ndim}-D")
+            if a.size and a.all():  # fully stored: -0.0 is false, NaN true
+                rows = np.array(a, dtype=np.float64, order="C")
+            else:
+                csr = _dense_to_csr(a)
         else:
             csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
             csr.sum_duplicates()  # sorts the indices too
             csr.eliminate_zeros()
-        if not np.all(np.isfinite(csr.data)):
+        if csr is not None:
+            self._csr, rows = csr, csr.data
+        if not np.all(np.isfinite(rows)):
             raise ValueError("design matrix contains non-finite entries")
-        self._csr = csr
-        self.n_rows, self.n_cols = csr.shape
-        self.row_norms_sq = _row_norms_sq(csr)  # squares freed before the CSC
-        self._csc = csr.tocsc()  # scipy marks its result sorted
+        shape = rows.shape if csr is None else csr.shape
+        n, d = self.n_rows, self.n_cols = shape
+        ptr = np.arange(n + 1) * d if csr is None else csr.indptr
+        # the squares are freed before the columns are built
+        self.row_norms_sq = _row_norms_sq(rows.ravel(), ptr)
         # nnz per row / per column, used by callers for arithmetic-cost accounting
-        self.row_nnz = np.diff(csr.indptr).astype(np.int64)
-        self.col_nnz = np.diff(self._csc.indptr).astype(np.int64)
-        self.nnz = int(csr.nnz)
+        self.row_nnz = np.diff(ptr).astype(np.int64)
+        self.nnz = int(ptr[-1])
         self._dense_rows = self._dense_cols = None
-        if self.nnz == self.n_rows * self.n_cols:
-            self._dense_rows = csr.data.reshape(self.n_rows, self.n_cols)
-            self._dense_cols = self._csc.data.reshape(self.n_cols, self.n_rows)
-            self._dense_rows.flags.writeable = False
-            self._dense_cols.flags.writeable = False
+        if self.nnz < n * d:
+            self._csc = csr.tocsc()  # scipy marks its result sorted
+            self.col_nnz = np.diff(self._csc.indptr).astype(np.int64)
+        else:
+            rows = rows.reshape(n, d)
+            self._full = rows, rows.T.copy()  # the lazy layouts' memory
+            self._dense_rows, self._dense_cols = self._full
+            for part in self._full:
+                part.flags.writeable = False
+            self.col_nnz = np.full(d, n, dtype=np.int64)
+
+    @functools.cached_property
+    def _csr(self) -> sp.csr_matrix:
+        """A fully stored design's CSR, built on first read."""
+        return _full_layout(sp.csr_matrix, self._full[0], self.shape)
+
+    @functools.cached_property
+    def _csc(self) -> sp.csc_matrix:
+        """A fully stored design's CSC, built on first read."""
+        return _full_layout(sp.csc_matrix, self._full[1], self.shape)
 
     @classmethod
     def from_dense(cls, array) -> "SparseDesignMatrix":
@@ -74,19 +100,25 @@ class SparseDesignMatrix:
 
     def row_norms(self) -> np.ndarray:
         """Euclidean row norms, the square roots of the cached squares. A
-        row that holds a nonzero but whose cached square overflowed to inf
-        or underflowed to 0.0 is scaled by its largest magnitude before
+        row whose cached square overflowed to inf, or whose largest square
+        is below the smallest normal float (so every square lost bits or
+        underflowed to 0.0), is scaled by its largest magnitude before
         squaring."""
         norms = np.sqrt(self.row_norms_sq)
-        ptr = self._csr.indptr
-        bad = np.isinf(norms) | ((norms == 0.0) & (self.row_nnz > 0))
-        for i in np.flatnonzero(bad):
-            row = self._csr.data[ptr[i]:ptr[i + 1]]
+        # a row whose squares are all subnormal sums to below 2 * nnz * tiny
+        small = self.row_norms_sq < 2.0 * _TINY * self.row_nnz
+        for i in np.flatnonzero(np.isinf(norms) | small):
+            row = (self._dense_rows[i] if self._dense_rows is not None else
+                   self._csr.data[self._csr.indptr[i]:self._csr.indptr[i + 1]])
             top = np.abs(row).max()
-            norms[i] = top * np.linalg.norm(row / top)
+            if np.isinf(norms[i]) or top * top < _TINY:
+                norms[i] = top * np.linalg.norm(row / top)
         return norms
 
     def to_dense(self) -> np.ndarray:
+        """A writeable n x d copy; a fully stored design builds no layout."""
+        if self._dense_rows is not None:
+            return self._dense_rows.copy()
         return self._csr.toarray()
 
     def matvec(self, x) -> np.ndarray:
@@ -151,12 +183,9 @@ class SparseDesignMatrix:
 
 
 def _dense_to_csr(a: np.ndarray) -> sp.csr_matrix:
-    """The canonical CSR that scipy's COO round trip makes of a dense array
-    (a 1-D array is one row, +-0.0 is dropped, indices are int32 unless a
-    size needs int64), built from the nonzero mask without n*d indices."""
-    a = np.atleast_2d(a)
-    if a.ndim != 2:
-        raise ValueError(f"design matrix must be 2-D, got {a.ndim}-D")
+    """The canonical CSR that scipy's COO round trip makes of a 2-D array
+    (+-0.0 is dropped, indices are int32 unless a size needs int64), built
+    from the nonzero mask without n*d indices."""
     mask = a != 0.0
     indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
     idx = sp.get_index_dtype(maxval=max(indptr[-1], *a.shape))
@@ -165,16 +194,27 @@ def _dense_to_csr(a: np.ndarray) -> sp.csr_matrix:
                          dtype=np.float64)
 
 
-def _row_norms_sq(csr: sp.csr_matrix) -> np.ndarray:
-    """The bits of `csr.multiply(csr).sum(axis=1)` without the product: its
-    reduceat over the squares, which drops those that underflow to 0.0, as
-    the product does, since a zero term moves the sum's association."""
-    sq, ptr = np.square(csr.data), csr.indptr
+def _full_layout(kind, major: np.ndarray, shape):
+    """The canonical CSR or CSC (`kind`) of a fully stored design whose
+    compressed slices are the rows of `major`, over `major`'s memory; its
+    index dtype is the one `_dense_to_csr` and scipy's `tocsc` pick."""
+    m, k = major.shape
+    idx = sp.get_index_dtype(maxval=max(major.size, m, k))
+    return kind((major.ravel(), np.tile(np.arange(k, dtype=idx), m),
+                 np.arange(m + 1, dtype=idx) * k), shape=shape)
+
+
+def _row_norms_sq(data: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """The bits of `csr.multiply(csr).sum(axis=1)` for the CSR (data, ptr)
+    without the product: its reduceat over the squares, which drops those
+    that underflow to 0.0, as the product does, since a zero term moves the
+    sum's association."""
+    sq = np.square(data)
     if not sq.all():
         ptr = np.concatenate(([0], np.cumsum(sq != 0.0)))[ptr]
         sq = sq[sq != 0.0]
     rows = np.flatnonzero(np.diff(ptr))
-    norms = np.zeros(csr.shape[0])
+    norms = np.zeros(ptr.size - 1)
     norms[rows] = np.add.reduceat(sq, ptr[rows])
     return norms
 
@@ -195,6 +235,7 @@ class SparseUpdate:
 # sorted whole.
 _PROJECTION_GUESS = 1024
 _EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
 
 
 def l1_threshold(a: np.ndarray, radius: float):
@@ -259,15 +300,21 @@ def top_k_by_magnitude(v: np.ndarray, k: int) -> np.ndarray:
 
     Ties break toward the lowest index, which keeps solver trajectories
     bit-reproducible. One value partition finds the k-th largest magnitude
-    tau; when exactly k entries reach tau, they are the answer.
+    tau; when exactly k entries reach tau, they are the answer. A NaN or
+    infinite entry raises ValueError: the partition puts it among the top k.
     """
     a = np.abs(np.asarray(v, dtype=np.float64))
     d = a.size
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
+    part = a if k == d else np.partition(a, d - k)
+    if not np.isfinite(part[d - k:].max()):
+        raise ValueError(f"the input must be finite; it has "
+                         f"{np.count_nonzero(~np.isfinite(a))} NaN or "
+                         f"infinite entries")
     if k == d:
         return np.arange(d, dtype=np.int64)
-    tau = np.partition(a, d - k)[d - k]
+    tau = part[d - k]
     idx = np.flatnonzero(a >= tau)
     if idx.size == k:
         return idx

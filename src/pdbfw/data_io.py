@@ -61,15 +61,19 @@ class PortableRng:
         return bits.astype(np.float64) * (2.0 ** -53)
 
     def normals(self, count: int) -> np.ndarray:
-        """Standard normals via Box-Muller on consecutive uniform pairs."""
+        """Standard normals via Box-Muller on consecutive uniform pairs:
+        sqrt(-2 log u1) * (cos, sin)(2 pi u2), worked out in place."""
         pairs = (count + 1) // 2
-        u1 = self.uniforms(pairs)
-        u2 = self.uniforms(pairs)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
+        radius = self.uniforms(pairs)
+        angle = self.uniforms(pairs)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0 * np.pi
         out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
+        for half, wave in ((out[0::2], np.cos), (out[1::2], np.sin)):
+            wave(angle, out=half)
+            half *= radius
         return out[:count]
 
     def integers(self, count: int, upper: int) -> np.ndarray:
@@ -277,7 +281,7 @@ def generate_synthetic(spec: SyntheticSpec):
     n, d, s = spec.n, spec.d, spec.true_sparsity_or_rank
     A = rng.normals(n * d).reshape(n, d)
     norms = np.linalg.norm(A, axis=1)
-    A = A / np.where(norms > 0.0, norms, 1.0)[:, None]
+    A /= np.where(norms > 0.0, norms, 1.0)[:, None]
     if spec.kind == "sparse_regression":
         support = np.argsort(rng.uniforms(d))[:s]
         x0 = np.zeros(d)

@@ -298,6 +298,18 @@ def test_top_k_rejects_bad_k():
         top_k_by_magnitude(np.array([1.0, 2.0]), 3)
 
 
+@pytest.mark.parametrize("v, k", [
+    ([np.nan, 1.0, 2.0, 3.0], 2),  # gave [3]
+    ([np.nan, np.nan, 1.0], 1),    # gave []
+    ([np.nan, 3.0, 3.0, 1.0], 2),  # gave [1, 2], dropping the NaN
+    ([1.0, -np.inf, 2.0], 1),
+    ([1.0, np.nan, 2.0], 3),
+])
+def test_top_k_rejects_non_finite_input(v, k):
+    with pytest.raises(ValueError, match="finite"):
+        top_k_by_magnitude(np.array(v), k)
+
+
 # -------------------------------------------------------------- sparse prox
 
 def sparse_prox_oracle(v, radius, s):
@@ -532,6 +544,20 @@ def test_row_norms_keep_their_bits_when_squares_underflow():
     A = SparseDesignMatrix.from_dense(row)
     assert not np.array_equal(A.row_norms_sq, naive)
     assert_same_construction(A, row)
+
+
+def test_row_norms_rescale_a_row_whose_squares_are_subnormal():
+    # 1e-160 squared is a subnormal 1e-320 with a few significant digits, so
+    # the cached square's root was 1.41420569e-160; a row whose largest
+    # square is normal keeps the bits of its cached square's root
+    A = SparseDesignMatrix.from_dense([[1e-160, 1e-160], [3.0, 4.0],
+                                       [1e-150, 1e-170]])
+    assert 0.0 < A.row_norms_sq[0] < np.finfo(float).tiny
+    norms = A.row_norms()
+    np.testing.assert_allclose(norms[0], np.sqrt(2.0) * 1e-160,
+                               rtol=1e-15, atol=0)
+    assert norms[1:].tolist() == np.sqrt(A.row_norms_sq[1:]).tolist()
+    assert "_csr" not in vars(A) and "_csc" not in vars(A)
 
 
 def test_three_dimensional_input_raises():
@@ -964,6 +990,9 @@ def test_one_exact_zero_sends_a_design_to_the_sparse_route():
 def test_dense_views_copy_nothing_and_are_read_only():
     rng = np.random.default_rng(3)
     A = SparseDesignMatrix.from_dense(_random_entries(rng, 4, 7))
+    # the sparse layouts are built on first read, not by to_dense
+    assert A.to_dense().flags.writeable
+    assert "_csr" not in vars(A) and "_csc" not in vars(A)
     assert np.shares_memory(A._dense_rows, A._csr.data)
     assert np.shares_memory(A._dense_cols, A._csc.data)
     np.testing.assert_array_equal(A._dense_rows, A.to_dense())

@@ -62,6 +62,27 @@ def test_rng_frozen_uniforms():
     assert u[1] == 0.4315279970485101
 
 
+def test_rng_frozen_normals():
+    # [DERIVED] Box-Muller at seed 5: an odd count draws one normal past it
+    # and drops it, and either count spends 2 * ceil(count / 2) uniforms
+    want = {7: ["0x1.0c2e25c61bff2p-1", "0x1.46634f257d722p+0",
+                "-0x1.1a99e1fb88c47p-1", "0x1.075a488b5f8d0p-1",
+                "0x1.b359dad4cc780p+0", "-0x1.3cc8d797512e7p-3",
+                "-0x1.1268e71806a13p+1"],
+            6: ["0x1.1e53b9f627664p+0", "0x1.9c6fdbc3f9b0ap-1",
+                "0x1.25963dd51b7eep-2", "0x1.654f188604f9bp-1",
+                "-0x1.3fcf53ac7ca5cp+0", "0x1.2a06eefad1e38p+0"]}
+    next_uniform = {7: "0x1.b4afa8ea7ba7cp-2", 6: "0x1.f89bc83e37984p-1"}
+    for count, hexes in want.items():
+        rng = PortableRng(5)
+        got = rng.normals(count)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        assert [v.hex() for v in got.tolist()] == hexes
+        assert rng.uniforms(1)[0].hex() == next_uniform[count]
+    assert PortableRng(5).normals(7)[:3].round(8).tolist() == \
+        [0.52378958, 1.27495284, -0.55195528]
+
+
 def test_rng_counter_continuation():
     # draws are a pure function of (seed, counter): batching cannot matter
     split = PortableRng(7)
@@ -505,6 +526,20 @@ def test_normalize_rows_rescales_a_row_whose_square_underflows():
                                [math.sqrt(0.5), math.sqrt(0.5), 0.0],
                                rtol=1e-15, atol=0)
     _check_other_rows_keep_their_bits(ds, out, rescaled=1)
+
+
+def test_normalize_rows_rescales_a_row_whose_squares_are_subnormal():
+    # 1e-160 squared is a subnormal 1e-320 that keeps a few digits: the
+    # normalized row's norm was 1.0000056
+    ds = parse_libsvm(io.StringIO("1 1:1e-160 2:1e-160\n-1 1:3 3:4\n"))
+    assert 0.0 < ds.matrix.row_norms_sq[0] < np.finfo(float).tiny
+    out = normalize_rows(ds)
+    np.testing.assert_allclose(out.matrix.to_dense()[0],
+                               [math.sqrt(0.5), math.sqrt(0.5), 0.0],
+                               rtol=1e-15, atol=0)
+    np.testing.assert_allclose(out.matrix.row_norms()[0], 1.0,
+                               rtol=1e-15, atol=0)
+    _check_other_rows_keep_their_bits(ds, out, rescaled=0)
 
 
 def test_normalize_rows_copies_labels():
