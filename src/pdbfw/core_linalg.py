@@ -11,6 +11,7 @@ nonzeros actually touched.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,18 +36,22 @@ class SparseDesignMatrix:
     those arrays. On any other design both are None.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, *, _owned=False):
+        # a caller's array or CSR is copied, never aliased or made read-only;
+        # storage built for this design and then dropped (_owned) is held as
+        # it is when it is a C-order float64 array or a CSR
         csr = None
         if isinstance(matrix, np.ndarray):
             a = np.atleast_2d(np.asarray(matrix))
             if a.ndim != 2:
                 raise ValueError(f"design matrix must be 2-D, got {a.ndim}-D")
             if a.size and a.all():  # fully stored: -0.0 is false, NaN true
-                rows = np.array(a, dtype=np.float64, order="C")
+                rows = np.array(a, dtype=np.float64, order="C",
+                                copy=None if _owned else True)
             else:
                 csr = _dense_to_csr(a)
         else:
-            csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
+            csr = sp.csr_matrix(matrix, dtype=np.float64, copy=not _owned)
             csr.sum_duplicates()  # sorts the indices too
             csr.eliminate_zeros()
         if csr is not None:
@@ -82,10 +87,6 @@ class SparseDesignMatrix:
     def _csc(self) -> sp.csc_matrix:
         """A fully stored design's CSC, built on first read."""
         return _full_layout(sp.csc_matrix, self._full[1], self.shape)
-
-    @classmethod
-    def from_dense(cls, array) -> "SparseDesignMatrix":
-        return cls(np.asarray(array, dtype=np.float64))
 
     @property
     def shape(self):
@@ -140,11 +141,17 @@ class SparseDesignMatrix:
         return np.asarray(self._csr.T @ y)
 
     def divide_rows(self, divisors) -> "SparseDesignMatrix":
-        """The matrix with row i divided by divisors[i], built on the CSR
-        nonzeros without densifying."""
+        """The matrix with row i divided by divisors[i], built on the stored
+        entries without densifying; a fully stored design divides its dense
+        rows, the same quotients, and builds no sparse layout."""
+        divisors = np.asarray(divisors, dtype=np.float64)
+        if self._dense_rows is not None:
+            return SparseDesignMatrix(self._dense_rows / divisors[:, None],
+                                      _owned=True)
         csr = self._csr
-        data = csr.data / np.repeat(np.asarray(divisors, dtype=np.float64),
-                                    self.row_nnz)
+        data = csr.data / np.repeat(divisors, self.row_nnz)
+        # the CSR shares this design's indices, which __init__ compacts in
+        # place unless it copies them, so this build keeps the copy
         return SparseDesignMatrix(
             sp.csr_matrix((data, csr.indices, csr.indptr), shape=self.shape))
 
@@ -308,7 +315,7 @@ def top_k_by_magnitude(v: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
     part = a if k == d else np.partition(a, d - k)
-    if not np.isfinite(part[d - k:].max()):
+    if not math.isfinite(part[d - k:].max()):
         raise ValueError(f"the input must be finite; it has "
                          f"{np.count_nonzero(~np.isfinite(a))} NaN or "
                          f"infinite entries")

@@ -187,7 +187,8 @@ def parse_libsvm(source: Union[str, TextIO], n_cols: Optional[int] = None,
     source is a path or an open text handle. n_cols forces the column count
     (errors on the line of an index that exceeds it); otherwise the max seen
     index is used. Lines are converted `_BATCH_TOKENS` tokens at a time into
-    typed buffers, from which the design is built as CSR.
+    typed buffers, from which the design is built as CSR and held without
+    a copy.
     """
     if isinstance(source, str):
         handle, owned, name = open(source, "r"), True, source
@@ -224,7 +225,8 @@ def parse_libsvm(source: Union[str, TextIO], n_cols: Optional[int] = None,
         label_arr = np.where(label_arr == 1.0, 1.0, -1.0)
     indptr = np.concatenate(([0], np.cumsum(np.frombuffer(counts, np.int64))))
     matrix = SparseDesignMatrix(sp.csr_matrix(
-        (np.frombuffer(vals), index, indptr), shape=(len(counts), d)))
+        (np.frombuffer(vals), index, indptr), shape=(len(counts), d)),
+        _owned=True)
     return Dataset(matrix=matrix, labels=label_arr)
 
 
@@ -299,5 +301,5 @@ def generate_synthetic(spec: SyntheticSpec):
         if spec.noise_level > 0.0:
             targets = targets + spec.noise_level * rng.normals(n * c).reshape(n, c)
         truth = X0
-    return Dataset(matrix=SparseDesignMatrix.from_dense(A),
+    return Dataset(matrix=SparseDesignMatrix(A, _owned=True),
                    labels=targets), truth

@@ -60,7 +60,7 @@ class ConvergenceTrace:
     def append(self, iteration, elapsed_seconds, primal, dual, flops, support):
         if self.records and iteration <= self.records[-1].iteration:
             raise ValueError("trace iterations must be strictly increasing")
-        if not (np.isfinite(primal) and np.isfinite(dual)):
+        if not (math.isfinite(primal) and math.isfinite(dual)):
             raise DivergenceError(iteration,
                                   f"primal={primal!r}, dual={dual!r}")
         self.records.append(TraceRecord(iteration, float(elapsed_seconds),

@@ -333,7 +333,7 @@ def test_criterion_07_cache_maintenance_after_100_iterations():
     # vector caches to 1e-9 relative
     rng = PortableRng(700)
     n, d = 60, 40
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     loss = smooth_hinge_loss(np.where(rng.uniforms(n) > 0.5, 1.0, -1.0))
     reg = Regularizer(mu=0.2)
     cfg = SolverConfig(radius=2.0, s=5, k=10, delta=1.0)
@@ -349,7 +349,7 @@ def test_criterion_07_cache_maintenance_after_100_iterations():
     # matrix caches to 1e-8 relative
     n, d, c = 40, 20, 12
     rng = PortableRng(701)
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     mloss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     mcfg = SolverConfig(radius=5.0, s=3, k=12, delta=2.0)
     mcfg = resolve(mcfg, A, c)
@@ -436,7 +436,7 @@ def test_criterion_09_weak_duality_on_all_recorded_iterates():
     # trace registered by the other criteria in this module
     rng = PortableRng(900)
     n, d = 40, 25
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     reg = Regularizer(mu=0.4)
     losses = {"hinge": smooth_hinge_loss(
                   np.where(rng.uniforms(n) > 0.5, 1.0, -1.0)),

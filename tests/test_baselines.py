@@ -20,7 +20,7 @@ _SOLVERS = {"fw": solve_fw, "acc_pgd": solve_acc_pgd, "svrg": solve_svrg}
 
 def _random_instance(seed, n, d, kind="quadratic"):
     rng = PortableRng(seed)
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     if kind == "quadratic":
         loss = quadratic_loss(rng.normals(n))
     else:
@@ -58,7 +58,7 @@ def test_nonpositive_gap_tol_runs_whole_budget(kind, gap_tol):
 
 def test_total_smoothness_frozen():
     # [DERIVED] max row norm sq of [[3,4],[0,1]] is 25; beta = 1; mu = 0.5
-    A = SparseDesignMatrix.from_dense(np.array([[3.0, 4.0], [0.0, 1.0]]))
+    A = SparseDesignMatrix(np.array([[3.0, 4.0], [0.0, 1.0]]))
     assert total_smoothness(A, Regularizer(mu=0.5)) == \
         pytest.approx(25.5, abs=1e-12)
 
@@ -69,7 +69,7 @@ def test_total_smoothness_frozen():
 
 @pytest.mark.parametrize("kind", BASELINE_KINDS)
 def test_zero_targets_are_a_fixed_point(kind):
-    A = SparseDesignMatrix.from_dense(np.eye(3))
+    A = SparseDesignMatrix(np.eye(3))
     loss = quadratic_loss(np.zeros(3))
     cfg = BaselineConfig(kind=kind, radius=1.0, max_iters=50)
     x, trace = _SOLVERS[kind](A, loss, Regularizer(mu=1.0), cfg)
@@ -83,7 +83,7 @@ def test_fw_one_dimensional_boundary_optimum():
     # the ball of radius 0.5, so x* = 0.5 and
     # P* = (0.5 - 2)^2/2 + 0.5 * 0.25 = 1.25. The first step (eta = 1) lands
     # exactly on the optimal vertex.
-    A = SparseDesignMatrix.from_dense(np.array([[1.0]]))
+    A = SparseDesignMatrix(np.array([[1.0]]))
     loss = quadratic_loss(np.array([2.0]))
     cfg = BaselineConfig(kind="fw", radius=0.5, max_iters=500, gap_tol=1e-12)
     x, trace = solve_fw(A, loss, Regularizer(mu=1.0), cfg)
@@ -109,7 +109,7 @@ def test_svrg_single_sample_reduces_to_projected_gradient():
     # [DERIVED] with n = 1 the variance-reduction correction cancels the
     # snapshot gradient, leaving deterministic projected gradient descent
     a = np.array([0.6, -0.8, 0.2])
-    A = SparseDesignMatrix.from_dense(a[None, :])
+    A = SparseDesignMatrix(a[None, :])
     loss = quadratic_loss(np.array([1.5]))
     reg = Regularizer(mu=0.4)
     cfg = BaselineConfig(kind="svrg", radius=1.2, max_iters=40, gap_tol=1e-16)
@@ -179,7 +179,7 @@ def test_dispatch_matches_direct_call(kind):
 
 @pytest.mark.parametrize("kind", BASELINE_KINDS)
 def test_sample_count_mismatch_raises(kind):
-    A = SparseDesignMatrix.from_dense(np.eye(3))
+    A = SparseDesignMatrix(np.eye(3))
     loss = quadratic_loss(np.zeros(4))
     cfg = BaselineConfig(kind=kind, radius=1.0)
     with pytest.raises(ValueError, match="sample count"):

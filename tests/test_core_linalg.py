@@ -377,7 +377,7 @@ def small_matrix():
         [0.0, 3.0, 0.0, 0.5],
         [4.0, 0.0, 0.0, 0.0],
     ])
-    return SparseDesignMatrix.from_dense(dense), dense
+    return SparseDesignMatrix(dense), dense
 
 
 def test_matrix_shapes_and_counts():
@@ -424,9 +424,9 @@ def test_from_coo_canonicalizes_duplicates_and_zeros():
 
 def test_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
-        SparseDesignMatrix.from_dense(np.array([[1.0, np.nan]]))
+        SparseDesignMatrix(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):
-        SparseDesignMatrix.from_dense(np.array([[np.inf, 1.0]]))
+        SparseDesignMatrix(np.array([[np.inf, 1.0]]))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             SparseDesignMatrix(np.array([[1.0, 0.0], [bad, 2.0]]))
@@ -442,7 +442,7 @@ def test_dual_layout_consistency_random():
     for _ in range(20):
         n, d = int(rng.integers(1, 50)), int(rng.integers(1, 50))
         dense = rng.normal(size=(n, d)) * (rng.random(size=(n, d)) < 0.3)
-        A = SparseDesignMatrix.from_dense(dense)
+        A = SparseDesignMatrix(dense)
         x = rng.normal(size=d)
         y = rng.normal(size=n)
         assert_allclose(A.matvec(x), dense @ x, atol=1e-12)
@@ -508,7 +508,6 @@ def dense_inputs(draw):
 @given(dense_inputs())
 def test_dense_construction_matches_the_coo_round_trip(dense):
     assert_same_construction(SparseDesignMatrix(dense), dense)
-    assert_same_construction(SparseDesignMatrix.from_dense(dense), dense)
 
 
 @st.composite
@@ -541,7 +540,7 @@ def test_row_norms_keep_their_bits_when_squares_underflow():
     row = rng.normal(size=(1, 40)) * 10.0 ** rng.integers(-4, 5, size=(1, 40))
     row[0, rng.integers(0, 40, size=3)] = 1e-170
     naive = np.add.reduceat(np.square(row.ravel()), [0])
-    A = SparseDesignMatrix.from_dense(row)
+    A = SparseDesignMatrix(row)
     assert not np.array_equal(A.row_norms_sq, naive)
     assert_same_construction(A, row)
 
@@ -550,8 +549,8 @@ def test_row_norms_rescale_a_row_whose_squares_are_subnormal():
     # 1e-160 squared is a subnormal 1e-320 with a few significant digits, so
     # the cached square's root was 1.41420569e-160; a row whose largest
     # square is normal keeps the bits of its cached square's root
-    A = SparseDesignMatrix.from_dense([[1e-160, 1e-160], [3.0, 4.0],
-                                       [1e-150, 1e-170]])
+    A = SparseDesignMatrix(np.array([[1e-160, 1e-160], [3.0, 4.0],
+                                     [1e-150, 1e-170]]))
     assert 0.0 < A.row_norms_sq[0] < np.finfo(float).tiny
     norms = A.row_norms()
     np.testing.assert_allclose(norms[0], np.sqrt(2.0) * 1e-160,
@@ -563,8 +562,6 @@ def test_row_norms_rescale_a_row_whose_squares_are_subnormal():
 def test_three_dimensional_input_raises():
     with pytest.raises(ValueError):
         SparseDesignMatrix(np.ones((2, 3, 4)))
-    with pytest.raises(ValueError):
-        SparseDesignMatrix.from_dense(np.ones((2, 3, 4)))
 
 
 # ----------------------------------------------------------- partial updates
@@ -630,7 +627,7 @@ def test_apply_sparse_col_product_rejects_values_of_another_length(
     # the sparse route's compiled loop would read past the end of `values`
     A, dense = small_matrix()
     if dense_route:
-        A = SparseDesignMatrix.from_dense(np.where(dense == 0.0, 0.5, dense))
+        A = SparseDesignMatrix(np.where(dense == 0.0, 0.5, dense))
     assert (A._dense_cols is not None) == dense_route
     update = SparseUpdate(indices=np.array([0, 3]), values=np.array(values))
     with pytest.raises(ValueError, match="differ in shape"):
@@ -701,7 +698,7 @@ def sparse_designs(draw):
                      _random_entries(rng, n, d), 0.0)
     dense[draw(st.integers(0, n - 1))] = 0.0
     dense[:, draw(st.integers(0, d - 1))] = 0.0
-    return SparseDesignMatrix.from_dense(dense), rng
+    return SparseDesignMatrix(dense), rng
 
 
 @st.composite
@@ -711,7 +708,7 @@ def dense_designs(draw):
     are included: there a kernel sums a single column of terms."""
     n, d = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    A = SparseDesignMatrix.from_dense(_random_entries(rng, n, d))
+    A = SparseDesignMatrix(_random_entries(rng, n, d))
     assert A._dense_rows is not None and A._dense_cols is not None
     return A, rng
 
@@ -805,7 +802,7 @@ def test_apply_row_slice_transpose_dense_route_bit_identical_to_loop(
 @given(dense_designs(), st.data())
 def test_update_kernels_dense_route_near_the_sparse_route(design, data):
     A, _ = design
-    sparse_route = SparseDesignMatrix.from_dense(A.to_dense())
+    sparse_route = SparseDesignMatrix(A.to_dense())
     sparse_route._dense_rows = sparse_route._dense_cols = None
     check_col_product(*design, data, oracle=lambda _, *args:
                       apply_sparse_col_product(sparse_route, *args))
@@ -822,7 +819,7 @@ def test_update_kernels_return_float64_for_any_real_input(route, dtype):
     dense = _random_entries(rng, 7, 5)
     if route == "sparse":
         dense[[0, 3, 3, 6], [1, 0, 4, 2]] = 0.0
-    A = SparseDesignMatrix.from_dense(dense)
+    A = SparseDesignMatrix(dense)
     assert (A._dense_rows is not None) == (route == "dense")
     w = (100.0 * rng.normal(size=7)).astype(dtype)
     z = (100.0 * rng.normal(size=5)).astype(dtype)
@@ -865,7 +862,7 @@ def test_update_kernels_bit_identical_to_loop_with_int64_indices(design,
 
 
 def test_update_kernels_match_loop_with_int64_indices_on_repeats():
-    A = with_int64_indices(SparseDesignMatrix.from_dense(EDGE_DESIGN))
+    A = with_int64_indices(SparseDesignMatrix(EDGE_DESIGN))
     idx = np.array([3, 0, 3, 1, 0])  # unsorted, with repeats
     coef = np.array([1.5, -2.0, 1e-6, 3e5, -0.25])
     dx = SparseUpdate(indices=idx, values=coef)
@@ -911,7 +908,7 @@ def test_dense_route_bit_identical_across_blocks_at_the_default_budget():
     # 500 rows or columns, drawn with repeats, cross three or more blocks at
     # the default budget and end partway through one
     rng = np.random.default_rng(14)
-    A = SparseDesignMatrix.from_dense(_random_entries(rng, 300, 400))
+    A = SparseDesignMatrix(_random_entries(rng, 300, 400))
     for width in (A.n_rows, A.n_cols):
         block = core_linalg._FOLD_BYTES // (8 * width)
         assert 500 > 2 * block and 500 % block != 0
@@ -941,7 +938,7 @@ EDGE_SELECTIONS = [[], [1], [2], [3, 0, 3, 1], [2, 2]]
 
 
 def check_edge_selection(dense, sel):
-    A = SparseDesignMatrix.from_dense(dense)
+    A = SparseDesignMatrix(dense)
     dense_route = A._dense_rows is not None
     assert dense_route == (0.0 not in dense)
     idx = np.array(sel, dtype=np.int64)
@@ -970,9 +967,9 @@ def test_update_kernels_match_loop_on_dense_edge_selections(sel):
 def test_one_exact_zero_sends_a_design_to_the_sparse_route():
     rng = np.random.default_rng(11)
     dense = _random_entries(rng, 6, 5)
-    assert SparseDesignMatrix.from_dense(dense)._dense_rows is not None
+    assert SparseDesignMatrix(dense)._dense_rows is not None
     dense[4, 2] = 0.0
-    A = SparseDesignMatrix.from_dense(dense)
+    A = SparseDesignMatrix(dense)
     assert A.nnz == 29
     assert A._dense_rows is None and A._dense_cols is None
     idx = np.array([4, 2, 2, 0])
@@ -989,7 +986,7 @@ def test_one_exact_zero_sends_a_design_to_the_sparse_route():
 
 def test_dense_views_copy_nothing_and_are_read_only():
     rng = np.random.default_rng(3)
-    A = SparseDesignMatrix.from_dense(_random_entries(rng, 4, 7))
+    A = SparseDesignMatrix(_random_entries(rng, 4, 7))
     # the sparse layouts are built on first read, not by to_dense
     assert A.to_dense().flags.writeable
     assert "_csr" not in vars(A) and "_csc" not in vars(A)
@@ -999,6 +996,41 @@ def test_dense_views_copy_nothing_and_are_read_only():
     np.testing.assert_array_equal(A._dense_cols, A.to_dense().T)
     assert not A._dense_rows.flags.writeable
     assert not A._dense_cols.flags.writeable
+
+
+def test_constructor_copies_what_the_caller_keeps():
+    # the caller's array or CSR stays its own: writeable, and writing into
+    # it moves neither the design's stored arrays nor its cached norms
+    rng = np.random.default_rng(4)
+    full = _random_entries(rng, 5, 6)
+    with_zero = full.copy()
+    with_zero[1, 2] = 0.0
+    for source in (full, with_zero, sp.csr_matrix(with_zero)):
+        A = SparseDesignMatrix(source)
+        held = [A._dense_rows, A._dense_cols] if A._dense_rows is not None \
+            else [getattr(layout, name) for layout in (A._csr, A._csc)
+                  for name in ("data", "indices", "indptr")]
+        before = [part.tobytes() for part in held + [A.row_norms_sq]]
+        kept = [source] if isinstance(source, np.ndarray) else \
+            [source.data, source.indices, source.indptr]
+        for part in kept:
+            assert part.flags.writeable
+            part[...] = 0
+        assert [part.tobytes() for part in held + [A.row_norms_sq]] == before
+
+
+def test_divide_rows_leaves_the_sparse_input_intact():
+    # 5e-324 / 1e10 underflows to 0.0, which the quotient's design drops; the
+    # quotient's CSR shares the input's index arrays until the copy in
+    # __init__, so dropping it in place would shift the input's indices
+    A = SparseDesignMatrix(np.array([[5e-324, 0.0, 1e10], [0.0, 2.0, 0.0]]))
+    held = [A._csr.data, A._csr.indices, A._csr.indptr, A.row_norms_sq]
+    before = [part.tobytes() for part in held]
+    out = A.divide_rows(np.array([1e10, 2.0]))
+    assert out.nnz == 2 and A.nnz == 3
+    np.testing.assert_array_equal(out.to_dense(), [[0.0, 0.0, 1.0],
+                                                   [0.0, 1.0, 0.0]])
+    assert [part.tobytes() for part in held] == before
 
 
 @settings(max_examples=100, deadline=None)
@@ -1015,7 +1047,7 @@ def test_row_submatrix_t_dot_dense_route(design, data):
     scale = np.abs(sub).T @ np.abs(block)
     assert got.shape == (A.n_cols, block.shape[1])
     assert np.all(np.abs(got - sub.T @ block) <= 1e-13 * scale)
-    sparse_route = SparseDesignMatrix.from_dense(A.to_dense())
+    sparse_route = SparseDesignMatrix(A.to_dense())
     sparse_route._dense_rows = None
     assert np.all(np.abs(got - sparse_route.row_submatrix_t_dot(rows, block))
                   <= 1e-13 * scale)
@@ -1095,7 +1127,7 @@ def test_one_exact_zero_keeps_products_on_the_csr_route():
     rng = np.random.default_rng(13)
     dense = _random_entries(rng, 40, 30)
     dense[17, 3] = 0.0
-    A = SparseDesignMatrix.from_dense(dense)
+    A = SparseDesignMatrix(dense)
     assert A._dense_rows is None
     x, y = rng.normal(size=30), rng.normal(size=40)
     X, Y = rng.normal(size=(30, 3)), rng.normal(size=(40, 3))
@@ -1115,8 +1147,7 @@ def _solver_design(kind):
     n, d = 60, 150
     rng = PortableRng(7)
     if kind == "dense":
-        return SparseDesignMatrix.from_dense(
-            rng.normals(n * d).reshape(n, d)), rng
+        return SparseDesignMatrix(rng.normals(n * d).reshape(n, d)), rng
     density = 0.08
     if kind == "wide_hinge":
         # d past the projection's first guess, about 12 entries a row; most

@@ -459,7 +459,7 @@ def test_write_then_parse_round_trips(tmp_path):
 
 def test_dataset_rejects_label_row_mismatch():
     from pdbfw.core_linalg import SparseDesignMatrix
-    matrix = SparseDesignMatrix.from_dense(np.eye(3))
+    matrix = SparseDesignMatrix(np.eye(3))
     with pytest.raises(ValueError, match="labels"):
         Dataset(matrix=matrix, labels=np.zeros(2))
 
@@ -487,7 +487,7 @@ def test_normalize_rows_idempotent():
     rng = PortableRng(17)
     from pdbfw.core_linalg import SparseDesignMatrix
     dense = rng.normals(20).reshape(4, 5) * 7.0
-    ds = Dataset(matrix=SparseDesignMatrix.from_dense(dense),
+    ds = Dataset(matrix=SparseDesignMatrix(dense),
                  labels=np.ones(4))
     once = normalize_rows(ds)
     twice = normalize_rows(once)
@@ -623,6 +623,85 @@ def test_synthetic_sparse_deterministic_and_consistent():
     assert np.count_nonzero(x1) == 4
     # noiseless targets are exactly the design applied to the truth
     np.testing.assert_array_equal(ds1.labels, ds1.matrix.to_dense() @ x1)
+
+
+def test_synthetic_frozen_designs_targets_and_truths():
+    # [DERIVED] recorded before the generator handed its array to the design
+    # without a copy; the columns are the rows' entries in column order
+    sparse = SyntheticSpec(kind="sparse_regression", n=3, d=4,
+                           true_sparsity_or_rank=2, noise_level=0.5, seed=3)
+    trace = SyntheticSpec(kind="trace_sensing", n=3, d=3, c=2,
+                          true_sparsity_or_rank=1, noise_level=0.5, seed=3)
+    want = {
+        sparse: dict(
+            rows=["0x1.398c910d1ea1cp-1", "0x1.644f330551ec3p-1",
+                  "0x1.25f054e106e5dp-2", "-0x1.ee5c9c10939bap-3",
+                  "-0x1.95ad9946ab56bp-2", "0x1.6ce2abfa5f587p-6",
+                  "0x1.67555b4352cb6p-1", "-0x1.2ee6fb306270dp-1",
+                  "-0x1.1e68a651a2c0dp-2", "-0x1.aa6f2e51d3b18p-1",
+                  "-0x1.cffd338ecc475p-4", "-0x1.db15c4cb8164cp-2"],
+            cols=["0x1.398c910d1ea1cp-1", "-0x1.95ad9946ab56bp-2",
+                  "-0x1.1e68a651a2c0dp-2", "0x1.644f330551ec3p-1",
+                  "0x1.6ce2abfa5f587p-6", "-0x1.aa6f2e51d3b18p-1",
+                  "0x1.25f054e106e5dp-2", "0x1.67555b4352cb6p-1",
+                  "-0x1.cffd338ecc475p-4", "-0x1.ee5c9c10939bap-3",
+                  "-0x1.2ee6fb306270dp-1", "-0x1.db15c4cb8164cp-2"],
+            norms=["0x1.fffffffffffffp-1", "0x1.fffffffffffffp-1",
+                   "0x1.0000000000000p+0"],
+            labels=["0x1.d19edc5d3c408p+0", "-0x1.31251bc57bbf8p+0",
+                    "-0x1.9c8975128540fp-1"],
+            truth=["0x1.de9a8cf303d69p-1", "0x1.38ed2cc6756a6p+0",
+                   "0x0.0p+0", "0x0.0p+0"]),
+        trace: dict(
+            rows=["-0x1.443ffa7fdbeddp-1", "-0x1.75889ded8fe81p-1",
+                  "0x1.0869cd597851dp-2", "0x1.14250f1b02b31p-1",
+                  "0x1.49fb26b119ca9p-1", "-0x1.157d616a498fep-1",
+                  "-0x1.b956f832aa8e6p-1", "0x1.8cf60b850937ep-5",
+                  "0x1.025b143e9faf1p-1"],
+            cols=["-0x1.443ffa7fdbeddp-1", "0x1.14250f1b02b31p-1",
+                  "-0x1.b956f832aa8e6p-1", "-0x1.75889ded8fe81p-1",
+                  "0x1.49fb26b119ca9p-1", "0x1.8cf60b850937ep-5",
+                  "0x1.0869cd597851dp-2", "-0x1.157d616a498fep-1",
+                  "0x1.025b143e9faf1p-1"],
+            norms=["0x1.0000000000000p+0", "0x1.0000000000001p+0",
+                   "0x1.0000000000001p+0"],
+            labels=["-0x1.2395845c35edep-1", "-0x1.5884c23e84218p-1",
+                    "0x1.a50f46727d90bp-2", "-0x1.afd7a1d8cb32cp-1",
+                    "0x1.f9feecce847cdp-1", "-0x1.89a621eebdd8ap-1"],
+            truth=["-0x1.a84fe6d373b10p-3", "0x1.4e63ed2b75fe0p-1",
+                   "0x1.a942b4e9f8c2ep-6", "-0x1.4f23467ced7a6p-4",
+                   "-0x1.ac2152c03fa69p-4", "0x1.516635924d3d2p-2"]),
+    }
+    for spec, hexes in want.items():
+        ds, truth = generate_synthetic(spec)
+        A = ds.matrix
+        got = dict(rows=A._dense_rows, cols=A._dense_cols,
+                   norms=A.row_norms_sq, labels=ds.labels, truth=truth)
+        for name, values in got.items():
+            assert [float(v).hex() for v in values.ravel().tolist()] == \
+                hexes[name], (spec.kind, name)
+        assert A._dense_cols.shape == (A.n_cols, A.n_rows)
+
+
+def test_parse_frozen_csr_arrays():
+    # [DERIVED] recorded before the parser handed its buffers to the design
+    # without a copy: scipy's canonical CSR, with int32 indices
+    ds = parse_libsvm(io.StringIO(
+        "+1 2:0.25 5:-1.5e3\n-1 1:3\n\n+1 1:-0.125 3:7 4:1e-3\n"))
+    csr = ds.matrix._csr
+    assert csr.shape == (3, 5)
+    assert [float(v).hex() for v in csr.data.tolist()] == [
+        "0x1.0000000000000p-2", "-0x1.7700000000000p+10",
+        "0x1.8000000000000p+1", "-0x1.0000000000000p-3",
+        "0x1.c000000000000p+2", "0x1.0624dd2f1a9fcp-10"]
+    assert csr.indices.tolist() == [1, 4, 0, 0, 2, 3]
+    assert csr.indptr.tolist() == [0, 2, 3, 6]
+    assert csr.indices.dtype == csr.indptr.dtype == np.int32
+    assert csr.has_canonical_format
+    assert [float(v).hex() for v in ds.matrix.row_norms_sq.tolist()] == [
+        "0x1.12a8808000000p+21", "0x1.2000000000000p+3",
+        "0x1.8820008637bd0p+5"]
+    assert ds.labels.tolist() == [1.0, -1.0, 1.0]
 
 
 def test_synthetic_rows_unit_norm():

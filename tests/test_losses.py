@@ -257,7 +257,7 @@ def test_stored_box_and_conjugate_sum_keep_their_bits(n, seed, where, delta):
 def test_primal_objective_matches_manual_sum():
     rng = np.random.default_rng(9)
     dense = rng.normal(size=(5, 3))
-    A = SparseDesignMatrix.from_dense(dense)
+    A = SparseDesignMatrix(dense)
     x = rng.normal(size=3)
     labels = rng.choice([-1.0, 1.0], size=5)
     m = smooth_hinge_loss(labels)

@@ -137,7 +137,7 @@ def test_project_nuclear_ball_matches_spectrum_bisection():
 
 def _small_problem(kind, seed=11, n=4, d=3):
     rng = PortableRng(seed)
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     if kind == "hinge":
         labels = np.where(rng.uniforms(n) > 0.5, 1.0, -1.0)
         loss = smooth_hinge_loss(labels)
@@ -181,7 +181,7 @@ def test_dual_objective_matches_the_projected_point(case, mu, seed):
     c, radius = case
     rng = PortableRng(seed)
     n = 3
-    A = SparseDesignMatrix.from_dense(rng.normals(n * c.size).reshape(n, -1))
+    A = SparseDesignMatrix(rng.normals(n * c.size).reshape(n, -1))
     loss = quadratic_loss(rng.normals(n))
     reg = Regularizer(mu=mu)
     y = rng.normals(n)
@@ -202,7 +202,7 @@ def test_dual_objective_trace_matches_the_p_formula(case, mu, seed):
     sv = np.sort(np.abs(c))[::-1]
     rng = PortableRng(seed)
     n, d, cols = 3, 4, 2
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * cols).reshape(n, cols))
     reg = Regularizer(mu=mu)
     Y = rng.normals(n * cols).reshape(n, cols)
@@ -332,7 +332,7 @@ def test_l1_weak_duality_on_random_instances(seed, n, d, kind, fully_stored,
     if not fully_stored:
         dense[rng.random((n, d)) < 0.5] = 0.0
         dense[0, 0] = 0.0
-    A = SparseDesignMatrix.from_dense(dense)
+    A = SparseDesignMatrix(dense)
     assert (A._dense_cols is not None) == fully_stored
     if kind == "hinge":
         labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
@@ -357,7 +357,7 @@ def test_l1_weak_duality_on_random_instances(seed, n, d, kind, fully_stored,
 def test_dual_objective_trace_at_zero_is_zero():
     rng = PortableRng(31)
     n, d, c = 5, 4, 3
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     reg = Regularizer(mu=0.2)
     got = dual_objective_trace(A, loss, reg, np.zeros((n, c)), 2.0)
@@ -369,7 +369,7 @@ def test_dual_objective_trace_inner_min_dominates_samples():
     # of the trace-norm ball, and match the value at its own minimizer.
     rng = PortableRng(33)
     n, d, c = 5, 4, 3
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     reg = Regularizer(mu=0.3)
     Y = rng.normals(n * c).reshape(n, c)
@@ -392,7 +392,7 @@ def test_dual_objective_trace_inner_min_dominates_samples():
 def test_dual_objective_trace_accepts_precomputed_z():
     rng = PortableRng(35)
     n, d, c = 4, 3, 2
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     reg = Regularizer(mu=0.5)
     Y = rng.normals(n * c).reshape(n, c)
@@ -431,7 +431,7 @@ def test_dual_objective_trace_matches_dense_route(seed, d, c, rank_cut, scale,
     # below 1 binds and one of 1 or more leaves the ball feasible
     rng = PortableRng(seed)
     n = 4
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     reg = Regularizer(mu=mu)
     Y = rng.normals(n * c).reshape(n, c)
@@ -455,7 +455,7 @@ def test_trace_weak_duality_on_random_instances(seed, n, d, c, mu, radius,
     # weak duality: P(X) >= D(Y) for every X in the trace-norm ball and
     # every Y (the matrix quadratic conjugate is finite everywhere)
     rng = PortableRng(seed)
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     reg = Regularizer(mu=mu)
     Y = 3.0 * rng.normals(n * c).reshape(n, c)

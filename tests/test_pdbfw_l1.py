@@ -22,7 +22,7 @@ from pdbfw.pdbfw_trace import solve_trace
 
 def _random_instance(seed, n, d, kind="quadratic"):
     rng = PortableRng(seed)
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     if kind == "quadratic":
         loss = quadratic_loss(rng.normals(n))
     else:
@@ -40,7 +40,7 @@ def test_primal_step_frozen_example():
     #   the 1-sparse prox keeps coordinate 0 clipped to the ball: (1,0,0);
     #   x <- (1-eta) x + eta x_tilde = (0.5, 0, 0); w = Ax = (0.5, 0.5)
     #   costs the 2 nonzeros of column 0.
-    A = SparseDesignMatrix.from_dense(np.ones((2, 3)))
+    A = SparseDesignMatrix(np.ones((2, 3)))
     reg = Regularizer(mu=1.0)
     cfg = SolverConfig(radius=1.0, s=1, delta=1.0, k=1)
     state = SolverState.zeros(2, 3)
@@ -55,7 +55,7 @@ def test_primal_step_frozen_example():
 
 def test_dual_step_tie_break_picks_first_rows():
     # all proximal displacements equal: the greedy rule keeps the first k
-    A = SparseDesignMatrix.from_dense(np.eye(4))
+    A = SparseDesignMatrix(np.eye(4))
     loss = quadratic_loss(np.zeros(4))
     cfg = SolverConfig(radius=1.0, s=1, delta=1.0, k=2)
     state = SolverState.zeros(4, 4)
@@ -85,7 +85,7 @@ def test_dual_step_only_touches_selected_rows():
 
 
 def test_solve_zero_problem_stops_immediately():
-    A = SparseDesignMatrix.from_dense(np.eye(3))
+    A = SparseDesignMatrix(np.eye(3))
     loss = quadratic_loss(np.zeros(3))
     reg = Regularizer(mu=1.0)
     x, y, trace = solve(A, loss, reg, SolverConfig(radius=1.0, s=1))
@@ -129,7 +129,7 @@ def test_solve_records_every_iteration_from_zero(entry_point):
 
 
 def test_solve_rejects_sample_count_mismatch():
-    A = SparseDesignMatrix.from_dense(np.eye(3))
+    A = SparseDesignMatrix(np.eye(3))
     loss = quadratic_loss(np.zeros(4))
     with pytest.raises(ValueError, match="sample count"):
         solve(A, loss, Regularizer(mu=1.0), SolverConfig(radius=1.0, s=1))
@@ -209,7 +209,7 @@ def test_full_budget_matches_dense_reference():
     rng = PortableRng(90)
     A_dense = rng.normals(n * d).reshape(n, d)
     b = rng.normals(n)
-    A = SparseDesignMatrix.from_dense(A_dense)
+    A = SparseDesignMatrix(A_dense)
     loss = quadratic_loss(b)
     reg = Regularizer(mu=0.6)
     cfg = SolverConfig(radius=1.2, s=d, k=n, delta=0.8,
@@ -246,7 +246,7 @@ class _PoisonedLoss:
 
 
 def test_divergence_error_names_iteration():
-    A = SparseDesignMatrix.from_dense(PortableRng(95).normals(12).reshape(4, 3))
+    A = SparseDesignMatrix(PortableRng(95).normals(12).reshape(4, 3))
     loss = _PoisonedLoss(n=4, poison_after=3)  # records 0..2 fine, 3 poisoned
     reg = Regularizer(mu=1.0)
     cfg = SolverConfig(radius=1.0, s=1, max_iters=10, gap_tol=-1.0)

@@ -192,7 +192,7 @@ def test_dual_step_trace_single_task_matches_vector_rule():
     dense = rng.normals(n * d).reshape(n, d)
     b = rng.normals(n)
     w = rng.normals(n)
-    A = SparseDesignMatrix.from_dense(dense)
+    A = SparseDesignMatrix(dense)
     cfg = SolverConfig(radius=1.0, s=1, delta=0.9, k=3)
 
     mstate = SolverState.zeros(n, d, 1)
@@ -212,7 +212,7 @@ def test_dual_step_trace_single_task_matches_vector_rule():
 def test_dual_step_trace_maintains_z():
     n, d, c = 12, 7, 4
     rng = PortableRng(240)
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     cfg = SolverConfig(radius=1.0, s=1, delta=1.3, k=4)
     state = SolverState.zeros(n, d, c)
@@ -229,7 +229,7 @@ def test_dual_step_trace_maintains_z():
 def test_primal_step_trace_rank_and_cache_maintenance():
     n, d, c = 20, 10, 8
     rng = PortableRng(250)
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     reg = Regularizer(mu=0.3)
     cfg = resolve(SolverConfig(radius=4.0, s=2, k=8, delta=2.0), A, c)
@@ -248,7 +248,7 @@ def test_primal_step_trace_rank_and_cache_maintenance():
 def test_primal_step_trace_audit_against_exact_oracle(monkeypatch):
     n, d, c = 15, 8, 6
     rng = PortableRng(260)
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     loss = MatrixQuadraticLoss(B=rng.normals(n * c).reshape(n, c))
     reg = Regularizer(mu=0.5)
     cfg = resolve(SolverConfig(radius=2.0, s=2, k=5, delta=1.0, gap_tol=1e-8),
@@ -383,7 +383,7 @@ def test_solve_trace_runs_share_no_warm_block():
 
 
 def test_solve_trace_zero_targets_stop_immediately():
-    A = SparseDesignMatrix.from_dense(np.eye(4))
+    A = SparseDesignMatrix(np.eye(4))
     loss = MatrixQuadraticLoss(B=np.zeros((4, 3)))
     _, _, trace = solve_trace(A, loss, Regularizer(mu=1.0),
                               SolverConfig(radius=1.0, s=1))
@@ -392,7 +392,7 @@ def test_solve_trace_zero_targets_stop_immediately():
 
 
 def test_solve_trace_rejects_sample_mismatch():
-    A = SparseDesignMatrix.from_dense(np.eye(4))
+    A = SparseDesignMatrix(np.eye(4))
     loss = MatrixQuadraticLoss(B=np.zeros((5, 2)))
     with pytest.raises(ValueError, match="sample count"):
         solve_trace(A, loss, Regularizer(mu=1.0),
@@ -406,7 +406,7 @@ def test_solve_trace_rejects_sample_mismatch():
 def test_resolve_trace_defaults():
     n, d, c = 30, 10, 6
     rng = PortableRng(270)
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     rc = resolve(SolverConfig(radius=1.0, s=2), A, c)
     assert rc.k == min(n, math.ceil(n * 2 * (1 / c + 1 / d)))
     assert rc.delta == float(n)
@@ -433,7 +433,7 @@ def test_default_steps_certify_the_trace_sweep_grid():
 
 
 def test_resolve_trace_rejects_oversized_rank_budget():
-    A = SparseDesignMatrix.from_dense(np.eye(5))
+    A = SparseDesignMatrix(np.eye(5))
     with pytest.raises(ValueError, match="rank budget"):
         resolve(SolverConfig(radius=1.0, s=4), A, 3)
 

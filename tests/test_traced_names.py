@@ -38,7 +38,7 @@ def test_every_traced_solver_name_is_looked_up_at_call_time(monkeypatch):
 
     rng = PortableRng(7)
     n, d, c = 10, 6, 3
-    A = SparseDesignMatrix.from_dense(rng.normals(n * d).reshape(n, d))
+    A = SparseDesignMatrix(rng.normals(n * d).reshape(n, d))
     loss = quadratic_loss(rng.normals(n))
     reg = Regularizer(mu=0.5)
     cfg = pdbfw_l1.SolverConfig(radius=1.0, s=2, max_iters=3, gap_tol=-1.0)
