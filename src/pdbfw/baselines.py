@@ -157,14 +157,15 @@ def solve_svrg(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
     rng = PortableRng(cfg.seed)
 
     def step(st):
-        ws = st.w  # snapshot predictions; exact because w == A x here
-        grad_snapshot = A.rmatvec(loss.derivatives(ws)) / n
+        # derivatives at the snapshot predictions; exact because w == A x here
+        derivs = loss.derivatives(st.w)
+        grad_snapshot = A.rmatvec(derivs) / n
+        snapshot = derivs.tolist()
         st.flops += A.nnz
         x = st.x
-        for i in rng.integers(n, n):
-            i = int(i)
+        for i in rng.integers(n, n).tolist():
             p = A.row_dot(i, x)
-            coeff = loss_derivative(loss, p, i) - loss_derivative(loss, float(ws[i]), i)
+            coeff = loss_derivative(loss, p, i) - snapshot[i]
             g = grad_snapshot + reg.grad(x)
             A.add_scaled_row(i, coeff, g)
             x = project_l1_ball(x - step_size * g, cfg.radius)

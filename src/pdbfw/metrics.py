@@ -28,6 +28,9 @@ from .core_linalg import (SparseDesignMatrix, l1_threshold, project_l1_ball,
                           range_svd)
 from .losses import LossModel, MatrixQuadraticLoss, Regularizer
 
+# range sketch columns past the rank to capture (s, or the last rank found)
+POWER_OVERSAMPLE = 4
+
 
 class DivergenceError(RuntimeError):
     """A solver produced a non-finite objective; .iteration names the step."""
@@ -153,7 +156,9 @@ def dual_objective(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
     n = A.n_rows
     if z is None:
         z = A.rmatvec(y)
-    return _inner_value(np.abs(z) / (n * reg.mu), radius, reg.mu) - conj / n
+    a = np.abs(z)
+    a /= n * reg.mu
+    return _inner_value(a, radius, reg.mu) - conj / n
 
 
 def _sketched_singular_values(M: np.ndarray, block: np.ndarray):
@@ -184,18 +189,34 @@ def _full_singular_values(M: np.ndarray) -> np.ndarray:
     return np.linalg.svd(M, compute_uv=False)
 
 
+def rank_count(sv: np.ndarray, shape) -> int:
+    """Count of the singular values sv of a matrix of the given shape above
+    the numerical-rank threshold max(shape) eps sv[0]."""
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sv > sv[0] * max(shape) * np.finfo(float).eps))
+
+
 class SketchedSpectrum:
-    """Singular values of one run's d x c matrices from the range sketch on
-    a fixed c x b block. The first miss switches the run to the full SVD
-    for good, so a run pays for at most one wasted sketch."""
+    """Singular values of one run's d x c matrices from range sketches on a
+    fixed c x b block: on all of it at first, on its first rank_count +
+    POWER_OVERSAMPLE columns after a hit on a nonzero matrix. A narrower
+    miss retries on the whole block; a miss there switches the run to the
+    full SVD for good, so it wastes at most one whole-block sketch."""
 
     def __init__(self, block: np.ndarray):
         self.block = block
+        self.width = block.shape[1]
 
     def __call__(self, M: np.ndarray) -> np.ndarray:
         if self.block is not None:
-            sv = _sketched_singular_values(M, self.block)
+            sv = _sketched_singular_values(M, self.block[:, :self.width])
+            if sv is None and self.width < self.block.shape[1]:
+                sv = _sketched_singular_values(M, self.block)
             if sv is not None:
+                if sv[0] > 0.0:
+                    self.width = min(rank_count(sv, M.shape) + POWER_OVERSAMPLE,
+                                     self.block.shape[1])
                 return sv
             self.block = None
         return _full_singular_values(M)
@@ -222,5 +243,5 @@ def dual_objective_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
     mu = reg.mu
     if Z is None:
         Z = A.rmatvec(Y)
-    sv = singular_values(-Z / (n * mu))
+    sv = singular_values(Z * (-1.0 / (n * mu)))
     return _inner_value(sv, radius, mu) - loss.conjugate_sum(Y) / n

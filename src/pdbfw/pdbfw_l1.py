@@ -121,8 +121,9 @@ def primal_step(state: SolverState, cfg: SolverConfig, A: SparseDesignMatrix,
     with c = z/n + grad g(x), whose exact solution is the sparse l1 prox of
     x - c/(L ETA). The iterate moves to (1 - ETA) x + ETA x_tilde.
     """
-    c = state.z / A.n_rows + reg.grad(state.x)
-    v = state.x - c / (reg.mu * ETA)
+    # x - c/(L ETA) is -x - 2z/(n mu) only because ETA = 1/2 (and L = mu)
+    v = state.z * (-1.0 / (A.n_rows * reg.mu * ETA))
+    v -= state.x
     x_tilde = sparse_l1_prox(v, cfg.radius, cfg.s)
     state.x *= 1.0 - ETA
     state.x[x_tilde.indices] += ETA * x_tilde.values

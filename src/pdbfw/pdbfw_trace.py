@@ -12,7 +12,7 @@ proximal displacement in Euclidean norm. Both steps run in
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -21,11 +21,11 @@ from .core_linalg import (SparseDesignMatrix, project_l1_ball, range_svd,
                           top_k_by_magnitude)
 from .data_io import PortableRng
 from .losses import MatrixQuadraticLoss, Regularizer
-from .metrics import SketchedSpectrum, dual_objective_trace, run_to_gap
+from .metrics import (POWER_OVERSAMPLE, SketchedSpectrum, dual_objective_trace,
+                      rank_count, run_to_gap)
 from .pdbfw_l1 import ETA, SolverConfig, SolverState, resolve
 
-# block power iteration limits (oversampled by 4 over the rank budget)
-POWER_OVERSAMPLE = 4
+# block power iteration limits (oversampled by POWER_OVERSAMPLE over s)
 POWER_MAX_SWEEPS = 100
 POWER_TOL = 1e-10
 VALUE_RTOL = 1e-14
@@ -130,16 +130,18 @@ def primal_step_trace(state: SolverState, cfg: SolverConfig,
     maintains W through the factor."""
     n = A.n_rows
     d, c = state.x.shape
-    G = state.z / n + reg.grad(state.x)
-    M = state.x - G / (reg.mu * ETA)
+    # x - (z/n + mu x)/(mu ETA) is -x - 2z/(n mu) only because ETA = 1/2
+    M = state.z * (-1.0 / (n * reg.mu * ETA))
+    M -= state.x
     factor = approx_lowrank_prox(M, cfg.radius, cfg.s, start)
     r = factor.rank
     state.x *= 1.0 - ETA
     state.w *= 1.0 - ETA
     if r > 0:
-        state.x += ETA * factor.to_dense()
-        AU = A.matvec(factor.left)  # n x r
-        state.w += ETA * ((AU * factor.singular) @ factor.right.T)
+        scaled = replace(factor, singular=ETA * factor.singular)
+        state.x += scaled.to_dense()
+        AU = A.matvec(scaled.left)  # n x r
+        state.w += (AU * scaled.singular) @ scaled.right.T
         state.flops += A.nnz * r + n * r * c + d * r * c
     return factor
 
@@ -150,20 +152,12 @@ def dual_step_trace(state: SolverState, cfg: SolverConfig,
     """Greedy k-row dual ascent; updates Y and Z, returns the rows."""
     Y_tilde = loss.dual_prox(state.w, state.y, cfg.delta, A.n_rows)
     diff = Y_tilde - state.y
-    rows = top_k_by_magnitude(np.linalg.norm(diff, axis=1), cfg.k)
+    rows = top_k_by_magnitude(np.einsum("ij,ij->i", diff, diff), cfg.k)
     dY = diff[rows]
     state.y[rows] = Y_tilde[rows]
     state.z += A.row_submatrix_t_dot(rows, dY)
     state.flops += int(A.row_nnz[rows].sum()) * loss.n_tasks
     return rows
-
-
-def _numerical_rank(X: np.ndarray, singular_values) -> int:
-    """Count of the values `singular_values(X)` above max(d, c) eps sv[0]."""
-    sv = singular_values(X)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > sv[0] * max(X.shape) * np.finfo(float).eps))
 
 
 def solve_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
@@ -177,9 +171,10 @@ def solve_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
 
     Each prox starts from the previous one's right block. Both records take
     their singular values from a `SketchedSpectrum` on the fixed
-    `_power_start` block: from a range sketch while it captures the matrix
-    to rounding, from the full SVD after its first miss. The support column
-    is the full SVD's count; the dual value can move in its last bits.
+    `_power_start` block: from range sketches sized to the last rank found
+    while they capture the matrix to rounding, from the full SVD after a
+    miss on the whole block. The support column is the full SVD's count;
+    the dual value can move in its last bits.
     """
     c = loss.n_tasks
     rc = resolve(cfg, A, c)
@@ -198,6 +193,6 @@ def solve_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
                                     singular_values=dual_sv)
 
     trace = run_to_gap(A, loss, reg, state, step, certificate,
-                       lambda X: _numerical_rank(X, rank_sv),
+                       lambda X: rank_count(rank_sv(X), X.shape),
                        rc.max_iters, rc.gap_tol)
     return state.x, state.y, trace

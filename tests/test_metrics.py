@@ -24,9 +24,11 @@ from pdbfw.core_linalg import SparseDesignMatrix
 from pdbfw.data_io import PortableRng
 from pdbfw.losses import (MatrixQuadraticLoss, Regularizer, quadratic_loss,
                           smooth_hinge_loss)
+from pdbfw import metrics
 from pdbfw.metrics import (ConvergenceTrace, DivergenceError, SketchedSpectrum,
-                           _sketched_singular_values, dual_objective,
-                           dual_objective_trace, project_nuclear_ball)
+                           _inner_value, _sketched_singular_values,
+                           dual_objective, dual_objective_trace,
+                           project_nuclear_ball, rank_count)
 from pdbfw.pdbfw_trace import _power_start
 from test_core_linalg import project_full_sort_oracle, projection_cases
 
@@ -154,6 +156,24 @@ def test_dual_objective_at_zero_is_zero():
         reg = Regularizer(mu=0.4)
         got = dual_objective(A, loss, reg, np.zeros(A.n_rows), 2.0)
         assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(projection_cases(), st.floats(0.05, 5.0), st.integers(1, 50),
+       st.integers(0, 2**32 - 1))
+def test_dual_objective_keeps_the_bits_of_the_scaled_magnitudes(case, mu, n,
+                                                                 seed):
+    # the certificate divides |z| in place: the same quotients as
+    # |z| / (n mu), so the same bits
+    z, radius = case
+    rng = PortableRng(seed)
+    A = SparseDesignMatrix(rng.normals(n * z.size).reshape(n, -1))
+    loss = quadratic_loss(rng.normals(n))
+    reg = Regularizer(mu=mu)
+    y = rng.normals(n)
+    want = _inner_value(np.abs(z) / (n * mu), radius, mu) - \
+        loss.conjugate_sum(y) / n
+    assert dual_objective(A, loss, reg, y, radius, z=z) == want
 
 
 def test_dual_objective_names_non_finite_z():
@@ -564,3 +584,76 @@ def test_sketched_spectrum_switches_to_full_svd_after_a_miss():
     assert spectrum.block is None
     np.testing.assert_array_equal(spectrum(low),
                                   np.linalg.svd(low, compute_uv=False))
+
+
+def _spied_widths(monkeypatch):
+    """The (block width, hit) of every range sketch from here on."""
+    log, sketch = [], metrics._sketched_singular_values
+
+    def spy(M, block):
+        sv = sketch(M, block)
+        log.append((block.shape[1], sv is not None))
+        return sv
+
+    monkeypatch.setattr(metrics, "_sketched_singular_values", spy)
+    return log
+
+
+def test_sketched_spectrum_narrows_to_the_rank_it_finds(monkeypatch):
+    # a rank-3 hit on a 12-column block: the next sketch takes 3 + 4 columns
+    log = _spied_widths(monkeypatch)
+    rng = PortableRng(47)
+    spectrum = SketchedSpectrum(_power_start(30, 12))
+    low = _spectrum_matrix(rng, 40, 30, [3.0, 2.0, 1.0])
+    assert spectrum(low).size == 12
+    sv = spectrum(low)
+    assert log == [(12, True), (7, True)]
+    assert sv.size == 7 and rank_count(sv, low.shape) == 3
+
+
+def test_sketched_spectrum_keeps_its_width_on_a_zero_matrix(monkeypatch):
+    log = _spied_widths(monkeypatch)
+    rng = PortableRng(47)
+    spectrum = SketchedSpectrum(_power_start(30, 12))
+    zero = np.zeros((40, 30))
+    low = _spectrum_matrix(rng, 40, 30, [3.0, 2.0, 1.0])
+    spectrum(zero)
+    spectrum(zero)
+    spectrum(low)
+    spectrum(zero)
+    spectrum(low)
+    assert [width for width, _ in log] == [12, 12, 12, 7, 7]
+    assert all(hit for _, hit in log)
+
+
+def test_sketched_spectrum_retries_a_rank_rise_on_the_whole_block(
+        monkeypatch):
+    # rank 9 misses at the narrowed width 7, hits on the whole block in the
+    # same call, and widens the next sketch to min(9 + 4, 12) columns
+    log = _spied_widths(monkeypatch)
+    rng = PortableRng(47)
+    spectrum = SketchedSpectrum(_power_start(30, 12))
+    spectrum(_spectrum_matrix(rng, 40, 30, [3.0, 2.0, 1.0]))
+    rise = _spectrum_matrix(rng, 40, 30, np.arange(9.0, 0.0, -1.0))
+    sv = spectrum(rise)
+    assert log == [(12, True), (7, False), (12, True)]
+    full = np.linalg.svd(rise, compute_uv=False)
+    assert rank_count(sv, rise.shape) == rank_count(full, rise.shape) == 9
+    assert spectrum.width == 12 and spectrum.block is not None
+
+
+def test_sketched_spectrum_keeps_the_full_svd_after_a_whole_block_miss(
+        monkeypatch):
+    log = _spied_widths(monkeypatch)
+    rng = PortableRng(47)
+    spectrum = SketchedSpectrum(_power_start(30, 12))
+    low = _spectrum_matrix(rng, 40, 30, [3.0, 2.0, 1.0])
+    spectrum(low)
+    full_rank = rng.normals(1200).reshape(40, 30)
+    np.testing.assert_array_equal(spectrum(full_rank),
+                                  np.linalg.svd(full_rank, compute_uv=False))
+    assert log == [(12, True), (7, False), (12, False)]
+    assert spectrum.block is None
+    np.testing.assert_array_equal(spectrum(low),
+                                  np.linalg.svd(low, compute_uv=False))
+    assert len(log) == 3

@@ -288,13 +288,42 @@ def test_solve_trace_recovers_planted_low_rank(monkeypatch):
     assert min(r.gap for r in trace.records) >= -1e-9
 
 
+def _spied_record_spectra(monkeypatch):
+    """The record spectra of the solves that follow, in order of creation.
+    Each one's `calls` holds, per call, the (block width, rank count or
+    None on a miss) of every range sketch the call made."""
+    spectra, in_call, sketch = [], [], metrics._sketched_singular_values
+
+    def spy(M, block):
+        sv = sketch(M, block)
+        in_call[-1].append((block.shape[1], None if sv is None
+                            else metrics.rank_count(sv, M.shape)))
+        return sv
+
+    class Spied(metrics.SketchedSpectrum):
+        def __init__(self, block):
+            super().__init__(block)
+            self.calls = []
+            spectra.append(self)
+
+        def __call__(self, M):
+            self.calls.append([])
+            in_call.append(self.calls[-1])
+            return super().__call__(M)
+
+    monkeypatch.setattr(metrics, "_sketched_singular_values", spy)
+    monkeypatch.setattr(pdbfw_trace, "SketchedSpectrum", Spied)
+    return spectra
+
+
 @pytest.mark.parametrize("noise, max_iters", [(0.0, 300), (1e-3, 20)])
 def test_solve_trace_sketched_records_match_full_svd(monkeypatch, noise,
                                                      max_iters):
     # the sketch only replaces the two records' SVDs, so every column but
     # dual and gap repeats bit for bit, and those agree to rounding. Noise
     # makes C = -Z/(n mu) and then X full rank: each record function misses
-    # once and keeps the full SVD for the rest of the run
+    # once on the whole block, after at most one miss at a narrowed width,
+    # and keeps the full SVD for the rest of the run
     spec = SyntheticSpec(kind="trace_sensing", n=60, d=40, c=30,
                          true_sparsity_or_rank=3, noise_level=noise, seed=0)
     ds, _ = generate_synthetic(spec)
@@ -302,22 +331,21 @@ def test_solve_trace_sketched_records_match_full_svd(monkeypatch, noise,
     reg = Regularizer(mu=10.0 / 60)
     cfg = SolverConfig(radius=10.0, s=5, k=30, delta=100.0,
                        max_iters=max_iters, gap_tol=1e-8)
-    sketch = metrics._sketched_singular_values
-    hits = []
-
-    def spy(M, block):
-        sv = sketch(M, block)
-        hits.append(sv is not None)
-        return sv
-
-    monkeypatch.setattr(metrics, "_sketched_singular_values", spy)
+    spectra = _spied_record_spectra(monkeypatch)
     X, Y, sketched = solve_trace(ds.matrix, loss, reg, cfg)
     monkeypatch.setattr(metrics, "_sketched_singular_values",
                         lambda M, block: None)
     X_full, Y_full, full = solve_trace(ds.matrix, loss, reg, cfg)
 
+    sketches = [[sketch for call in spectrum.calls for sketch in call]
+                for spectrum in spectra[:2]]
+    hits = [count is not None for run in sketches for _, count in run]
     if noise:
-        assert hits.count(False) == 2
+        for run in sketches:
+            whole = run[0][0]
+            misses = [width for width, count in run if count is None]
+            assert misses.count(whole) == 1
+            assert len(misses) <= 2
     else:
         assert sketched.final.gap <= cfg.gap_tol
         assert hits.count(True) == 2 * len(sketched)
@@ -330,6 +358,38 @@ def test_solve_trace_sketched_records_match_full_svd(monkeypatch, noise,
         scale = max(abs(want.primal), abs(want.dual))
         assert abs(got.dual - want.dual) <= 1e-12 * scale
         assert abs(got.gap - want.gap) <= 1e-12 * scale
+
+
+def test_record_sketches_narrow_to_the_rank_on_the_benchmark_shape(
+        monkeypatch):
+    # [MEASURED] the shape of the benchmark's trace_lowrank workload: both
+    # record matrices reach rank 10 against a block of s + 4 = 20 columns.
+    # Once a sketch has found a nonzero rank, every later one of the same
+    # record takes count + 4 columns and hits, and no record needs the
+    # full SVD
+    spec = SyntheticSpec(kind="trace_sensing", n=200, d=150, c=100,
+                         true_sparsity_or_rank=10, noise_level=0.0, seed=5)
+    ds, _ = generate_synthetic(spec)
+    cfg = SolverConfig(radius=40.0, s=16, k=100, delta=100.0, gap_tol=1e-8)
+    spectra = _spied_record_spectra(monkeypatch)
+
+    def refuse(M):
+        raise AssertionError("a record took the full SVD")
+
+    monkeypatch.setattr(metrics, "_full_singular_values", refuse)
+    _, _, trace = solve_trace(ds.matrix, MatrixQuadraticLoss(B=ds.labels),
+                              Regularizer(mu=10.0 / 200), cfg)
+    assert trace.final.gap <= cfg.gap_tol
+    assert len(spectra) == 2
+    for spectrum in spectra:
+        assert len(spectrum.calls) == len(trace)
+        assert spectrum.calls[0] == [(20, 0)]
+        found = 0
+        for call in spectrum.calls:
+            if found:
+                assert len(call) == 1 and call[0][0] <= found + 4
+            found = call[-1][1] or found
+        assert spectrum.calls[-1] == [(14, 10)]
 
 
 @pytest.mark.parametrize("noise", [1e-3, 0.03])
