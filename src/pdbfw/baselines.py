@@ -18,7 +18,8 @@ from .core_linalg import (SparseDesignMatrix, SparseUpdate,
                           apply_sparse_col_product, project_l1_ball)
 from .data_io import PortableRng
 from .losses import LossModel, Regularizer, loss_derivative
-from .metrics import check_run_settings, dual_objective, run_to_gap
+from .metrics import (check_integer, check_run_settings, dual_objective,
+                      run_to_gap)
 from .pdbfw_l1 import DEFAULT_GAP_TOL, SolverState
 
 BASELINE_KINDS = ("fw", "acc_pgd", "svrg")
@@ -48,8 +49,8 @@ class BaselineConfig:
             raise ValueError(
                 f"unknown baseline {self.kind!r}, expected one of {BASELINE_KINDS}")
         check_run_settings(self.radius, self.max_iters, self.gap_tol)
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        check_integer("record_every", self.record_every, 1)
+        check_integer("seed", self.seed)
 
 
 def total_smoothness(A: SparseDesignMatrix, reg: Regularizer) -> float:

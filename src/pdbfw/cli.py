@@ -37,8 +37,7 @@ from . import pdbfw_l1, pdbfw_trace
 from .baselines import BASELINE_KINDS, BaselineConfig, solve_baseline
 from .data_io import Dataset, ParseError, SyntheticSpec, generate_synthetic, \
     normalize_rows, parse_libsvm
-from .losses import MatrixQuadraticLoss, Regularizer, quadratic_loss, \
-    smooth_hinge_loss
+from .losses import Regularizer, quadratic_loss, smooth_hinge_loss
 from .metrics import ConvergenceTrace, DivergenceError
 from .pdbfw_trace import ApproximationError
 
@@ -110,6 +109,9 @@ def _solver_calls(args: argparse.Namespace, dataset: Dataset):
     d = A.n_cols
     mu = args.mu if args.mu is not None else 10.0 / A.n_rows
     reg = Regularizer(mu=mu)
+    make_loss = (smooth_hinge_loss if args.loss == "smooth_hinge"
+                 else quadratic_loss)
+    s_default, solve = min(10, d), pdbfw_l1.solve
     if dataset.labels.ndim == 2:
         wrong = [s for s in args.solvers if s != "pdbfw"]
         if wrong:
@@ -119,13 +121,9 @@ def _solver_calls(args: argparse.Namespace, dataset: Dataset):
         if args.loss != "quadratic":
             raise UsageError(
                 "the trace-norm ball only supports --loss quadratic")
-        loss = MatrixQuadraticLoss(B=dataset.labels)
-        s_default, solve = min(10, d, loss.n_tasks), pdbfw_trace.solve_trace
-    else:
-        make_loss = (smooth_hinge_loss if args.loss == "smooth_hinge"
-                     else quadratic_loss)
-        loss = make_loss(dataset.labels)
-        s_default, solve = min(10, d), pdbfw_l1.solve
+        s_default = min(s_default, dataset.labels.shape[1])
+        solve = pdbfw_trace.solve_trace
+    loss = make_loss(dataset.labels)
     calls = []
     for solver in args.solvers:
         if solver == "pdbfw":

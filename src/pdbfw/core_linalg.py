@@ -42,14 +42,14 @@ class SparseDesignMatrix:
         # it is when it is a C-order float64 array or a CSR
         csr = None
         if isinstance(matrix, np.ndarray):
-            a = np.atleast_2d(np.asarray(matrix))
-            if a.ndim != 2:
-                raise ValueError(f"design matrix must be 2-D, got {a.ndim}-D")
-            if a.size and a.all():  # fully stored: -0.0 is false, NaN true
-                rows = np.array(a, dtype=np.float64, order="C",
-                                copy=None if _owned else True)
-            else:
-                csr = _dense_to_csr(a)
+            matrix = np.atleast_2d(np.asarray(matrix))
+            if matrix.ndim != 2:
+                raise ValueError(
+                    f"design matrix must be 2-D, got {matrix.ndim}-D")
+        # fully stored: -0.0 is false, NaN true
+        if isinstance(matrix, np.ndarray) and matrix.size and matrix.all():
+            rows = np.array(matrix, dtype=np.float64, order="C",
+                            copy=None if _owned else True)
         else:
             csr = sp.csr_matrix(matrix, dtype=np.float64, copy=not _owned)
             csr.sum_duplicates()  # sorts the indices too
@@ -189,22 +189,10 @@ class SparseDesignMatrix:
         return np.asarray(sub.T @ np.asarray(block, dtype=np.float64))
 
 
-def _dense_to_csr(a: np.ndarray) -> sp.csr_matrix:
-    """The canonical CSR that scipy's COO round trip makes of a 2-D array
-    (+-0.0 is dropped, indices are int32 unless a size needs int64), built
-    from the nonzero mask without n*d indices."""
-    mask = a != 0.0
-    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
-    idx = sp.get_index_dtype(maxval=max(indptr[-1], *a.shape))
-    cols = np.broadcast_to(np.arange(a.shape[1], dtype=idx), a.shape)[mask]
-    return sp.csr_matrix((a[mask], cols, indptr.astype(idx)), shape=a.shape,
-                         dtype=np.float64)
-
-
 def _full_layout(kind, major: np.ndarray, shape):
     """The canonical CSR or CSC (`kind`) of a fully stored design whose
     compressed slices are the rows of `major`, over `major`'s memory; its
-    index dtype is the one `_dense_to_csr` and scipy's `tocsc` pick."""
+    index dtype is the one scipy's `csr_matrix` and `tocsc` pick."""
     m, k = major.shape
     idx = sp.get_index_dtype(maxval=max(major.size, m, k))
     return kind((major.ravel(), np.tile(np.arange(k, dtype=idx), m),
@@ -314,13 +302,11 @@ def top_k_by_magnitude(v: np.ndarray, k: int) -> np.ndarray:
     d = a.size
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
-    part = a if k == d else np.partition(a, d - k)
+    part = np.partition(a, d - k)
     if not math.isfinite(part[d - k:].max()):
         raise ValueError(f"the input must be finite; it has "
                          f"{np.count_nonzero(~np.isfinite(a))} NaN or "
                          f"infinite entries")
-    if k == d:
-        return np.arange(d, dtype=np.int64)
     tau = part[d - k]
     idx = np.flatnonzero(a >= tau)
     if idx.size == k:

@@ -1,5 +1,10 @@
-"""Separable loss models (smooth hinge, quadratic), the l2 regularizer, their
-convex conjugates, and the closed-form dual proximal update.
+"""Entrywise-separable loss models (smooth hinge, quadratic), the l2
+regularizer, their convex conjugates, and the closed-form dual proximal
+update.
+
+The targets are a vector (the l1 ball) or an n x c matrix (the trace-norm
+ball), where f_i sums the scalar loss over row i; the smooth hinge on
+one-vs-all +-1 targets is then a multi-class loss.
 
 Smooth hinge on the margin z = p * label:
 
@@ -7,11 +12,11 @@ Smooth hinge on the margin z = p * label:
            (1 - z)^2 / 2  if 0 <= z <= 1
            0              if z > 1
 
-Its conjugate h*(u) = u^2/2 + u is finite exactly on u in [-1, 0], so the
-dual variable of sample i lives in the box [-1, 0] for label +1 and [0, 1]
-for label -1. The quadratic loss f_i(p) = (p - b_i)^2 / 2 has conjugate
-f_i*(y) = y^2/2 + b_i*y, finite everywhere. Every loss here is 1-smooth and
-1-strongly convex on its curved region, which the step-size defaults assume.
+Its conjugate h*(u) = u^2/2 + u is finite exactly on u in [-1, 0], so a
+dual entry lives in the box [-1, 0] for label +1 and [0, 1] for label -1.
+The quadratic loss (p - b)^2 / 2 has conjugate y^2/2 + b*y, finite
+everywhere. Every loss here is 1-smooth and 1-strongly convex on its curved
+region, which the step-size defaults assume.
 """
 
 from __future__ import annotations
@@ -52,15 +57,16 @@ def _hinge_derivative(z):
 
 @dataclass(frozen=True)
 class LossModel:
-    """Separable per-sample loss family with conjugate and dual-prox support.
+    """Entrywise-separable loss family with conjugate and dual-prox support.
 
-    targets holds the labels (+-1, smooth hinge) or regression targets b_i
-    (quadratic).
+    targets holds the labels (+-1, smooth hinge) or regression targets
+    (quadratic): a vector, or an n x c matrix. Predictions and duals passed
+    to the methods have the targets' shape.
     """
 
     kind: str
     targets: np.ndarray
-    _box: tuple = field(init=False, repr=False, compare=False)
+    _box: tuple = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.targets, dtype=np.float64)
@@ -69,19 +75,22 @@ class LossModel:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if not np.all(np.isfinite(t)):
             raise ValueError("targets contain non-finite entries")
-        if self.kind == SMOOTH_HINGE and not np.all(np.isin(t, (-1.0, 1.0))):
-            raise ValueError("smooth hinge labels must be in {-1, +1}")
         if self.kind == SMOOTH_HINGE:
+            if not np.all(np.isin(t, (-1.0, 1.0))):
+                raise ValueError("smooth hinge labels must be in {-1, +1}")
             box = (np.where(t > 0, -1.0, 0.0), np.where(t > 0, 0.0, 1.0))
-        else:
-            box = (np.full(t.size, -np.inf), np.full(t.size, np.inf))
-        for bound in box:
-            bound.flags.writeable = False
-        object.__setattr__(self, "_box", box)
+            for bound in box:
+                bound.flags.writeable = False
+            object.__setattr__(self, "_box", box)
 
     @property
     def n(self) -> int:
-        return self.targets.size
+        return self.targets.shape[0]
+
+    @property
+    def n_tasks(self) -> int:
+        """The column count c of n x c targets."""
+        return self.targets.shape[1]
 
     def values(self, p: np.ndarray) -> np.ndarray:
         if self.kind == SMOOTH_HINGE:
@@ -94,10 +103,11 @@ class LossModel:
         return p - self.targets
 
     def mean_value(self, p: np.ndarray) -> float:
-        return float(self.values(p).mean())
+        """(1/n) sum_i f_i(p_i); on vectors the bits of values(p).mean()."""
+        return float(self.values(p).sum() / self.n)
 
     def conjugates(self, y: np.ndarray) -> np.ndarray:
-        """f_i*(y_i), +inf outside the conjugate box."""
+        """Entrywise conjugates, +inf outside the conjugate box."""
         if self.kind == SMOOTH_HINGE:
             u = y * self.targets
             inside = (u >= -1.0) & (u <= 0.0)
@@ -105,7 +115,7 @@ class LossModel:
         return 0.5 * y * y + self.targets * y
 
     def conjugate_sum(self, y: np.ndarray) -> float:
-        """sum_i f_i*(y_i), +inf when some y_i lies outside its box."""
+        """sum_i f_i*(y_i), +inf when some entry of y lies outside its box."""
         if self.kind == SMOOTH_HINGE:
             u = y * self.targets
             # min and max are NaN when some u is, and NaN fails both tests
@@ -119,13 +129,13 @@ class LossModel:
 
     def dual_prox(self, w: np.ndarray, y: np.ndarray, delta: float,
                   n: int) -> np.ndarray:
-        """Vectorized closed-form maximizer of the per-coordinate dual update
+        """Vectorized closed-form maximizer of the entrywise dual update
 
             (1/n) w_i u - (1/n) f_i*(u) - (1/(2 delta)) (u - y_i)^2.
 
         For both conjugates the stationary point is
         u* = (y_i + (delta/n)(w_i - t_i)) / (1 + delta/n) with t_i the label or
-        target; hinge coordinates are then clipped to their box (exact because
+        target; hinge entries are then clipped to their box (exact because
         the objective is concave).
         """
         if not 0.0 < delta < np.inf:
@@ -137,54 +147,35 @@ class LossModel:
         return u
 
 
-def smooth_hinge_loss(labels) -> LossModel:
-    return LossModel(kind=SMOOTH_HINGE, targets=np.asarray(labels, dtype=np.float64))
+class MatrixQuadraticLoss(LossModel):
+    """The quadratic loss on n x c targets B, f_i(p) = ||p - B_i||^2 / 2,
+    whose value and conjugate sums are BLAS inner products."""
 
-
-def quadratic_loss(targets) -> LossModel:
-    return LossModel(kind=QUADRATIC, targets=np.asarray(targets, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class MatrixQuadraticLoss:
-    """Row-separable quadratic loss for matrix predictions:
-    f_i(p) = ||p - B_i||^2 / 2 with p the i-th row of AX.
-
-    Entrywise it is the scalar quadratic loss, so conjugates and the dual prox
-    reuse the same closed forms column by column.
-    """
-
-    B: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.B, dtype=np.float64)
-        if b.ndim != 2:
+    def __init__(self, B):
+        super().__init__(QUADRATIC, B)
+        if self.targets.ndim != 2:
             raise ValueError("matrix targets must be 2-D")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("targets contain non-finite entries")
-        object.__setattr__(self, "B", b)
-
-    @property
-    def n(self) -> int:
-        return self.B.shape[0]
-
-    @property
-    def n_tasks(self) -> int:
-        return self.B.shape[1]
 
     def mean_value(self, P: np.ndarray) -> float:
-        diff = P - self.B
+        diff = P - self.targets
         return 0.5 * float(np.vdot(diff, diff)) / self.n
 
     def conjugate_sum(self, Y: np.ndarray) -> float:
-        return 0.5 * float(np.vdot(Y, Y)) + float(np.vdot(self.B, Y))
+        return 0.5 * float(np.vdot(Y, Y)) + float(np.vdot(self.targets, Y))
 
-    def dual_prox(self, W: np.ndarray, Y: np.ndarray, delta: float,
-                  n: int) -> np.ndarray:
-        if not 0.0 < delta < np.inf:
-            raise ValueError(f"delta must be positive and finite, got {delta}")
-        r = delta / n
-        return (Y + r * (W - self.B)) / (1.0 + r)
+    # bound here too because the benchmark tracer wraps it on this class
+    dual_prox = LossModel.dual_prox
+
+
+def smooth_hinge_loss(labels) -> LossModel:
+    return LossModel(kind=SMOOTH_HINGE, targets=labels)
+
+
+def quadratic_loss(targets) -> LossModel:
+    """The quadratic loss; on n x c targets a `MatrixQuadraticLoss`."""
+    if np.ndim(targets) == 2:
+        return MatrixQuadraticLoss(targets)
+    return LossModel(kind=QUADRATIC, targets=targets)
 
 
 def loss_derivative(m: LossModel, p: float, i: int) -> float:

@@ -19,6 +19,7 @@ defines the deterministic `seconds` axis written to trace CSVs.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .core_linalg import (SparseDesignMatrix, l1_threshold, project_l1_ball,
                           range_svd)
-from .losses import LossModel, MatrixQuadraticLoss, Regularizer
+from .losses import LossModel, Regularizer
 
 # range sketch columns past the rank to capture (s, or the last rank found)
 POWER_OVERSAMPLE = 4
@@ -79,15 +80,32 @@ class ConvergenceTrace:
         return self.records[-1]
 
 
+def check_integer(name: str, value, least: int = None) -> None:
+    """Raise ValueError unless value is an integer (numpy's too) that is,
+    when `least` is given, at least `least`."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def check_run_settings(radius: float, max_iters: int, gap_tol: float) -> None:
     """Check the settings every solver's config shares: a positive finite
-    ball radius, max_iters >= 0 and any gap_tol but NaN."""
+    ball radius, an integer max_iters >= 0 and any gap_tol but NaN."""
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    check_integer("max_iters", max_iters, 0)
     if math.isnan(gap_tol):
         raise ValueError("gap_tol must be a number, got nan")
+
+
+def check_targets(loss, ndim: int) -> None:
+    """Raise ValueError unless the loss's targets have the ball's ndim: 1
+    for the l1 ball, 2 (n x c) for the trace-norm ball."""
+    if loss.targets.ndim != ndim:
+        ball = "l1" if ndim == 1 else "trace-norm"
+        raise ValueError(f"the {ball} ball needs {ndim}-D targets, got "
+                         f"targets of shape {loss.targets.shape}")
 
 
 def run_to_gap(A: SparseDesignMatrix, loss, reg: Regularizer, state, step,
@@ -102,6 +120,7 @@ def run_to_gap(A: SparseDesignMatrix, loss, reg: Regularizer, state, step,
     the dual value `certificate(state)`, state.flops and `support(state.x)`;
     its elapsed time is read after the certificate.
     """
+    check_targets(loss, state.x.ndim)
     if loss.n != A.n_rows:
         raise ValueError("loss sample count does not match matrix rows")
     trace = ConvergenceTrace()
@@ -174,7 +193,9 @@ def _sketched_singular_values(M: np.ndarray, block: np.ndarray):
     value lies within r + tau/2 of tau, so no rank count can flip.
     """
     Q, B, _, sv, _ = range_svd(M, block, compute_uv=False)
-    residual = np.linalg.norm(M - Q @ B)
+    R = Q @ B
+    R -= M  # ||QB - M|| = ||M - QB||, with one d x c temporary
+    residual = np.linalg.norm(R)
     tau = sv[0] * max(M.shape) * np.finfo(float).eps
     if residual > 0.25 * tau:
         return None
@@ -222,7 +243,7 @@ class SketchedSpectrum:
         return _full_singular_values(M)
 
 
-def dual_objective_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
+def dual_objective_trace(A: SparseDesignMatrix, loss: LossModel,
                          reg: Regularizer, Y: np.ndarray, radius: float,
                          Z: np.ndarray = None,
                          singular_values=_full_singular_values) -> float:

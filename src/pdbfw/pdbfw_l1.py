@@ -23,7 +23,8 @@ from .core_linalg import (SparseDesignMatrix, SparseUpdate,
                           apply_row_slice_transpose, apply_sparse_col_product,
                           sparse_l1_prox, top_k_by_magnitude)
 from .losses import LossModel, Regularizer
-from .metrics import check_run_settings, dual_objective, run_to_gap
+from .metrics import (check_integer, check_run_settings, dual_objective,
+                      run_to_gap)
 
 DEFAULT_GAP_TOL = 1e-8
 # the primal step mu / (2 L) of both balls: g = (mu/2)||x||^2 has L = mu
@@ -61,13 +62,12 @@ class SolverConfig:
 
     def __post_init__(self):
         check_run_settings(self.radius, self.max_iters, self.gap_tol)
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
+        check_integer("s", self.s, 1)
         if self.delta is not None and not 0.0 < self.delta < math.inf:
             raise ValueError(
                 f"delta must be positive and finite, got {self.delta}")
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.k is not None:
+            check_integer("k", self.k, 1)
 
 
 def resolve(cfg: SolverConfig, A: SparseDesignMatrix,

@@ -20,9 +20,9 @@ import numpy as np
 from .core_linalg import (SparseDesignMatrix, project_l1_ball, range_svd,
                           top_k_by_magnitude)
 from .data_io import PortableRng
-from .losses import MatrixQuadraticLoss, Regularizer
-from .metrics import (POWER_OVERSAMPLE, SketchedSpectrum, dual_objective_trace,
-                      rank_count, run_to_gap)
+from .losses import LossModel, Regularizer
+from .metrics import (POWER_OVERSAMPLE, SketchedSpectrum, check_targets,
+                      dual_objective_trace, rank_count, run_to_gap)
 from .pdbfw_l1 import ETA, SolverConfig, SolverState, resolve
 
 # block power iteration limits (oversampled by POWER_OVERSAMPLE over s)
@@ -148,7 +148,7 @@ def primal_step_trace(state: SolverState, cfg: SolverConfig,
 
 def dual_step_trace(state: SolverState, cfg: SolverConfig,
                     A: SparseDesignMatrix,
-                    loss: MatrixQuadraticLoss) -> np.ndarray:
+                    loss: LossModel) -> np.ndarray:
     """Greedy k-row dual ascent; updates Y and Z, returns the rows."""
     Y_tilde = loss.dual_prox(state.w, state.y, cfg.delta, A.n_rows)
     diff = Y_tilde - state.y
@@ -160,11 +160,12 @@ def dual_step_trace(state: SolverState, cfg: SolverConfig,
     return rows
 
 
-def solve_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
-                reg: Regularizer, cfg: SolverConfig):
+def solve_trace(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
+                cfg: SolverConfig):
     """Run the trace-norm block primal-dual solver.
 
-    Parameters mirror the l1 solver; `loss` carries the n x c matrix targets.
+    Parameters mirror the l1 solver; `loss` may be any `LossModel` on n x c
+    targets, such as the smooth hinge on one-vs-all +-1 labels (multi-class).
 
     Returns (X, Y, trace). The trace's support column records the numerical
     rank of X.
@@ -176,6 +177,7 @@ def solve_trace(A: SparseDesignMatrix, loss: MatrixQuadraticLoss,
     miss on the whole block. The support column is the full SVD's count;
     the dual value can move in its last bits.
     """
+    check_targets(loss, 2)
     c = loss.n_tasks
     rc = resolve(cfg, A, c)
     state = SolverState.zeros(A.n_rows, A.n_cols, c)

@@ -367,35 +367,60 @@ def test_criterion_07_cache_maintenance_after_100_iterations():
 # Criterion 8: trace-norm recovery with audited prox calls
 
 
-def _nuclear_ball_reference(dense, B, mu, radius, iters=3000):
-    """Accelerated projected gradient on the trace-norm ball, restarted on
-    objective increase; dense SVD projection every step."""
+def _nuclear_ball_reference(dense, loss_sum, derivatives, mu, radius,
+                            iters=3000):
+    """Accelerated projected gradient on the trace-norm ball for
+    loss_sum(AX)/n + (mu/2)||X||^2, with `derivatives` the entrywise loss
+    derivative, restarted on objective increase; dense SVD projection every
+    step. Returns (objective, X)."""
     n, d = dense.shape
-    c = B.shape[1]
+    c = derivatives(np.zeros((n, 1))).shape[1]
     lipschitz = np.linalg.norm(dense, 2) ** 2 / n + mu
 
     def objective(M):
-        residual = dense @ M - B
-        return 0.5 * float(np.vdot(residual, residual)) / n \
-            + 0.5 * mu * float(np.vdot(M, M))
+        return loss_sum(dense @ M) / n + 0.5 * mu * float(np.vdot(M, M))
+
+    def gradient(M):
+        return dense.T @ derivatives(dense @ M) / n + mu * M
 
     X = np.zeros((d, c))
     extrap = X.copy()
     tau = 1.0
     prev = objective(X)
     for _ in range(iters):
-        grad = dense.T @ (dense @ extrap - B) / n + mu * extrap
-        X_new = project_nuclear_ball(extrap - grad / lipschitz, radius)
+        X_new = project_nuclear_ball(extrap - gradient(extrap) / lipschitz,
+                                     radius)
         value = objective(X_new)
         if value > prev:
-            grad = dense.T @ (dense @ X - B) / n + mu * X
-            X_new = project_nuclear_ball(X - grad / lipschitz, radius)
+            X_new = project_nuclear_ball(X - gradient(X) / lipschitz, radius)
             value = objective(X_new)
             tau = 1.0
         tau_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tau * tau))
         extrap = X_new + ((tau - 1.0) / tau_new) * (X_new - X)
         X, tau, prev = X_new, tau_new, value
-    return objective(X)
+    return objective(X), X
+
+
+def _quadratic_terms(B):
+    """The quadratic loss on targets B as (loss_sum, derivatives)."""
+    return (lambda P: 0.5 * float(np.vdot(P - B, P - B)), lambda P: P - B)
+
+
+def _smooth_hinge_terms(T):
+    """The smooth hinge on +-1 targets T as (loss_sum, derivatives),
+    written out from its three pieces on the margins P * T."""
+
+    def loss_sum(P):
+        z = P * T
+        return float(np.where(z < 0.0, 0.5 - z,
+                              np.where(z <= 1.0, 0.5 * (1.0 - z) ** 2,
+                                       0.0)).sum())
+
+    def derivatives(P):
+        z = P * T
+        return T * np.where(z < 0.0, -1.0, np.where(z <= 1.0, z - 1.0, 0.0))
+
+    return loss_sum, derivatives
 
 
 def test_criterion_08_trace_norm_recovery_with_audited_prox(monkeypatch):
@@ -416,8 +441,8 @@ def test_criterion_08_trace_norm_recovery_with_audited_prox(monkeypatch):
         _, _, trace = solve_trace(ds.matrix, loss, reg, cfg)
         _ALL_TRACES.append((f"pdbfw-trace-c8-r{rank}", trace))
 
-        p_star = _nuclear_ball_reference(ds.matrix.to_dense(), ds.labels,
-                                         0.1, radius)
+        p_star, _ = _nuclear_ball_reference(
+            ds.matrix.to_dense(), *_quadratic_terms(ds.labels), 0.1, radius)
         relative = (trace.final.primal - p_star) / p_star
         assert relative < 1e-3, f"rank {rank}: relative error {relative:.3e}"
         assert trace.final.iteration <= 500
@@ -425,6 +450,39 @@ def test_criterion_08_trace_norm_recovery_with_audited_prox(monkeypatch):
         assert all(rec.satisfied(0.5, cfg.gap_tol / 8.0) for rec in audit), \
             f"rank {rank}: prox audit failed"
     assert time.perf_counter() - start < 60.0
+
+
+def test_criterion_08_multiclass_smooth_hinge_on_a_binding_trace_ball():
+    # one-vs-all +-1 targets from the argmax of a planted rank-2 model; the
+    # trace solver runs the smooth hinge with unchanged steps, certifies a
+    # gap of 1e-8 and lands within it of a dense reference; budget 30 s
+    start = time.perf_counter()
+    n, d, c, s, mu, radius = 120, 30, 5, 3, 1.0, 0.5
+    rng = PortableRng(1)
+    dense = rng.normals(n * d).reshape(n, d)
+    X0 = rng.normals(d * 2).reshape(d, 2) @ rng.normals(2 * c).reshape(2, c)
+    scores = dense @ X0 + 0.5 * rng.normals(n * c).reshape(n, c)
+    T = -np.ones((n, c))
+    T[np.arange(n), scores.argmax(axis=1)] = 1.0
+    terms = _smooth_hinge_terms(T)
+    # the ball binds: the unconstrained optimum lies far outside it
+    _, X_free = _nuclear_ball_reference(dense, *terms, mu, math.inf, 500)
+    assert np.linalg.svd(X_free, compute_uv=False).sum() > 2.0 * radius
+
+    cfg = SolverConfig(radius=radius, s=s, max_iters=100, gap_tol=1e-8)
+    X, _, trace = solve_trace(SparseDesignMatrix(dense), smooth_hinge_loss(T),
+                              Regularizer(mu=mu), cfg)
+    _ALL_TRACES.append(("pdbfw-trace-multiclass", trace))
+    gap = trace.final.gap
+    assert 0.0 <= gap <= 1e-8
+    sv = np.linalg.svd(X, compute_uv=False)
+    assert sv.sum() <= radius * (1.0 + 1e-12)
+    # the gap puts X within sqrt(2 gap / mu) of the optimum in Frobenius
+    # norm (strong convexity), so its values past the s-th lie below that
+    assert sv[s] <= math.sqrt(2.0 * gap / mu)
+    p_ref, _ = _nuclear_ball_reference(dense, *terms, mu, radius, 500)
+    assert abs(trace.final.primal - p_ref) <= gap
+    assert time.perf_counter() - start < 30.0
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,9 @@ def _random_instance(seed, n, d, kind="quadratic"):
     (dict(kind="fw", radius=math.nan), "radius"),
     (dict(kind="acc_pgd", radius=1.0, gap_tol=math.nan), "gap_tol"),
     (dict(kind="fw", radius=1.0, record_every=0), "record_every"),
+    (dict(kind="fw", radius=1.0, record_every=1.5), "record_every"),
+    (dict(kind="fw", radius=1.0, max_iters=3.0), "max_iters"),
+    (dict(kind="svrg", radius=1.0, seed=0.5), "seed"),
 ])
 def test_baseline_config_validation(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):

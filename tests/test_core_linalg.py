@@ -450,8 +450,9 @@ def test_dual_layout_consistency_random():
 
 
 # The reference construction: scipy's COO round trip, canonicalization and
-# the squared product matrix. Building dense input from its nonzero mask and
-# the row norms from the squared data must give the same arrays, bit for bit.
+# the squared product matrix. Building the layouts of a fully stored design
+# over its dense arrays and the row norms from the squared data must give
+# the same arrays, bit for bit.
 
 def old_construction(matrix):
     csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)

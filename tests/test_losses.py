@@ -249,6 +249,9 @@ def test_stored_box_and_conjugate_sum_keep_their_bits(n, seed, where, delta):
         assert np.array_equal(m.dual_prox(w, y_in, delta, n).view(np.int64),
                               dual_prox_oracle(m, w, y_in, delta, n)
                               .view(np.int64))
+        # the sum over n keeps the bits of the mean it replaced
+        assert (np.float64(m.mean_value(w)).view(np.int64)
+                == np.float64(m.values(w).mean()).view(np.int64))
     q = quadratic_loss(rng.normal(size=n))
     assert (np.float64(q.conjugate_sum(w)).view(np.int64)
             == np.float64(conjugate_sum_oracle(q, w)).view(np.int64))
@@ -313,3 +316,69 @@ def test_matrix_loss_validation():
         MatrixQuadraticLoss(B=np.array([1.0, 2.0]))  # needs 2-D targets
     with pytest.raises(ValueError):
         MatrixQuadraticLoss(B=np.array([[np.inf, 0.0]]))
+
+
+def _matrix_loss(kind, rng, n, c):
+    if kind == "smooth_hinge":
+        return smooth_hinge_loss(np.where(rng.random((n, c)) < 0.5, 1.0, -1.0))
+    return LossModel(kind="quadratic", targets=rng.normal(size=(n, c)))
+
+
+@pytest.mark.parametrize("kind", ["smooth_hinge", "quadratic"])
+def test_matrix_targets_keep_the_conjugate_identities(kind):
+    # every identity holds entrywise on n x c targets, and each column
+    # gives the bits of the vector loss on that column's targets
+    rng = np.random.default_rng(31)
+    n, c, delta = 7, 4, 2.5
+    m = _matrix_loss(kind, rng, n, c)
+    assert (m.n, m.n_tasks) == (n, c)
+    P, Q, W = (3.0 * rng.normal(size=(n, c)) for _ in range(3))
+    G = m.derivatives(P)
+    # Fenchel-Young: equality at y = f'(p), inequality at any other q
+    assert_allclose(m.values(P) + m.conjugates(G), P * G, rtol=0, atol=1e-12)
+    assert np.all(m.values(Q) + m.conjugates(G) >= Q * G - 1e-12)
+    # the conjugate is the supremum of q y - f(q) over a grid that holds p
+    assert np.abs(P).max() < 15.0
+    grid = np.linspace(-15.0, 15.0, 3001)[:, None, None]
+    sup = np.max(grid * G - m.values(np.broadcast_to(grid, (3001, n, c))),
+                 axis=0)
+    assert np.all(sup <= m.conjugates(G) + 1e-12)
+    assert_allclose(sup, m.conjugates(G), rtol=0, atol=1e-4)
+    assert m.mean_value(P) == pytest.approx(m.values(P).sum(axis=1).mean())
+    assert m.conjugate_sum(G) == pytest.approx(m.conjugates(G).sum())
+    # the dual prox maximizes its concave objective entrywise
+    Y = m.dual_prox(W, G, delta, n)
+
+    def objective(U):
+        return (W * U - m.conjugates(U)) / n - (U - G) ** 2 / (2 * delta)
+
+    lower, upper = -np.inf, np.inf
+    if kind == "smooth_hinge":
+        lower = np.where(m.targets > 0, -1.0, 0.0)
+        upper = lower + 1.0
+    for eps in (1e-3, -1e-3, 0.05, -0.05):
+        assert np.all(objective(Y) >= objective(np.clip(Y + eps, lower, upper))
+                      - 1e-12)
+    for j in range(c):
+        col = LossModel(kind=kind, targets=m.targets[:, j])
+        assert np.array_equal(Y[:, j], col.dual_prox(W[:, j], G[:, j], delta, n))
+        assert np.array_equal(m.conjugates(G)[:, j], col.conjugates(G[:, j]))
+        assert np.array_equal(G[:, j], col.derivatives(P[:, j]))
+
+
+def test_matrix_quadratic_blas_sums_match_the_entrywise_loss():
+    rng = np.random.default_rng(32)
+    B = rng.normal(size=(9, 5))
+    m, entry = MatrixQuadraticLoss(B=B), LossModel(kind="quadratic", targets=B)
+    # the targets' shape, not the constructor, picks the BLAS sums
+    assert type(quadratic_loss(B)) is MatrixQuadraticLoss
+    assert type(quadratic_loss(B[:, 0])) is LossModel
+    assert isinstance(m, LossModel) and (m.n, m.n_tasks) == (9, 5)
+    for scale in (1e-3, 1.0, 1e3):
+        P, Y, W = (scale * rng.normal(size=B.shape) for _ in range(3))
+        assert m.mean_value(P) == pytest.approx(entry.mean_value(P),
+                                                rel=1e-13)
+        tol = 1e-13 * (float(np.vdot(Y, Y)) + np.abs(B * Y).sum())
+        assert abs(m.conjugate_sum(Y) - entry.conjugate_sum(Y)) <= tol
+        assert np.array_equal(m.dual_prox(W, Y, 1.5, 9),
+                              entry.dual_prox(W, Y, 1.5, 9))

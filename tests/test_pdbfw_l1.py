@@ -175,6 +175,30 @@ def test_solve_rejects_sample_count_mismatch():
         solve(A, loss, Regularizer(mu=1.0), SolverConfig(radius=1.0, s=1))
 
 
+@pytest.mark.parametrize("entry_point",
+                         ["solve", "solve_trace", *BASELINE_KINDS])
+def test_a_loss_on_the_wrong_ball_is_rejected_by_name(entry_point):
+    # vector targets fit the l1 ball and n x c targets the trace-norm ball;
+    # every solver checks the shape before its first step
+    A, vector = _random_instance(52, 6, 4)
+    matrix = smooth_hinge_loss(
+        np.where(PortableRng(53).uniforms(18) > 0.5, 1.0, -1.0).reshape(6, 3))
+    reg = Regularizer(mu=0.5)
+    cfg = SolverConfig(radius=1.0, s=1)
+    if entry_point == "solve_trace":
+        with pytest.raises(ValueError, match=r"the trace-norm ball needs 2-D "
+                           r"targets, got targets of shape \(6,\)"):
+            solve_trace(A, vector, reg, cfg)
+        return
+    with pytest.raises(ValueError, match=r"the l1 ball needs 1-D targets, "
+                       r"got targets of shape \(6, 3\)"):
+        if entry_point == "solve":
+            solve(A, matrix, reg, cfg)
+        else:
+            solve_baseline(A, matrix, reg,
+                           BaselineConfig(kind=entry_point, radius=1.0))
+
+
 # ---------------------------------------------------------------------------
 # Invariants along the trajectory (manual stepping through the public API)
 
@@ -269,6 +293,7 @@ class _PoisonedLoss:
 
     def __init__(self, n, poison_after):
         self.n = n
+        self.targets = np.zeros(n)  # vector targets: the l1 ball's shape
         self._calls = 0
         self._poison_after = poison_after
 
@@ -356,10 +381,23 @@ def test_resolve_rejects_oversized_budgets():
     dict(radius=1.0, s=1, delta=math.nan),
     dict(radius=1.0, s=1, gap_tol=math.nan),
     dict(radius=1.0, s=1, delta=math.inf),
+    dict(radius=1.0, s=2.5),
+    dict(radius=1.0, s=2.0),
+    dict(radius=1.0, s=1, k=2.5),
+    dict(radius=1.0, s=1, max_iters=2.0),
 ])
 def test_solver_config_validation(kwargs):
     with pytest.raises(ValueError):
         SolverConfig(**kwargs)
+
+
+def test_configs_accept_numpy_integers():
+    cfg = SolverConfig(radius=1.0, s=np.int64(2), k=np.int32(3),
+                       max_iters=np.uint16(4))
+    assert (cfg.s, cfg.k, cfg.max_iters) == (2, 3, 4)
+    bcfg = BaselineConfig(kind="svrg", radius=1.0, max_iters=np.int64(4),
+                          seed=np.uint32(5), record_every=np.int8(2))
+    assert (bcfg.max_iters, bcfg.seed, bcfg.record_every) == (4, 5, 2)
 
 
 def test_solver_config_has_no_step_size_field():
@@ -370,8 +408,9 @@ def test_solver_config_has_no_step_size_field():
 
 @pytest.mark.parametrize("bad", [
     dict(radius=0.0), dict(radius=math.inf), dict(radius=math.nan),
-    dict(max_iters=-1), dict(gap_tol=math.nan),
-], ids=["radius_zero", "radius_inf", "radius_nan", "max_iters", "gap_tol"])
+    dict(max_iters=-1), dict(gap_tol=math.nan), dict(max_iters=2.0),
+], ids=["radius_zero", "radius_inf", "radius_nan", "max_iters", "gap_tol",
+        "max_iters_float"])
 def test_both_configs_reject_shared_settings_alike(bad):
     # the block solvers' and the reference solvers' configs share one check
     settings = {"radius": 1.0, **bad}
