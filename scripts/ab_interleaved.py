@@ -16,7 +16,10 @@ side, each pair runs every solver of the workload once on each side, back
 to back; the side that goes first alternates from pair to pair. The summary
 gives, per solver, each side's median seconds, the median of the pairs'
 new/base ratios and the number of pairs the new side won (a tie counts for
-neither). The exit status is 1 when a call failed or a check did not hold.
+neither). When the workload runs solvers other than pdbfw, two more lines
+give each pair's geometric mean of their new/base ratios, the figure behind
+perfbench's `baseline_solve_s`, with its median and the pairs the new side
+won. The exit status is 1 when a call failed or a check did not hold.
 
 Alternating calls between two processes that stay up shares every slow or
 fast phase of a busy machine between both sides, where separate benchmark
@@ -29,6 +32,7 @@ which runs the benchmark itself.
 import argparse
 import gc
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -139,6 +143,30 @@ def summarize(seconds: dict) -> list:
     return lines
 
 
+def summarize_baselines(seconds: dict) -> list:
+    """Lines for the pairs' geometric means, over the solvers other than
+    pdbfw, of their new/base ratios: the figure behind perfbench's
+    `baseline_solve_s`. No lines when pdbfw is the only solver; a pair with a
+    failed call among those solvers is left out."""
+    solvers = [s for s in seconds["base"] if s != "pdbfw"]
+    if not solvers:
+        return []
+    ratios = []
+    for pair in zip(*(zip(seconds["base"][s], seconds["new"][s])
+                      for s in solvers)):
+        if all(x is not None and y is not None for x, y in pair):
+            ratios.append(math.exp(statistics.fmean(
+                math.log(y / x) for x, y in pair)))
+    name = f"geometric mean of {', '.join(solvers)}"
+    if not ratios:
+        return [f"{name}: no pair without a failed call"]
+    wins = sum(r < 1.0 for r in ratios)
+    return [f"{name}, new/base by pair: "
+            + " ".join(f"{r:.4f}" for r in ratios),
+            f"{name}: median {statistics.median(ratios):.4f}, new won "
+            f"{wins}/{len(ratios)}"]
+
+
 def run(children: dict, pairs: int) -> tuple:
     """Warm-up, then the alternating pairs; returns (seconds, failures),
     with None in place of the seconds of a call that failed."""
@@ -194,7 +222,7 @@ def main(argv=None) -> int:
           f"one call per solver and side in each")
     for side in SIDES:
         print(f"# {side}: {children[side].header['package']}")
-    print("\n".join(summarize(seconds)))
+    print("\n".join(summarize(seconds) + summarize_baselines(seconds)))
     for side in SIDES:
         print(f"{side}: {len(failures[side])} failures")
         for failure in failures[side]:

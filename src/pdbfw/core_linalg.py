@@ -233,18 +233,18 @@ _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 
 
-def l1_threshold(a: np.ndarray, radius: float):
+def l1_threshold(a: np.ndarray, radius: float, _first=_PROJECTION_GUESS):
     """(theta, u) of the l1 ball's projection for the magnitudes a = |v|:
     the least theta >= 0 with sum(max(a - theta, 0)) = radius, and the active
     magnitudes u sorted descending; (0.0, a) itself when a is in the ball. A
     NaN or infinite entry, or a radius below rounding, raises ValueError.
 
     Only the largest entries enter theta, so a long a is not sorted whole:
-    one partition takes its top count, and only that prefix is sorted and
-    summed, in the order and with the bits of the full sort's prefix. The
-    count doubles while the test could still pass past the prefix; past the
-    prefix the test's exact value never rises, and `slack` bounds its
-    rounding at every index, so theta is the full sort's theta.
+    one partition takes its top `_first` entries, and only that prefix is
+    sorted and summed, in the order and with the bits of the full sort's
+    prefix. The count doubles while the test could still pass past the
+    prefix; past it the test's exact value never rises, and `slack` bounds
+    its rounding at every index, so theta is the full sort's at any start.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -252,7 +252,7 @@ def l1_threshold(a: np.ndarray, radius: float):
     if total <= radius:
         return 0.0, a
     d = a.size
-    m = _PROJECTION_GUESS
+    m = _first
     while m < d:
         u = np.sort(np.partition(a, d - m)[d - m:])[::-1]
         css = np.cumsum(u)
@@ -277,12 +277,12 @@ def l1_threshold(a: np.ndarray, radius: float):
     return (css[rho] - radius) / (rho + 1.0), u[:rho + 1]
 
 
-def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
+def project_l1_ball(v: np.ndarray, radius: float, _first=_PROJECTION_GUESS):
     """Euclidean projection of v onto the l1 ball: |v| shrunk by the
-    `l1_threshold` theta, or a copy of v when v is already in the ball."""
+    `l1_threshold` theta (from `_first`), or a copy of v in the ball."""
     v = np.asarray(v, dtype=np.float64)
     a = np.abs(v)
-    theta, u = l1_threshold(a, radius)
+    theta, u = l1_threshold(a, radius, _first)
     if u is a:  # already inside the ball
         return v.copy()
     # not copysign: np.sign(v) is 0 where v is +-0.0, which keeps such

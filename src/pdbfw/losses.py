@@ -51,10 +51,6 @@ def _hinge_value(z):
                     np.where(z <= 1.0, 0.5 * (1.0 - z) ** 2, 0.0))
 
 
-def _hinge_derivative(z):
-    return np.where(z < 0.0, -1.0, np.where(z <= 1.0, z - 1.0, 0.0))
-
-
 @dataclass(frozen=True)
 class LossModel:
     """Entrywise-separable loss family with conjugate and dual-prox support.
@@ -99,7 +95,9 @@ class LossModel:
 
     def derivatives(self, p: np.ndarray) -> np.ndarray:
         if self.kind == SMOOTH_HINGE:
-            return self.targets * _hinge_derivative(p * self.targets)
+            z = p * self.targets
+            return self.targets * np.where(
+                z < 0.0, -1.0, np.where(z <= 1.0, z - 1.0, 0.0))
         return p - self.targets
 
     def mean_value(self, p: np.ndarray) -> float:
@@ -182,7 +180,8 @@ def loss_derivative(m: LossModel, p: float, i: int) -> float:
     """f_i'(p) for one sample, the per-sample form of `LossModel.derivatives`."""
     if not 0 <= i < m.n:
         raise ValueError(f"sample index {i} out of range [0, {m.n})")
-    t = m.targets[i]
+    t = float(m.targets[i])
     if m.kind == SMOOTH_HINGE:
-        return float(t * _hinge_derivative(np.float64(p * t)))
+        z = p * t
+        return t * (-1.0 if z < 0.0 else z - 1.0 if z <= 1.0 else 0.0)
     return float(p - t)

@@ -96,7 +96,7 @@ class SolverState:
     """Mutable iterates of one run: x, y and the caches w = Ax, z = A'y.
 
     Vectors for the l1 ball; d x c and n x c matrices for the trace-norm
-    ball with c tasks. The reference solvers keep y and z at zero.
+    ball with c tasks. Baselines hold y = f'(w), z = A'y (None once w moves).
     """
 
     x: np.ndarray

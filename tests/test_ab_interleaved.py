@@ -38,6 +38,23 @@ def test_summary_leaves_out_pairs_with_a_failed_call():
     assert b.split()[1:] == ["no", "pair", "without", "a", "failed", "call"]
 
 
+def test_baseline_summary_gives_each_pairs_geometric_mean_and_wins():
+    seconds = {"base": {"pdbfw": [1.0, 1.0, 1.0], "a": [1.0, 1.0, 1.0],
+                        "b": [2.0, 2.0, None]},
+               "new": {"pdbfw": [9.0, 9.0, 9.0], "a": [0.5, 2.0, 0.5],
+                       "b": [1.0, 4.0, 1.0]}}
+    by_pair, total = ab_interleaved.summarize_baselines(seconds)
+    # pdbfw is left out; pair 0: sqrt(0.5 * 0.5), pair 1: sqrt(2 * 2); pair
+    # 2 has a failed call
+    assert by_pair == "geometric mean of a, b, new/base by pair: 0.5000 2.0000"
+    assert total == "geometric mean of a, b: median 1.2500, new won 1/2"
+    seconds["new"]["a"][:2] = [None, None]
+    assert ab_interleaved.summarize_baselines(seconds) == [
+        "geometric mean of a, b: no pair without a failed call"]
+    only_pdbfw = {"base": {"pdbfw": [1.0]}, "new": {"pdbfw": [0.5]}}
+    assert ab_interleaved.summarize_baselines(only_pdbfw) == []
+
+
 class _Fake:
     """A child that logs its calls; its `fail`-th call (counting from 1)
     fails its checks."""

@@ -1,12 +1,17 @@
 """Tests for the reference solvers (Frank-Wolfe, accelerated projected
 gradient, prox-SVRG): trivial fixed points, a hand-checked one-dimensional
 boundary instance, reduction of single-sample SVRG to projected gradient,
-determinism, feasibility, and trace thinning."""
+determinism, feasibility, trace thinning, frozen bits, and the count of
+full passes over the design."""
 
+import json
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pdbfw.baselines import (BASELINE_KINDS, BaselineConfig, solve_acc_pgd,
                              solve_baseline, solve_fw, solve_svrg,
@@ -198,3 +203,104 @@ def test_flops_grow_monotonically():
         flops = np.array([r.flops for r in trace.records])
         assert flops[0] == 0
         assert np.all(np.diff(flops) > 0)
+
+
+# ---------------------------------------------------------------------------
+# Frozen bits and design passes
+
+# Recorded before the certificate's product was shared with the steps: fw's
+# and svrg's final x and records (primal and dual as float.hex, flops), and
+# acc_pgd's final iteration, flops and support. acc_pgd's gradients now come
+# from a two-column product, whose last bits may differ from a gemv's.
+FROZEN = json.loads(
+    (Path(__file__).parent / "frozen_baseline_bits.json").read_text())
+FROZEN_BUDGETS = {"fw": 15, "acc_pgd": 300, "svrg": 4}
+
+
+def _frozen_instance(design):
+    """A 40 x 30 dense quadratic instance or a 60 x 50 hinge one with
+    about a fifth of its entries stored."""
+    rng = PortableRng(27)
+    if design == "dense":
+        A = SparseDesignMatrix(rng.normals(40 * 30).reshape(40, 30))
+        return A, quadratic_loss(rng.normals(40))
+    M = rng.normals(60 * 50).reshape(60, 50)
+    M[rng.uniforms(60 * 50).reshape(60, 50) > 0.2] = 0.0
+    A = SparseDesignMatrix(sp.csr_matrix(M))
+    return A, smooth_hinge_loss(np.where(rng.uniforms(60) > 0.5, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("design", ["dense", "sparse"])
+@pytest.mark.parametrize("kind", BASELINE_KINDS)
+def test_frozen_bits(design, kind):
+    A, loss = _frozen_instance(design)
+    assert (A._dense_rows is not None) == (design == "dense")
+    cfg = BaselineConfig(kind=kind, radius=1.0, max_iters=FROZEN_BUDGETS[kind],
+                         seed=3, gap_tol=1e-10)
+    x, trace = solve_baseline(A, loss, Regularizer(mu=0.05), cfg)
+    want = FROZEN[f"{design}/{kind}"]
+    if kind == "acc_pgd":
+        final = trace.final
+        assert (final.iteration, final.flops, final.support) == \
+            (want["iteration"], want["flops"], want["support"])
+        return
+    assert [v.hex() for v in x.tolist()] == want["x"]
+    assert [[r.primal.hex(), r.dual.hex(), r.flops]
+            for r in trace.records] == want["records"]
+
+
+def _count_passes(monkeypatch):
+    """Count the full products A x and A'y through the design class."""
+    calls = Counter()
+    for name in ("matvec", "rmatvec"):
+        def counted(self, v, _name=name,
+                    _full=getattr(SparseDesignMatrix, name)):
+            calls[_name] += 1
+            return _full(self, v)
+        monkeypatch.setattr(SparseDesignMatrix, name, counted)
+    return calls
+
+
+# acc_pgd restarts at iteration 30 on the dense instance, 85 on the sparse
+PASS_BUDGETS = {"fw": 30, "acc_pgd": 90, "svrg": 4}
+
+
+@pytest.mark.parametrize("design", ["dense", "sparse"])
+def test_one_transpose_pass_per_step(monkeypatch, design):
+    # the certificate's A'f'(w) feeds the next step, so a run recorded at
+    # every step makes one A' pass per step, plus record 0's; acc_pgd adds
+    # one A pass per step, and one more per restart (a restart charges
+    # 2 nnz more flops)
+    A, loss = _frozen_instance(design)
+    calls = _count_passes(monkeypatch)
+    for kind, t in PASS_BUDGETS.items():
+        calls.clear()
+        cfg = BaselineConfig(kind=kind, radius=1.0, max_iters=t, seed=3,
+                             gap_tol=-1.0)
+        _, trace = solve_baseline(A, loss, Regularizer(mu=0.05), cfg)
+        assert trace.final.iteration == t
+        assert calls["rmatvec"] == t + 1, kind
+        if kind == "acc_pgd":
+            restarts, rest = divmod(trace.final.flops - 2 * t * A.nnz,
+                                    2 * A.nnz)
+            assert rest == 0 and restarts >= 1
+            assert calls["matvec"] == t + restarts
+        else:
+            assert calls["matvec"] == (t if kind == "svrg" else 0), kind
+
+
+@pytest.mark.parametrize("design", ["dense", "sparse"])
+@pytest.mark.parametrize("kind", BASELINE_KINDS)
+def test_x_does_not_depend_on_record_every(design, kind):
+    # a step whose point was not recorded forms its own product (acc_pgd:
+    # takes it from the previous step), with the same bits
+    A, loss = _frozen_instance(design)
+    t = PASS_BUDGETS[kind]
+    xs = []
+    for every in (1, 3):
+        cfg = BaselineConfig(kind=kind, radius=1.0, max_iters=t, seed=3,
+                             gap_tol=-1.0, record_every=every)
+        x, trace = solve_baseline(A, loss, Regularizer(mu=0.05), cfg)
+        assert len(trace) == 1 + -(-t // every)
+        xs.append(x)
+    assert np.array_equal(xs[0].view(np.int64), xs[1].view(np.int64))

@@ -209,6 +209,48 @@ def test_project_l1_ball_bit_identical_with_ties_at_theta(h, tie, count, seed):
                      project_full_sort_oracle(v, radius))
 
 
+def assert_first_prefix_keeps_the_bits(v, radius, first):
+    a = np.abs(v)
+    theta, u = core_linalg.l1_threshold(a, radius)
+    theta_f, u_f = core_linalg.l1_threshold(a, radius, first)
+    assert_same_bits(np.float64(theta_f), np.float64(theta))
+    assert_same_bits(u_f, u)
+    assert_same_bits(project_l1_ball(v, radius, first),
+                     project_l1_ball(v, radius))
+
+
+@settings(max_examples=300, deadline=None)
+@given(projection_cases(), st.data())
+def test_l1_threshold_first_prefix_keeps_the_bits(case, data):
+    # any first count in [1, d] gives the default's (theta, u), on vectors
+    # with ties, zeros and radii that do not bind, at d above and below GUESS
+    v, radius = case
+    first = data.draw(st.integers(1, v.size), label="first")
+    assert_first_prefix_keeps_the_bits(v, radius, first)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.floats(0.01, 0.9), st.integers(1, 3000),
+       st.integers(0, 2**32 - 1), st.data())
+def test_l1_threshold_first_prefix_with_ties_at_theta(h, tie, count, seed,
+                                                      data):
+    rng = np.random.default_rng(seed)
+    top = rng.uniform(1.0, 3.0, size=h)
+    v = np.concatenate([top, np.full(count, tie), np.zeros(count // 4)])
+    v = v[rng.permutation(v.size)]
+    first = data.draw(st.integers(1, v.size), label="first")
+    assert_first_prefix_keeps_the_bits(v, float(top.sum() - h * tie), first)
+
+
+def test_l1_threshold_every_first_prefix_on_a_short_vector():
+    rng = np.random.default_rng(27)
+    v = np.concatenate([rng.normal(size=30), np.full(10, 0.25),
+                        np.zeros(5), np.full(3, -0.0)])
+    for radius in (0.5, 3.0, float(np.abs(v).sum())):
+        for first in range(1, v.size + 1):
+            assert_first_prefix_keeps_the_bits(v, radius, first)
+
+
 def test_project_l1_ball_keeps_the_sign_of_zeros():
     # np.sign(-0.0) * 0.0 is +0.0, while copysign(0.0, -0.0) is -0.0
     v = np.concatenate([[5.0, -4.0, -0.0, 0.0, -1e-3],

@@ -193,6 +193,32 @@ def test_vector_ops_match_scalar_ops():
         assert m.mean_value(p) == pytest.approx(float(np.mean(m.values(p))))
 
 
+_EPS = np.finfo(np.float64).eps
+# margins z = p * label at and next to the hinge's kinks, signed zeros too
+_KINKS = [0.0, -0.0, 1.0, -1.0, _EPS, -_EPS, 1.0 - _EPS / 2, 1.0 + _EPS]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["smooth_hinge", "quadratic"]),
+       st.lists(st.tuples(
+           st.one_of(st.sampled_from(_KINKS),
+                     st.floats(-1e6, 1e6, allow_subnormal=True)),
+           st.sampled_from([-1.0, 1.0]),
+           st.floats(-1e3, 1e3)), min_size=1, max_size=8))
+def test_loss_derivative_has_the_bits_of_derivatives(kind, rows):
+    # svrg's per-sample derivative and the vector one agree bit for bit,
+    # the sign of a zero included, at the kinks z = 0 and z = 1 too
+    p, labels, targets = (np.array(col) for col in zip(*rows))
+    m = smooth_hinge_loss(labels) if kind == "smooth_hinge" else \
+        quadratic_loss(targets)
+    if kind == "smooth_hinge":
+        p = p * labels  # so the drawn value is the margin z
+    want = m.derivatives(p)
+    got = np.array([loss_derivative(m, float(p[i]), i)
+                    for i in range(p.size)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_conjugate_sum_infinite_outside_box():
     h = smooth_hinge_loss(np.array([1.0, -1.0]))
     assert h.conjugate_sum(np.array([-0.5, 0.5])) < np.inf
