@@ -123,22 +123,22 @@ class SparseDesignMatrix:
         return self._csr.toarray()
 
     def matvec(self, x) -> np.ndarray:
-        """Full product A @ x (x may be a vector or a d x m block).
-
-        A fully stored design multiplies its dense rows with BLAS, which sums
-        in another order than the sparse product."""
-        x = np.asarray(x, dtype=np.float64)
+        """Full product A @ x (x may be a vector or a d x m block): the bits
+        of `csr @ x`, or BLAS on a fully stored design's dense rows."""
         if self._dense_rows is not None:
-            return self._dense_rows @ x
-        return np.asarray(self._csr @ x)
+            return self._dense_rows @ np.asarray(x, dtype=np.float64)
+        csr = self._csr
+        return _compressed_product("csr", self.shape,
+                                   (csr.indptr, csr.indices, csr.data), x)
 
     def rmatvec(self, y) -> np.ndarray:
-        """Full product A' @ y (y may be a vector or an n x m block), through
-        the dense columns with BLAS on a fully stored design."""
-        y = np.asarray(y, dtype=np.float64)
+        """Full product A' @ y (y may be a vector or an n x m block): the bits
+        of `csr.T @ y` with no transpose built, or BLAS on dense columns."""
         if self._dense_cols is not None:
-            return self._dense_cols @ y
-        return np.asarray(self._csr.T @ y)
+            return self._dense_cols @ np.asarray(y, dtype=np.float64)
+        csr = self._csr
+        return _compressed_product("csc", self.shape[::-1],
+                                   (csr.indptr, csr.indices, csr.data), y)
 
     def divide_rows(self, divisors) -> "SparseDesignMatrix":
         """The matrix with row i divided by divisors[i], built on the stored
@@ -229,7 +229,7 @@ class SparseUpdate:
 # Top count the l1 projection sorts first; vectors no longer than this are
 # sorted whole.
 _PROJECTION_GUESS = 1024
-_EPS = np.finfo(np.float64).eps
+_EPS = float(np.finfo(np.float64).eps)
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -248,26 +248,22 @@ def l1_threshold(a: np.ndarray, radius: float, _first=_PROJECTION_GUESS):
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    total = a.sum()
+    total = float(np.add.reduce(a))
     if total <= radius:
         return 0.0, a
     d = a.size
     m = _first
-    while m < d:
-        u = np.sort(np.partition(a, d - m)[d - m:])[::-1]
-        css = np.cumsum(u)
-        slack = 4.0 * d * _EPS * (total + radius)
-        if u[-1] * m + slack < css[-1] - radius:
+    slack = 4.0 * d * _EPS * (total + radius)
+    while True:
+        u = np.sort(np.partition(a, d - m)[d - m:] if m < d else a)[::-1]
+        css = np.add.accumulate(u)
+        if m >= d or float(u[-1]) * m + slack < float(css[-1]) - radius:
             break
         m *= 2
-    else:
-        u = np.sort(a)[::-1]
-        css = np.cumsum(u)
-    ks = np.arange(1, u.size + 1)
-    passing = np.nonzero(u * ks > css - radius)[0]
+    passing = np.flatnonzero(u * np.arange(1, u.size + 1) > css - radius)
     if passing.size == 0:
         # in exact arithmetic the test passes at index 0 for finite input
-        if not np.isfinite(total):
+        if not math.isfinite(total):
             raise ValueError(f"the input must be finite; it has "
                              f"{np.count_nonzero(~np.isfinite(a))} NaN or "
                              f"infinite entries")
@@ -279,7 +275,8 @@ def l1_threshold(a: np.ndarray, radius: float, _first=_PROJECTION_GUESS):
 
 def project_l1_ball(v: np.ndarray, radius: float, _first=_PROJECTION_GUESS):
     """Euclidean projection of v onto the l1 ball: |v| shrunk by the
-    `l1_threshold` theta (from `_first`), or a copy of v in the ball."""
+    `l1_threshold` theta (from `_first`), in place in the |v| buffer, or a
+    copy of v in the ball."""
     v = np.asarray(v, dtype=np.float64)
     a = np.abs(v)
     theta, u = l1_threshold(a, radius, _first)
@@ -287,7 +284,8 @@ def project_l1_ball(v: np.ndarray, radius: float, _first=_PROJECTION_GUESS):
         return v.copy()
     # not copysign: np.sign(v) is 0 where v is +-0.0, which keeps such
     # entries +0.0 even when rounding puts theta below zero
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+    np.maximum(np.subtract(a, theta, out=a), 0.0, out=a)
+    return np.multiply(np.sign(v), a, out=a)
 
 
 def top_k_by_magnitude(v: np.ndarray, k: int) -> np.ndarray:
@@ -363,13 +361,27 @@ def sparse_l1_prox(v: np.ndarray, radius: float, s: int) -> SparseUpdate:
     return SparseUpdate(indices=support[keep], values=proj[keep])
 
 
+def _compressed_product(kind: str, shape, arrays, x, out=None):
+    """out += M @ x, and out (zeros by default), for the `shape` M with `kind`
+    ("csr" or "csc") arrays (indptr, indices, data): scipy's compiled loops of
+    `M @ x`, so its bits. They check nothing; a bad x raises ValueError."""
+    if np.ndim(x) not in (1, 2) or np.shape(x)[0] != shape[1]:
+        raise ValueError(f"dimension mismatch: {np.shape(x)} for {shape[1]} "
+                         f"rows")
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    out = np.zeros(shape[:1] + x.shape[1:]) if out is None else out
+    loop = getattr(_sparsetools, f"{kind}_matvec{'s' * (x.ndim - 1)}")
+    loop(*shape, *x.shape[1:], *arrays, x, out)
+    return out
+
+
 def _add_slices(layout: sp.csr_matrix, sel: np.ndarray, coeffs: np.ndarray,
                 out: np.ndarray) -> np.ndarray:
     """out[idx] += data * coeffs[i] in place over each slice sel[i] of a CSR
     or CSC layout, slice by slice and entry by entry: the per-slice loop's
     order and products, so its bits. scipy's compiled loops gather and add,
-    checking no bounds or shapes: `sel` must be in range, `coeffs` as long
-    as `sel` and `out` a float64 vector that every stored index fits."""
+    checking no bounds: `sel` must be in range and `out` a float64 vector
+    that every stored index fits."""
     idx = layout.indptr.dtype
     sel = sel.astype(idx, casting="same_kind")
     ptr = np.zeros(sel.size + 1, dtype=idx)
@@ -377,9 +389,8 @@ def _add_slices(layout: sp.csr_matrix, sel: np.ndarray, coeffs: np.ndarray,
     indices, data = np.empty(ptr[-1], dtype=idx), np.empty(ptr[-1])
     _sparsetools.csr_row_index(sel.size, sel, layout.indptr, layout.indices,
                                layout.data, indices, data)
-    _sparsetools.csc_matvec(out.size, sel.size, ptr, indices, data,
-                            np.ascontiguousarray(coeffs, dtype=np.float64), out)
-    return out
+    return _compressed_product("csc", (out.shape[0], sel.size),
+                               (ptr, indices, data), coeffs, out)
 
 
 # Bytes of one block of rows that `_dense_slices_sum` gathers, small enough

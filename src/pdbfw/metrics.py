@@ -81,9 +81,9 @@ class ConvergenceTrace:
 
 
 def check_integer(name: str, value, least: int = None) -> None:
-    """Raise ValueError unless value is an integer (numpy's too) that is,
-    when `least` is given, at least `least`."""
-    if not isinstance(value, numbers.Integral):
+    """Raise ValueError unless value is an integer (numpy's too, but not a
+    bool) that is, when `least` is given, at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")

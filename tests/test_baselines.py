@@ -47,6 +47,11 @@ def _random_instance(seed, n, d, kind="quadratic"):
     (dict(kind="fw", radius=1.0, record_every=1.5), "record_every"),
     (dict(kind="fw", radius=1.0, max_iters=3.0), "max_iters"),
     (dict(kind="svrg", radius=1.0, seed=0.5), "seed"),
+    (dict(kind="svrg", radius=1.0, seed=False), "seed must be an integer"),
+    (dict(kind="fw", radius=1.0, record_every=True),
+     "record_every must be an integer"),
+    (dict(kind="fw", radius=1.0, max_iters=True),
+     "max_iters must be an integer"),
 ])
 def test_baseline_config_validation(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):

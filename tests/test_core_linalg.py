@@ -1186,6 +1186,115 @@ def test_one_exact_zero_keeps_products_on_the_csr_route():
     assert np.array_equal(out, want)
 
 
+# On the sparse route the full products run scipy's own compiled loops over
+# scipy's own arrays, so each must give the bits of the scipy operator it
+# replaces: csr @ x and csr.T @ y.
+
+def product_inputs(rng, length, m):
+    """A vector, a strided vector, length x m blocks in C order, in F order
+    and as a strided slice, and a length x 1 block."""
+    block = _random_entries(rng, length, m)
+    return [_random_entries(rng, length, 1).ravel(),
+            _random_entries(rng, 2 * length, 1).ravel()[::2],
+            block, np.asfortranarray(block),
+            _random_entries(rng, length, 2 * m + 1)[:, ::2], block[:, :1]]
+
+
+def check_full_products(A, rng, m):
+    csr = A._csr
+    for x in product_inputs(rng, A.n_cols, m):
+        x_before = x.copy()
+        assert_same_bits(A.matvec(x), np.asarray(csr @ x))
+        assert_same_bits(x, x_before)
+    for y in product_inputs(rng, A.n_rows, m):
+        assert_same_bits(A.rmatvec(y), np.asarray(csr.T @ y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_designs(), st.integers(1, 4), st.booleans())
+def test_full_products_bit_identical_to_scipy(design, m, int64):
+    A, rng = design
+    if int64:
+        with_int64_indices(A)
+    check_full_products(A, rng, m)
+
+
+class _NoLoops:
+    """Stands in for scipy's compiled loops; any use fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"_sparsetools.{name} ran")
+
+
+def test_products_check_lengths_before_any_loop(monkeypatch):
+    # with a one-row and a one-column design: a scalar holds the one entry
+    # their products need, but is no vector
+    A, row, col = (SparseDesignMatrix(EDGE_DESIGN),
+                   SparseDesignMatrix(np.array([[1.0, 0.0, 2.0]])),
+                   SparseDesignMatrix(np.array([[1.0], [0.0], [2.0]])))
+    calls = [(A, "matvec", np.ones(5)), (A, "matvec", np.ones((3, 2))),
+             (A, "matvec", np.ones((4, 2, 2))), (A, "rmatvec", np.ones(3)),
+             (A, "rmatvec", np.ones((5, 2))), (A, "rmatvec", np.ones(())),
+             (row, "rmatvec", np.float64(2.0)),
+             (row, "rmatvec", np.ones((1, 1, 1))),
+             (col, "matvec", np.float64(2.0)), (col, "matvec", np.ones(()))]
+    for M, name, arg in calls:  # scipy's own operators refuse them too
+        assert M._dense_rows is None
+        with pytest.raises(ValueError):
+            (M._csr if name == "matvec" else M._csr.T) @ arg
+    monkeypatch.setattr(core_linalg, "_sparsetools", _NoLoops())
+    for M, name, arg in calls:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            getattr(M, name)(arg)
+
+
+def test_sparse_route_rmatvec_builds_no_scipy_matrix(monkeypatch):
+    A = SparseDesignMatrix(EDGE_DESIGN)
+    rng = np.random.default_rng(5)
+    y, Y = rng.normal(size=4), rng.normal(size=(4, 3))
+    want = [A._csr.T @ y, A._csr.T @ Y]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy matrix was built")
+
+    monkeypatch.setattr(sp.csr_matrix, "transpose", refuse)
+    got = [A.rmatvec(y), A.rmatvec(Y)]
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+
+
+# The private scipy loops the package calls, on a tiny matrix with the exact
+# argument order it passes: M = [[1, 0, 2], [0, 3, 0]], whose CSR arrays are
+# also the CSC of M'. Every product adds into its output. A scipy release
+# that changes one of them fails here by name.
+
+@pytest.mark.parametrize("idx", [np.int32, np.int64])
+@pytest.mark.parametrize("loop", ["csr_matvec", "csr_matvecs", "csc_matvec",
+                                  "csc_matvecs", "csr_row_index"])
+def test_private_sparsetools_loops_keep_their_contract(loop, idx):
+    ptr, ind = np.array([0, 2, 3], dtype=idx), np.array([0, 2, 1], dtype=idx)
+    data = np.array([1.0, 2.0, 3.0])
+    fn = getattr(core_linalg._sparsetools, loop)
+    if loop == "csr_row_index":
+        out_ind, out_data = np.empty(4, dtype=idx), np.empty(4)
+        fn(3, np.array([1, 0, 1], dtype=idx), ptr, ind, data, out_ind,
+           out_data)
+        assert out_ind.tolist() == [1, 0, 2, 1]
+        assert out_data.tolist() == [3.0, 1.0, 2.0, 3.0]
+        return
+    csr = loop.startswith("csr")
+    x = np.array([1.0, 10.0, 100.0]) if csr else np.array([1.0, 10.0])
+    want = [201.5, 30.5] if csr else [1.5, 30.5, 2.5]  # M x or M'x, + 0.5
+    out = np.full(len(want), 0.5)
+    if loop.endswith("s"):  # the same product on two columns, x and 2x
+        out = np.full((len(want), 2), 0.5)
+        fn(len(want), x.size, 2, ptr, ind, data, np.stack((x, 2 * x), 1), out)
+        want = np.stack((want, 2 * np.array(want) - 0.5), 1).tolist()
+    else:
+        fn(len(want), x.size, ptr, ind, data, x, out)
+    assert out.tolist() == want
+
+
 def _solver_design(kind):
     n, d = 60, 150
     rng = PortableRng(7)

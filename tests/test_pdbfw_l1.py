@@ -385,6 +385,10 @@ def test_resolve_rejects_oversized_budgets():
     dict(radius=1.0, s=2.0),
     dict(radius=1.0, s=1, k=2.5),
     dict(radius=1.0, s=1, max_iters=2.0),
+    dict(radius=1.0, s=True),
+    dict(radius=1.0, s=1, k=True),
+    dict(radius=1.0, s=1, max_iters=True),
+    dict(radius=1.0, s=1, max_iters=False),
 ])
 def test_solver_config_validation(kwargs):
     with pytest.raises(ValueError):
