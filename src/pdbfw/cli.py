@@ -3,10 +3,10 @@
 `pdbfw run` solves one problem instance with one or more solvers and writes
 a CSV trace per solver plus a summary.tsv. The targets pick the constraint
 set: a vector of n targets selects the l1 ball, and n x c targets (as
-`--synthetic trace_sensing` makes them) select the trace-norm ball. Nothing
-is written until every solver has returned, so a run that fails at any
-point leaves no output. `pdbfw compare` reads those CSVs back and
-tabulates time-to-accuracy.
+`--synthetic trace_sensing` makes them) select the trace-norm ball, which
+only pdbfw solves, with either loss. Nothing is written until every solver
+has returned, so a run that fails at any point leaves no output. `pdbfw
+compare` reads those CSVs back and tabulates time-to-accuracy.
 
 Trace CSVs have the pinned header
 
@@ -103,8 +103,7 @@ def _trace_csv(trace: ConvergenceTrace) -> str:
 def _solver_calls(args: argparse.Namespace, dataset: Dataset):
     """(solver, call) per requested solver, where `call()` returns a tuple
     that ends with the trace. Every config is built before any solver runs.
-    n x c targets select the trace-norm ball, which only pdbfw solves, and
-    only with the quadratic loss."""
+    n x c targets select the trace-norm ball, which only pdbfw solves."""
     A = dataset.matrix
     d = A.n_cols
     mu = args.mu if args.mu is not None else 10.0 / A.n_rows
@@ -118,9 +117,6 @@ def _solver_calls(args: argparse.Namespace, dataset: Dataset):
             raise UsageError(
                 f"n x c targets select the trace-norm ball, which only the "
                 f"pdbfw solver supports; got {', '.join(wrong)}")
-        if args.loss != "quadratic":
-            raise UsageError(
-                "the trace-norm ball only supports --loss quadratic")
         s_default = min(s_default, dataset.labels.shape[1])
         solve = pdbfw_trace.solve_trace
     loss = make_loss(dataset.labels)

@@ -2,10 +2,10 @@
 shared by every solver step, and the range finder of the trace-norm solver.
 
 The design matrix is stored in both compressed-row and compressed-column
-layouts (a fully stored one as dense rows and columns) so that
-column-restricted products (maintaining w = Ax) and row-restricted
-transpose products (maintaining z = A'y) both cost time proportional to the
-nonzeros actually touched.
+layouts, or, when every entry is stored, as dense rows and dense columns
+only, so that column-restricted products (maintaining w = Ax) and
+row-restricted transpose products (maintaining z = A'y) both cost time
+proportional to the nonzeros actually touched.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ class SparseDesignMatrix:
     norms are cached at construction.
 
     When every entry is stored (nnz == n_rows * n_cols; an exact zero is
-    dropped, so one zero entry makes the design sparse), the design holds two
-    owned, read-only arrays instead: `_dense_rows` (n x d, C order) and
-    `_dense_cols` (d x n, row j is column j). The update kernels, the full
-    products and the row operations read them in place of the sparse
-    layouts, which are then built only when first read, over the memory of
-    those arrays. On any other design both are None.
+    dropped, so one zero entry makes the design sparse), the design holds
+    only two owned, read-only arrays instead: `_dense_rows` (n x d, C order)
+    and `_dense_cols` (d x n, row j is column j), which every kernel reads.
+    It has no CSC, and builds a CSR copy only when code outside the package
+    reads `_csr`. On any other design both arrays are None.
     """
 
     def __init__(self, matrix, *, _owned=False):
@@ -54,8 +53,7 @@ class SparseDesignMatrix:
             csr = sp.csr_matrix(matrix, dtype=np.float64, copy=not _owned)
             csr.sum_duplicates()  # sorts the indices too
             csr.eliminate_zeros()
-        if csr is not None:
-            self._csr, rows = csr, csr.data
+            rows = csr.data
         if not np.all(np.isfinite(rows)):
             raise ValueError("design matrix contains non-finite entries")
         shape = rows.shape if csr is None else csr.shape
@@ -68,25 +66,22 @@ class SparseDesignMatrix:
         self.nnz = int(ptr[-1])
         self._dense_rows = self._dense_cols = None
         if self.nnz < n * d:
-            self._csc = csr.tocsc()  # scipy marks its result sorted
+            self._csr, self._csc = csr, csr.tocsc()  # scipy sorts the CSC
             self.col_nnz = np.diff(self._csc.indptr).astype(np.int64)
         else:
             rows = rows.reshape(n, d)
-            self._full = rows, rows.T.copy()  # the lazy layouts' memory
-            self._dense_rows, self._dense_cols = self._full
-            for part in self._full:
-                part.flags.writeable = False
+            self._dense_rows, self._dense_cols = rows, rows.T.copy()
+            rows.flags.writeable = self._dense_cols.flags.writeable = False
             self.col_nnz = np.full(d, n, dtype=np.int64)
 
     @functools.cached_property
     def _csr(self) -> sp.csr_matrix:
-        """A fully stored design's CSR, built on first read."""
-        return _full_layout(sp.csr_matrix, self._full[0], self.shape)
-
-    @functools.cached_property
-    def _csc(self) -> sp.csc_matrix:
-        """A fully stored design's CSC, built on first read."""
-        return _full_layout(sp.csc_matrix, self._full[1], self.shape)
+        """A fully stored design's CSR, a copy built on first read. No code
+        in this package reads it; it stays because the benchmark harness's
+        tests (`perfbench/tests/test_perfbench.py::_arrays`) read
+        `matrix._csr` on the fully stored `l1_dense` and `trace_lowrank`
+        designs."""
+        return sp.csr_matrix(self._dense_rows)
 
     @property
     def shape(self):
@@ -187,16 +182,6 @@ class SparseDesignMatrix:
             return self._dense_rows[rows].T @ np.asarray(block, dtype=np.float64)
         sub = self._csr[rows, :]
         return np.asarray(sub.T @ np.asarray(block, dtype=np.float64))
-
-
-def _full_layout(kind, major: np.ndarray, shape):
-    """The canonical CSR or CSC (`kind`) of a fully stored design whose
-    compressed slices are the rows of `major`, over `major`'s memory; its
-    index dtype is the one scipy's `csr_matrix` and `tocsc` pick."""
-    m, k = major.shape
-    idx = sp.get_index_dtype(maxval=max(major.size, m, k))
-    return kind((major.ravel(), np.tile(np.arange(k, dtype=idx), m),
-                 np.arange(m + 1, dtype=idx) * k), shape=shape)
 
 
 def _row_norms_sq(data: np.ndarray, ptr: np.ndarray) -> np.ndarray:

@@ -91,12 +91,12 @@ def check_integer(name: str, value, least: int = None) -> None:
 
 def check_run_settings(radius: float, max_iters: int, gap_tol: float) -> None:
     """Check the settings every solver's config shares: a positive finite
-    ball radius, an integer max_iters >= 0 and any gap_tol but NaN."""
-    if not 0.0 < radius < math.inf:
+    radius, an integer max_iters >= 0 and any gap_tol but NaN; no bools."""
+    if isinstance(radius, bool) or not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     check_integer("max_iters", max_iters, 0)
-    if math.isnan(gap_tol):
-        raise ValueError("gap_tol must be a number, got nan")
+    if isinstance(gap_tol, bool) or math.isnan(gap_tol):
+        raise ValueError(f"gap_tol must be a number, got {gap_tol}")
 
 
 def check_targets(loss, ndim: int) -> None:

@@ -63,9 +63,9 @@ class SolverConfig:
     def __post_init__(self):
         check_run_settings(self.radius, self.max_iters, self.gap_tol)
         check_integer("s", self.s, 1)
-        if self.delta is not None and not 0.0 < self.delta < math.inf:
-            raise ValueError(
-                f"delta must be positive and finite, got {self.delta}")
+        if self.delta is not None and (isinstance(self.delta, bool)
+                                       or not 0.0 < self.delta < math.inf):
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.k is not None:
             check_integer("k", self.k, 1)
 

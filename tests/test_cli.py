@@ -133,13 +133,14 @@ def test_dataset_and_synthetic_conflict(tmp_path, capsys):
 
 def test_matrix_targets_pick_the_trace_ball(tmp_path, capsys):
     # trace_sensing's n x c targets select the trace-norm ball, which only
-    # pdbfw solves, and only with the quadratic loss
+    # pdbfw solves; its targets are real-valued, which the smooth hinge refuses
     out = tmp_path / "res"
     base = ["run", "--synthetic", "trace_sensing", "--output-dir", str(out)]
     assert main(base + ["--solvers", "pdbfw,fw"]) == EXIT_USAGE
     assert "only the pdbfw solver supports; got fw" in capsys.readouterr().err
     assert main(base + ["--loss", "smooth_hinge"]) == EXIT_USAGE
-    assert "only supports --loss quadratic" in capsys.readouterr().err
+    assert "smooth hinge labels must be in {-1, +1}" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import warnings
 
@@ -492,9 +493,10 @@ def test_dual_layout_consistency_random():
 
 
 # The reference construction: scipy's COO round trip, canonicalization and
-# the squared product matrix. Building the layouts of a fully stored design
-# over its dense arrays and the row norms from the squared data must give
-# the same arrays, bit for bit.
+# the squared product matrix. A sparse design's layouts, a fully stored
+# design's dense rows and columns (the data of its CSR and CSC) and its CSR
+# copy, and the row norms from the squared data must give the same arrays,
+# bit for bit.
 
 def old_construction(matrix):
     csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
@@ -507,17 +509,29 @@ def old_construction(matrix):
     return csr, csc, norms
 
 
+def assert_same_layout(got, want):
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert g.tobytes() == w.tobytes(), name
+
+
 def assert_same_construction(A, matrix):
     csr, csc, norms = old_construction(matrix)
-    for got, want in ((A._csr, csr), (A._csc, csc)):
-        assert got.shape == want.shape
-        for name in ("data", "indices", "indptr"):
-            g, w = getattr(got, name), getattr(want, name)
-            assert g.dtype == w.dtype, name
-            assert g.tobytes() == w.tobytes(), name
+    full = A._dense_rows is not None
+    assert full == (csr.nnz == np.prod(csr.shape))
+    if full:
+        assert "_csc" not in vars(A) and "_csr" not in vars(A)
+        assert A._dense_rows.tobytes() == csr.data.tobytes()
+        assert A._dense_cols.tobytes() == csc.data.tobytes()
+        # the CSR copy, built on first read
+        assert_same_layout(A._csr, sp.csr_matrix(A.to_dense()))
+    else:
+        assert_same_layout(A._csc, csc)
+    assert_same_layout(A._csr, csr)
     assert A.row_norms_sq.dtype == norms.dtype
     assert A.row_norms_sq.tobytes() == norms.tobytes()
-    assert (A._dense_rows is not None) == (csr.nnz == np.prod(csr.shape))
 
 
 @st.composite
@@ -708,7 +722,8 @@ def test_repeated_slices_add_once_per_occurrence():
 
 def col_product_oracle(A, dx, w, scale_old, scale_new):
     out = scale_old * w
-    csc = A._csc
+    # a fully stored design holds no CSC
+    csc = A._csc if A._dense_cols is None else sp.csc_matrix(A.to_dense())
     for j, val in zip(dx.indices, dx.values):
         lo, hi = csc.indptr[j], csc.indptr[j + 1]
         out[csc.indices[lo:hi]] += scale_new * val * csc.data[lo:hi]
@@ -754,6 +769,17 @@ def dense_designs(draw):
     A = SparseDesignMatrix(_random_entries(rng, n, d))
     assert A._dense_rows is not None and A._dense_cols is not None
     return A, rng
+
+
+def sparse_twin(A):
+    """A fully stored design A held as a sparse design holds its entries, a
+    CSR and a CSC without dense arrays, so that the kernels take the sparse
+    route on it."""
+    twin = copy.copy(A)
+    twin._dense_rows = twin._dense_cols = None
+    twin._csr = sp.csr_matrix(A.to_dense())
+    twin._csc = twin._csr.tocsc()
+    return twin
 
 
 coefficients = st.floats(-1e6, 1e6, allow_nan=False)
@@ -845,8 +871,7 @@ def test_apply_row_slice_transpose_dense_route_bit_identical_to_loop(
 @given(dense_designs(), st.data())
 def test_update_kernels_dense_route_near_the_sparse_route(design, data):
     A, _ = design
-    sparse_route = SparseDesignMatrix(A.to_dense())
-    sparse_route._dense_rows = sparse_route._dense_cols = None
+    sparse_route = sparse_twin(A)
     check_col_product(*design, data, oracle=lambda _, *args:
                       apply_sparse_col_product(sparse_route, *args))
     check_row_transpose(*design, data, oracle=lambda _, *args:
@@ -1030,11 +1055,9 @@ def test_one_exact_zero_sends_a_design_to_the_sparse_route():
 def test_dense_views_copy_nothing_and_are_read_only():
     rng = np.random.default_rng(3)
     A = SparseDesignMatrix(_random_entries(rng, 4, 7))
-    # the sparse layouts are built on first read, not by to_dense
+    # to_dense builds no sparse layout
     assert A.to_dense().flags.writeable
     assert "_csr" not in vars(A) and "_csc" not in vars(A)
-    assert np.shares_memory(A._dense_rows, A._csr.data)
-    assert np.shares_memory(A._dense_cols, A._csc.data)
     np.testing.assert_array_equal(A._dense_rows, A.to_dense())
     np.testing.assert_array_equal(A._dense_cols, A.to_dense().T)
     assert not A._dense_rows.flags.writeable
@@ -1090,8 +1113,7 @@ def test_row_submatrix_t_dot_dense_route(design, data):
     scale = np.abs(sub).T @ np.abs(block)
     assert got.shape == (A.n_cols, block.shape[1])
     assert np.all(np.abs(got - sub.T @ block) <= 1e-13 * scale)
-    sparse_route = SparseDesignMatrix(A.to_dense())
-    sparse_route._dense_rows = None
+    sparse_route = sparse_twin(A)
     assert np.all(np.abs(got - sparse_route.row_submatrix_t_dot(rows, block))
                   <= 1e-13 * scale)
 
@@ -1120,7 +1142,9 @@ def add_scaled_row_oracle(A, i, coeff, out):
 
 def check_products_and_row_ops(A, rng, data):
     dense = A.to_dense()
-    views = [v.copy() for v in (A._csr.data, A._csc.data)]
+    stored = ((A._csr.data, A._csc.data) if A._dense_rows is None
+              else (A._dense_rows, A._dense_cols))
+    views = [v.copy() for v in stored]
     for m in (None, 1, data.draw(st.integers(2, 4))):
         tail = () if m is None else (m,)
         x = _random_entries(rng, A.n_cols, m or 1).reshape((A.n_cols,) + tail)
@@ -1149,8 +1173,7 @@ def check_products_and_row_ops(A, rng, data):
         add_scaled_row_oracle(A, i, coeff, want)
         A.add_scaled_row(i, coeff, out)
         assert np.array_equal(out, want)
-    assert np.array_equal(A._csr.data, views[0])
-    assert np.array_equal(A._csc.data, views[1])
+    assert all(np.array_equal(v, w) for v, w in zip(stored, views))
 
 
 @settings(max_examples=200, deadline=None)

@@ -389,6 +389,9 @@ def test_resolve_rejects_oversized_budgets():
     dict(radius=1.0, s=1, k=True),
     dict(radius=1.0, s=1, max_iters=True),
     dict(radius=1.0, s=1, max_iters=False),
+    dict(radius=True, s=1),
+    dict(radius=1.0, s=1, delta=True),
+    dict(radius=1.0, s=1, gap_tol=True),
 ])
 def test_solver_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -413,8 +416,9 @@ def test_solver_config_has_no_step_size_field():
 @pytest.mark.parametrize("bad", [
     dict(radius=0.0), dict(radius=math.inf), dict(radius=math.nan),
     dict(max_iters=-1), dict(gap_tol=math.nan), dict(max_iters=2.0),
+    dict(radius=True), dict(gap_tol=True),
 ], ids=["radius_zero", "radius_inf", "radius_nan", "max_iters", "gap_tol",
-        "max_iters_float"])
+        "max_iters_float", "radius_bool", "gap_tol_bool"])
 def test_both_configs_reject_shared_settings_alike(bad):
     # the block solvers' and the reference solvers' configs share one check
     settings = {"radius": 1.0, **bad}

@@ -79,6 +79,8 @@ def test_solvers_on_a_fully_stored_design_peak_below_one_megabyte():
     ]
     for call in calls:
         assert peak_bytes(call) < 1_000_000
+    # no solver reads a sparse layout of a fully stored design
+    assert "_csr" not in vars(A)
 
 
 def _write_rows(path, n_rows):
