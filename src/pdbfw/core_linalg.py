@@ -4,8 +4,9 @@ shared by every solver step, and the range finder of the trace-norm solver.
 The design matrix is stored in both compressed-row and compressed-column
 layouts, or, when every entry is stored, as dense rows and dense columns
 only, so that column-restricted products (maintaining w = Ax) and
-row-restricted transpose products (maintaining z = A'y) both cost time
-proportional to the nonzeros actually touched.
+row-restricted transpose products (maintaining z = A'y and the trace
+solver's Z = A'Y) both cost time proportional to the nonzeros actually
+touched. One kernel, `_restricted_sum`, runs all three on both storages.
 """
 
 from __future__ import annotations
@@ -174,14 +175,14 @@ class SparseDesignMatrix:
         out[cols] += coeff * self._csr.data[lo:hi]
 
     def row_submatrix_t_dot(self, rows, block) -> np.ndarray:
-        """A_{rows,:}' @ block for a k x m dense block; returns d x m.
-
-        A fully stored design multiplies its dense rows with BLAS, which sums
-        in another order than the sparse product."""
-        if self._dense_rows is not None:
-            return self._dense_rows[rows].T @ np.asarray(block, dtype=np.float64)
-        sub = self._csr[rows, :]
-        return np.asarray(sub.T @ np.asarray(block, dtype=np.float64))
+        """A_{rows,:}' @ block (d x m) for k rows in [0, n), else ValueError,
+        and a k x m block: the bits of `csr[rows, :].T @ block` with neither
+        built on a sparse design, BLAS's sum on a fully stored one."""
+        rows = np.asarray(rows, dtype=np.int64)
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 2 or block.shape[:1] != rows.shape:
+            raise ValueError(f"block {block.shape} for {rows.shape} rows")
+        return _restricted_sum(self, True, rows, block)
 
 
 def _row_norms_sq(data: np.ndarray, ptr: np.ndarray) -> np.ndarray:
@@ -205,10 +206,6 @@ class SparseUpdate:
 
     indices: np.ndarray
     values: np.ndarray
-
-    @property
-    def support_size(self) -> int:
-        return int(self.indices.size)
 
 
 # Top count the l1 projection sorts first; vectors no longer than this are
@@ -360,13 +357,35 @@ def _compressed_product(kind: str, shape, arrays, x, out=None):
     return out
 
 
-def _add_slices(layout: sp.csr_matrix, sel: np.ndarray, coeffs: np.ndarray,
-                out: np.ndarray) -> np.ndarray:
-    """out[idx] += data * coeffs[i] in place over each slice sel[i] of a CSR
-    or CSC layout, slice by slice and entry by entry: the per-slice loop's
-    order and products, so its bits. scipy's compiled loops gather and add,
-    checking no bounds: `sel` must be in range and `out` a float64 vector
-    that every stored index fits."""
+# Bytes of one block of rows that `_restricted_sum` gathers on a fully stored
+# design, small enough to stay in a core's L2 cache.
+_FOLD_BYTES = 512 * 1024
+
+
+def _restricted_sum(A: SparseDesignMatrix, by_rows: bool, sel: np.ndarray,
+                    coeffs: np.ndarray, out=None) -> np.ndarray:
+    """out + sum_i coeffs[i] * (row, or column, sel[i] of A) in place, or the
+    sum alone when out is None, for a vector or k x m block `coeffs`. A `sel`
+    outside [0, n) raises ValueError: the compiled loops check no bounds. A
+    sparse design gathers the selected slices with `csr_row_index` and adds
+    them in the per-slice loop's order, so its bits; a fully stored design
+    adds one BLAS product per `_FOLD_BYTES` of gathered rows."""
+    n_sel, n_out = A.shape if by_rows else A.shape[::-1]
+    if sel.size == 0:
+        return np.zeros((n_out,) + coeffs.shape[1:]) if out is None else out
+    if sel.min() < 0 or sel.max() >= n_sel:
+        raise ValueError("row indices out of range" if by_rows
+                         else "update indices out of column range")
+    dense = A._dense_rows if by_rows else A._dense_cols
+    if dense is not None:
+        fold = max(1, _FOLD_BYTES // (8 * dense.shape[1]))
+        for lo in range(0, sel.size, fold):  # no product outlives its add
+            if out is None:
+                out = dense[sel[:fold]].T @ coeffs[:fold]
+            else:
+                out += dense[sel[lo:lo + fold]].T @ coeffs[lo:lo + fold]
+        return out
+    layout = A._csr if by_rows else A._csc
     idx = layout.indptr.dtype
     sel = sel.astype(idx, casting="same_kind")
     ptr = np.zeros(sel.size + 1, dtype=idx)
@@ -374,28 +393,8 @@ def _add_slices(layout: sp.csr_matrix, sel: np.ndarray, coeffs: np.ndarray,
     indices, data = np.empty(ptr[-1], dtype=idx), np.empty(ptr[-1])
     _sparsetools.csr_row_index(sel.size, sel, layout.indptr, layout.indices,
                                layout.data, indices, data)
-    return _compressed_product("csc", (out.shape[0], sel.size),
+    return _compressed_product("csc", (n_out, sel.size),
                                (ptr, indices, data), coeffs, out)
-
-
-# Bytes of one block of rows that `_dense_slices_sum` gathers, small enough
-# to stay in a core's L2 cache.
-_FOLD_BYTES = 512 * 1024
-
-
-def _dense_slices_sum(dense: np.ndarray, sel: np.ndarray,
-                       coeffs: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """first + sum_i coeffs[i] * dense[sel[i]], one BLAS product per block of
-    at most `_FOLD_BYTES` of gathered rows, so the gathered copy stays bounded
-    whatever the selection's length. BLAS sums in its own order, as the dense
-    route's other products do.
-
-    `sel` must be in range. `first` is overwritten with the result.
-    """
-    block = max(1, _FOLD_BYTES // (8 * dense.shape[1]))
-    for lo in range(0, sel.size, block):
-        first += coeffs[lo:lo + block] @ dense[sel[lo:lo + block]]
-    return first
 
 
 def apply_sparse_col_product(A: SparseDesignMatrix, dx: SparseUpdate,
@@ -407,15 +406,8 @@ def apply_sparse_col_product(A: SparseDesignMatrix, dx: SparseUpdate,
         raise ValueError(f"w has shape {w.shape}, expected ({A.n_rows},)")
     if dx.values.shape != dx.indices.shape:
         raise ValueError("update values and indices differ in shape")
-    out = scale_old * np.asarray(w, dtype=np.float64)
-    if dx.support_size == 0:
-        return out
-    if dx.indices.min() < 0 or dx.indices.max() >= A.n_cols:
-        raise ValueError("update indices out of column range")
-    if A._dense_cols is not None:
-        return _dense_slices_sum(A._dense_cols, dx.indices,
-                                 scale_new * dx.values, out)
-    return _add_slices(A._csc, dx.indices, scale_new * dx.values, out)
+    return _restricted_sum(A, False, dx.indices, scale_new * dx.values,
+                           scale_old * np.asarray(w, dtype=np.float64))
 
 
 def apply_row_slice_transpose(A: SparseDesignMatrix, rows: np.ndarray,
@@ -428,11 +420,4 @@ def apply_row_slice_transpose(A: SparseDesignMatrix, rows: np.ndarray,
         raise ValueError(f"z has shape {z.shape}, expected ({A.n_cols},)")
     if dy.shape != rows.shape:
         raise ValueError("dy must be defined exactly on the selected rows")
-    out = np.array(z, dtype=np.float64)
-    if rows.size == 0:
-        return out
-    if rows.min() < 0 or rows.max() >= A.n_rows:
-        raise ValueError("row indices out of range")
-    if A._dense_rows is not None:
-        return _dense_slices_sum(A._dense_rows, rows, dy, out)
-    return _add_slices(A._csr, rows, dy, out)
+    return _restricted_sum(A, True, rows, dy, np.array(z, dtype=np.float64))

@@ -36,7 +36,7 @@ class Regularizer:
     mu: float
 
     def __post_init__(self):
-        if isinstance(self.mu, bool) or not 0.0 < self.mu < np.inf:
+        if isinstance(self.mu, (bool, np.bool_)) or not 0.0 < self.mu < np.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
     def value(self, x: np.ndarray) -> float:

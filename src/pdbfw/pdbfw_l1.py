@@ -63,7 +63,7 @@ class SolverConfig:
     def __post_init__(self):
         check_run_settings(self.radius, self.max_iters, self.gap_tol)
         check_integer("s", self.s, 1)
-        if self.delta is not None and (isinstance(self.delta, bool)
+        if self.delta is not None and (isinstance(self.delta, (bool, np.bool_))
                                        or not 0.0 < self.delta < math.inf):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.k is not None:

@@ -386,7 +386,7 @@ def test_sparse_l1_prox_within_budget_and_ball():
         v = rng.normal(size=d) * 3
         radius = float(rng.uniform(0.1, 4.0))
         update = sparse_l1_prox(v, radius, s)
-        assert update.support_size <= s
+        assert update.indices.size <= s
         assert np.abs(update.values).sum() <= radius * (1 + 1e-9)
         assert np.all(update.values != 0.0)
 
@@ -634,12 +634,24 @@ def test_apply_sparse_col_product_matches_dense():
 
 
 def test_apply_sparse_col_product_empty_update_scales_only():
-    A, _ = small_matrix()
+    A, dense = small_matrix()
     w = np.array([1.0, 2.0, 3.0])
     update = SparseUpdate(indices=np.array([], dtype=np.int64),
                           values=np.array([]))
     got = apply_sparse_col_product(A, update, w, 0.5, 2.0)
     assert_allclose(got, 0.5 * w)
+    # an empty selection adds nothing on either route, not even +0.0, which
+    # would turn a -0.0 entry into +0.0; an empty row block is zeros
+    w, z = np.array([1.0, -0.0, 3.0]), np.array([-0.0, 2.0, 0.0, -4.0])
+    none = np.array([], dtype=np.int64)
+    for A in (A, SparseDesignMatrix(np.where(dense == 0.0, 0.5, dense))):
+        assert_same_bits(apply_sparse_col_product(A, update, w, 0.5, 2.0),
+                         0.5 * w)
+        got = apply_row_slice_transpose(A, none, np.array([]), z)
+        assert_same_bits(got, z)
+        assert got is not z
+        assert_same_bits(A.row_submatrix_t_dot(none, np.zeros((0, 3))),
+                         np.zeros((4, 3)))
 
 
 def test_apply_row_slice_transpose_matches_dense():
@@ -692,11 +704,20 @@ def test_apply_sparse_col_product_rejects_values_of_another_length(
 
 
 def test_apply_row_slice_transpose_rejects_out_of_range_rows():
-    A, _ = small_matrix()
+    A, dense = small_matrix()
     for bad in (-1, 3):
         with pytest.raises(ValueError, match="row indices out of range"):
             apply_row_slice_transpose(A, np.array([bad, 0]),
                                       np.array([1.0, 1.0]), np.zeros(4))
+    # the row block checks the same range on both routes: the compiled
+    # loops would read outside the design, and a dense gather would wrap -1
+    for A in (A, SparseDesignMatrix(np.where(dense == 0.0, 0.5, dense))):
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match="row indices out of range"):
+                apply_row_slice_transpose(A, np.array([bad, 0]),
+                                          np.array([1.0, 1.0]), np.zeros(4))
+            with pytest.raises(ValueError, match="row indices out of range"):
+                A.row_submatrix_t_dot(np.array([0, bad]), np.ones((2, 2)))
 
 
 def test_repeated_slices_add_once_per_occurrence():
@@ -927,6 +948,7 @@ def test_update_kernels_bit_identical_to_loop_with_int64_indices(design,
     with_int64_indices(A)
     check_col_product(A, rng, data)
     check_row_transpose(A, rng, data)
+    check_row_block(A, rng, data)
 
 
 def test_update_kernels_match_loop_with_int64_indices_on_repeats():
@@ -1097,6 +1119,27 @@ def test_divide_rows_leaves_the_sparse_input_intact():
     np.testing.assert_array_equal(out.to_dense(), [[0.0, 0.0, 1.0],
                                                    [0.0, 1.0, 0.0]])
     assert [part.tobytes() for part in held] == before
+
+
+def check_row_block(A, rng, data):
+    """On a sparse design the row block has the bits of scipy's
+    `csr[rows, :].T @ block`, for repeated rows, no rows, and blocks in C
+    order, in F order and as strided slices."""
+    rows = np.array(data.draw(st.lists(st.integers(0, A.n_rows - 1),
+                                       max_size=12)), dtype=np.int64)
+    m = data.draw(st.integers(1, 4))
+    block = start_vector(rng, rows.size * 2 * m).reshape(rows.size, 2 * m)
+    block = data.draw(st.sampled_from([block[:, :m].copy(),
+                                       np.asfortranarray(block[:, :m]),
+                                       block[:, ::2]]))
+    assert_same_bits(A.row_submatrix_t_dot(rows, block),
+                     np.asarray(A._csr[rows, :].T @ block))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_designs(), st.data())
+def test_row_submatrix_t_dot_bit_identical_to_scipy(design, data):
+    check_row_block(*design, data)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1391,7 +1434,7 @@ def test_solve_unchanged_against_loop_kernels(monkeypatch, kind):
 
 def test_sparse_update_dense_roundtrip():
     update = SparseUpdate(indices=np.array([1, 3]), values=np.array([2.0, -1.0]))
-    assert update.support_size == 2
+    assert update.indices.size == 2
     assert_allclose(to_dense(update, 5), [0.0, 2.0, 0.0, -1.0, 0.0])
 
 

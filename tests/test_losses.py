@@ -306,7 +306,7 @@ def test_regularizer_value_grad_and_default_smoothness():
     assert_allclose(g.grad(x), [0.5, -1.0])
 
 
-@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf, True])
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf, True, np.True_])
 def test_regularizer_rejects_nonpositive_mu(mu):
     with pytest.raises(ValueError, match="mu must be positive"):
         Regularizer(mu=mu)
