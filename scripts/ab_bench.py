@@ -129,6 +129,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
     for tree in (args.base, args.new):
         if not (tree / "perfbench" / "run.py").is_file():
             parser.error(f"no perfbench/run.py under {tree}")

@@ -1,8 +1,7 @@
 """Primal-dual block Frank-Wolfe solvers for l1- and trace-norm-constrained
 empirical risk minimization, with reference solvers and a benchmark CLI."""
 
-from .baselines import BaselineConfig, solve_acc_pgd, solve_baseline, \
-    solve_fw, solve_svrg
+from .baselines import BaselineConfig, solve_baseline
 from .core_linalg import SparseDesignMatrix, SparseUpdate, project_l1_ball, \
     sparse_l1_prox, top_k_by_magnitude
 from .data_io import Dataset, ParseError, PortableRng, SyntheticSpec, \
@@ -46,10 +45,7 @@ __all__ = [
     "quadratic_loss",
     "smooth_hinge_loss",
     "solve",
-    "solve_acc_pgd",
     "solve_baseline",
-    "solve_fw",
-    "solve_svrg",
     "solve_trace",
     "sparse_l1_prox",
     "top_k_by_magnitude",

@@ -1,10 +1,10 @@
 """Reference solvers for the l1-constrained primal problem: classical
 Frank-Wolfe, accelerated projected gradient with adaptive restart, and
-prox-SVRG. Each is a step on x, w = Ax and the flop count of a `SolverState`,
-run by `metrics.run_to_gap` like the primal-dual solvers, so all four record
-and stop by one rule. The certificate is the dual objective at the plug-in
-dual point y = f'(Ax); its mat-vec is not charged to the flop counter, which
-only tracks work the solver itself needs.
+prox-SVRG. `solve_baseline` runs the step that `cfg.kind` names, on x, w = Ax
+and the flop count of a `SolverState`, in `metrics.run_to_gap` like the
+primal-dual solvers, so all four record and stop by one rule. The certificate
+is the dual objective at the plug-in dual point y = f'(Ax); its mat-vec is not
+charged to the flop counter, which only tracks work the solver itself needs.
 
 Each product is formed once: the certificate's z = A'y, kept in the state,
 is fw's, svrg's snapshot and acc_pgd's restart gradient, and acc_pgd's
@@ -73,29 +73,14 @@ def _plug_in(A: SparseDesignMatrix, loss: LossModel, st: SolverState):
     return st.y, st.z
 
 
-def _run(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
-         cfg: BaselineConfig, step):
-    """Run `step` from x = 0 to cfg's gap or budget; returns (x, trace)."""
-
-    def certificate(st):
-        y, z = _plug_in(A, loss, st)
-        return dual_objective(A, loss, reg, y, cfg.radius, z)
-
-    state = SolverState(np.zeros(A.n_cols), None, np.zeros(A.n_rows), None)
-    trace = run_to_gap(A, loss, reg, state, step, certificate,
-                       np.count_nonzero, cfg.max_iters, cfg.gap_tol,
-                       cfg.record_every)
-    return state.x, trace
-
-
-def solve_fw(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
-             cfg: BaselineConfig):
+def _fw(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
+        cfg: BaselineConfig):
     """Classical Frank-Wolfe on the l1 ball with step 2/(t+1) at iteration
     t = 1, 2, ..., so the first step lands on a vertex.
 
     The linear minimizer over the ball is the signed vertex
     -radius * sign(grad_j) e_j at the largest-magnitude coordinate; a zero
-    gradient yields the zero vertex. Returns (x, trace).
+    gradient yields the zero vertex. Returns the step.
     """
     n = A.n_rows
 
@@ -116,14 +101,14 @@ def solve_fw(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
         else:
             st.w *= 1.0 - eta
 
-    return _run(A, loss, reg, cfg, step)
+    return step
 
 
-def solve_acc_pgd(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
-                  cfg: BaselineConfig):
+def _acc_pgd(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
+             cfg: BaselineConfig):
     """Accelerated projected gradient (FISTA) with restart on objective
     increase; a restart redoes the iteration as a plain projected step from
-    the previous point. Returns (x, trace)."""
+    the previous point. Returns the step."""
     n, d = A.n_rows, A.n_cols
     step_size = 1.0 / total_smoothness(A, reg)
     y = np.zeros(d)       # extrapolated point
@@ -162,11 +147,11 @@ def solve_acc_pgd(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
         products = A.rmatvec(np.ascontiguousarray(derivs.T))
         st.y, st.z, z_y = derivs[0], products[:, 0], products[:, 1]
 
-    return _run(A, loss, reg, cfg, step)
+    return step
 
 
-def solve_svrg(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
-               cfg: BaselineConfig):
+def _svrg(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
+          cfg: BaselineConfig):
     """Projected prox-SVRG; one step, and one trace record, per epoch.
 
     Each epoch snapshots the current point, stores its predictions and full
@@ -174,7 +159,7 @@ def solve_svrg(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
         g = (f_i'(a_i'x) - f_i'(a_i'xs)) a_i + grad_snapshot + mu x
     with sample indices from the seeded portable generator. With one sample
     the correction cancels the snapshot term exactly and the method reduces
-    to deterministic projected gradient descent. Returns (x, trace).
+    to deterministic projected gradient descent. Returns the step.
     """
     n = A.n_rows
     step_size = 0.1 / total_smoothness(A, reg)
@@ -205,11 +190,21 @@ def solve_svrg(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
         st.z = None  # w moved
         st.flops += A.nnz
 
-    return _run(A, loss, reg, cfg, step)
+    return step
 
 
 def solve_baseline(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
                    cfg: BaselineConfig):
-    """Dispatch on cfg.kind; returns (x, trace)."""
-    solver = {"fw": solve_fw, "acc_pgd": solve_acc_pgd, "svrg": solve_svrg}[cfg.kind]
-    return solver(A, loss, reg, cfg)
+    """Run cfg.kind from x = 0 to cfg's gap or budget; returns (x, trace)."""
+    step = {"fw": _fw, "acc_pgd": _acc_pgd, "svrg": _svrg}[cfg.kind](
+        A, loss, reg, cfg)
+
+    def certificate(st):
+        y, z = _plug_in(A, loss, st)
+        return dual_objective(A, loss, reg, y, cfg.radius, z)
+
+    state = SolverState(np.zeros(A.n_cols), None, np.zeros(A.n_rows), None)
+    trace = run_to_gap(A, loss, reg, state, step, certificate,
+                       np.count_nonzero, cfg.max_iters, cfg.gap_tol,
+                       cfg.record_every)
+    return state.x, trace

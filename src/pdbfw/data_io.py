@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -25,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core_linalg import SparseDesignMatrix
+from .metrics import check_integer
 
 logger = logging.getLogger(__name__)
 
@@ -40,7 +42,7 @@ class PortableRng:
     of (seed, i), so streams never depend on call batching."""
 
     def __init__(self, seed: int = 0):
-        self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self._seed = np.uint64(operator.index(seed) & 0xFFFFFFFFFFFFFFFF)
         self._counter = 0
 
     def raw(self, count: int) -> np.ndarray:
@@ -190,6 +192,8 @@ def parse_libsvm(source: Union[str, TextIO], n_cols: Optional[int] = None,
     typed buffers, from which the design is built as CSR and held without
     a copy.
     """
+    if n_cols is not None:
+        check_integer("n_cols", n_cols, 0)
     if isinstance(source, str):
         handle, owned, name = open(source, "r"), True, source
     else:
@@ -257,19 +261,19 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in ("sparse_regression", "trace_sensing"):
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
-        if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be >= 1")
-        if self.kind == "trace_sensing" and (self.c is None or self.c < 1):
-            raise ValueError("trace_sensing needs a column count c >= 1")
-        if self.true_sparsity_or_rank < 1:
-            raise ValueError("true sparsity/rank must be >= 1")
+        for name in ("n", "d", "true_sparsity_or_rank"):
+            check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed)
         if self.kind == "sparse_regression" and self.true_sparsity_or_rank > self.d:
             raise ValueError("true sparsity exceeds dimension")
-        if self.kind == "trace_sensing" and self.c is not None and \
-                self.true_sparsity_or_rank > min(self.d, self.c):
-            raise ValueError("true rank exceeds min(d, c)")
-        if not self.noise_level >= 0.0:
-            raise ValueError(f"noise level must be >= 0, got {self.noise_level}")
+        if self.kind == "trace_sensing":
+            check_integer("trace_sensing's column count c", self.c, 1)
+            if self.true_sparsity_or_rank > min(self.d, self.c):
+                raise ValueError("true rank exceeds min(d, c)")
+        if isinstance(self.noise_level, (bool, np.bool_)) or \
+                not 0.0 <= self.noise_level < math.inf:
+            raise ValueError(
+                f"noise level must be >= 0 and finite, got {self.noise_level}")
 
 
 def generate_synthetic(spec: SyntheticSpec):

@@ -72,9 +72,6 @@ class ConvergenceTrace:
                                         float(primal) - float(dual),
                                         int(flops), int(support)))
 
-    def __len__(self):
-        return len(self.records)
-
     @property
     def final(self) -> TraceRecord:
         return self.records[-1]

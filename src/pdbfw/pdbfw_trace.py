@@ -61,11 +61,6 @@ class LowRankFactor:
     def to_dense(self) -> np.ndarray:
         return self.left @ (self.singular[:, None] * self.right.T)
 
-    @classmethod
-    def zero(cls, d: int, c: int) -> "LowRankFactor":
-        return cls(left=np.zeros((d, 0)), singular=np.zeros(0),
-                   right=np.zeros((c, 0)))
-
 
 @functools.lru_cache(maxsize=16)
 def _power_start(c: int, b: int) -> np.ndarray:
@@ -85,8 +80,8 @@ def approx_lowrank_prox(M: np.ndarray, radius: float, s: int,
     Exact target: keep the top-s singular triplets of M, then project the
     kept singular values onto the l1 ball of the given radius. The triplets
     come from oversampled block power iteration, one `range_svd` per sweep,
-    from the c x b `start` block (by default `_power_start`; the solver
-    passes the previous call's `block`). It stops at the first sweep whose
+    from the c x b `start` block (by default `_power_start`), which a zero M
+    returns as the rank-0 factor's `block`. It stops at the first sweep whose
     relative SVD residual is at most POWER_TOL, or whose subproblem value
     sv.p - p.p/2 (p the projected values) moved by at most VALUE_RTOL
     relative since the sweep before; POWER_MAX_SWEEPS sweeps without either
@@ -99,11 +94,11 @@ def approx_lowrank_prox(M: np.ndarray, radius: float, s: int,
     M = np.asarray(M, dtype=np.float64)
     d, c = M.shape
     s_eff = min(s, d, c)
-    if not M.any():
-        return LowRankFactor.zero(d, c)
-
     block = (_power_start(c, min(s_eff + POWER_OVERSAMPLE, d, c))
              if start is None else start)
+    if not M.any():
+        return LowRankFactor(left=np.zeros((d, 0)), singular=np.zeros(0),
+                             right=np.zeros((c, 0)), block=block)
     value = np.nan
     for _ in range(POWER_MAX_SWEEPS):
         _, _, left_all, sv_all, block = range_svd(M, block)
@@ -134,15 +129,13 @@ def primal_step_trace(state: SolverState, cfg: SolverConfig,
     M = state.z * (-1.0 / (n * reg.mu * ETA))
     M -= state.x
     factor = approx_lowrank_prox(M, cfg.radius, cfg.s, start)
-    r = factor.rank
     state.x *= 1.0 - ETA
     state.w *= 1.0 - ETA
-    if r > 0:
-        scaled = replace(factor, singular=ETA * factor.singular)
-        state.x += scaled.to_dense()
-        AU = A.matvec(scaled.left)  # n x r
-        state.w += (AU * scaled.singular) @ scaled.right.T
-        state.flops += A.nnz * r + n * r * c + d * r * c
+    scaled = replace(factor, singular=ETA * factor.singular)
+    state.x += scaled.to_dense()
+    AU = A.matvec(scaled.left)  # n x rank
+    state.w += (AU * scaled.singular) @ scaled.right.T
+    state.flops += (A.nnz + (n + d) * c) * factor.rank
     return factor
 
 
@@ -170,11 +163,11 @@ def solve_trace(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
     Returns (X, Y, trace). The trace's support column records the numerical
     rank of X.
 
-    Each prox starts from the previous one's right block. Both records take
-    their singular values from a `SketchedSpectrum` on the fixed
-    `_power_start` block: from range sketches sized to the last rank found
-    while they capture the matrix to rounding, from the full SVD after a
-    miss on the whole block. The support column is the full SVD's count;
+    Each prox starts from the block the one before returned, the first from
+    the fixed `_power_start` block on which both records' `SketchedSpectrum`
+    take their singular values: from range sketches sized to the last rank
+    found while they capture the matrix to rounding, from the full SVD after
+    a miss on the whole block. The support column is the full SVD's count;
     the dual value can move in its last bits.
     """
     check_targets(loss, 2)
@@ -183,7 +176,7 @@ def solve_trace(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
     state = SolverState.zeros(A.n_rows, A.n_cols, c)
     block = _power_start(c, min(rc.s + POWER_OVERSAMPLE, A.n_cols, c))
     rank_sv, dual_sv = SketchedSpectrum(block), SketchedSpectrum(block)
-    warm = None
+    warm = block
 
     def step(st):
         nonlocal warm

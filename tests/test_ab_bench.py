@@ -131,6 +131,17 @@ def test_main_rejects_bad_workload_lists(tmp_path, capsys, monkeypatch,
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pairs", ["0", "-2"])
+def test_main_rejects_pair_counts_below_one(tmp_path, capsys, monkeypatch,
+                                            pairs):
+    monkeypatch.setattr(ab_bench, "run_once", None)  # nothing may run
+    with pytest.raises(SystemExit) as exc:
+        ab_bench.main([*_trees(tmp_path), "--workload", "l1_dense",
+                       "--seed", "29", "--pairs", pairs])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err
+
+
 def test_summary_leaves_a_metric_unresolved_when_the_base_spreads_past_its_bound():
     # the base's quartiles lie 0.3 of its median apart, past the bound 0.25
     solves = [0.0100, 0.0120, 0.0140, 0.0160, 0.0180,

@@ -13,14 +13,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pdbfw.baselines import (BASELINE_KINDS, BaselineConfig, solve_acc_pgd,
-                             solve_baseline, solve_fw, solve_svrg,
+from pdbfw import baselines
+from pdbfw.baselines import (BASELINE_KINDS, BaselineConfig, solve_baseline,
                              total_smoothness)
 from pdbfw.core_linalg import SparseDesignMatrix, project_l1_ball
 from pdbfw.data_io import PortableRng
 from pdbfw.losses import Regularizer, quadratic_loss, smooth_hinge_loss
-
-_SOLVERS = {"fw": solve_fw, "acc_pgd": solve_acc_pgd, "svrg": solve_svrg}
 
 
 def _random_instance(seed, n, d, kind="quadratic"):
@@ -85,9 +83,9 @@ def test_zero_targets_are_a_fixed_point(kind):
     A = SparseDesignMatrix(np.eye(3))
     loss = quadratic_loss(np.zeros(3))
     cfg = BaselineConfig(kind=kind, radius=1.0, max_iters=50)
-    x, trace = _SOLVERS[kind](A, loss, Regularizer(mu=1.0), cfg)
+    x, trace = solve_baseline(A, loss, Regularizer(mu=1.0), cfg)
     np.testing.assert_array_equal(x, np.zeros(3))
-    assert len(trace) == 1  # gap 0 at iteration 0 stops immediately
+    assert len(trace.records) == 1  # gap 0 at iteration 0 stops immediately
     assert trace.final.gap == 0.0
 
 
@@ -99,7 +97,7 @@ def test_fw_one_dimensional_boundary_optimum():
     A = SparseDesignMatrix(np.array([[1.0]]))
     loss = quadratic_loss(np.array([2.0]))
     cfg = BaselineConfig(kind="fw", radius=0.5, max_iters=500, gap_tol=1e-12)
-    x, trace = solve_fw(A, loss, Regularizer(mu=1.0), cfg)
+    x, trace = solve_baseline(A, loss, Regularizer(mu=1.0), cfg)
     np.testing.assert_allclose(x, [0.5], atol=1e-12)
     assert trace.final.primal == pytest.approx(1.25, abs=1e-12)
     assert trace.final.gap <= 1e-12
@@ -109,7 +107,7 @@ def test_acc_pgd_reaches_tight_gap_early():
     A, loss = _random_instance(300, 30, 12)
     cfg = BaselineConfig(kind="acc_pgd", radius=1.5, max_iters=2000,
                          gap_tol=1e-8)
-    _, trace = solve_acc_pgd(A, loss, Regularizer(mu=0.5), cfg)
+    _, trace = solve_baseline(A, loss, Regularizer(mu=0.5), cfg)
     assert trace.final.gap <= 1e-8
     assert trace.final.iteration < 200  # early stop, nowhere near the budget
 
@@ -126,7 +124,7 @@ def test_svrg_single_sample_reduces_to_projected_gradient():
     loss = quadratic_loss(np.array([1.5]))
     reg = Regularizer(mu=0.4)
     cfg = BaselineConfig(kind="svrg", radius=1.2, max_iters=40, gap_tol=1e-16)
-    x, _ = solve_svrg(A, loss, reg, cfg)
+    x, _ = solve_baseline(A, loss, reg, cfg)
 
     step = 0.1 / total_smoothness(A, reg)
     x_ref = np.zeros(3)
@@ -141,8 +139,8 @@ def test_svrg_seeded_runs_are_bitwise_identical():
     reg = Regularizer(mu=0.3)
     cfg = BaselineConfig(kind="svrg", radius=1.0, max_iters=15, gap_tol=1e-16,
                          seed=4)
-    x1, tr1 = solve_svrg(A, loss, reg, cfg)
-    x2, tr2 = solve_svrg(A, loss, reg, cfg)
+    x1, tr1 = solve_baseline(A, loss, reg, cfg)
+    x2, tr2 = solve_baseline(A, loss, reg, cfg)
     np.testing.assert_array_equal(x1, x2)
     assert [r.primal for r in tr1.records] == [r.primal for r in tr2.records]
 
@@ -151,8 +149,8 @@ def test_svrg_seed_changes_trajectory():
     A, loss = _random_instance(310, 25, 10)
     reg = Regularizer(mu=0.3)
     base = dict(kind="svrg", radius=1.0, max_iters=5, gap_tol=1e-16)
-    x1, _ = solve_svrg(A, loss, reg, BaselineConfig(seed=0, **base))
-    x2, _ = solve_svrg(A, loss, reg, BaselineConfig(seed=1, **base))
+    x1, _ = solve_baseline(A, loss, reg, BaselineConfig(seed=0, **base))
+    x2, _ = solve_baseline(A, loss, reg, BaselineConfig(seed=1, **base))
     assert not np.array_equal(x1, x2)
 
 
@@ -164,7 +162,7 @@ def test_svrg_seed_changes_trajectory():
 def test_iterates_feasible_and_gaps_nonnegative(kind):
     A, loss = _random_instance(301, 30, 12, kind="hinge")
     cfg = BaselineConfig(kind=kind, radius=1.0, max_iters=60, gap_tol=1e-14)
-    x, trace = _SOLVERS[kind](A, loss, Regularizer(mu=0.5), cfg)
+    x, trace = solve_baseline(A, loss, Regularizer(mu=0.5), cfg)
     assert np.abs(x).sum() <= 1.0 * (1 + 1e-9)
     # plug-in dual certificate lies in the conjugate box: weak duality holds
     assert min(r.gap for r in trace.records) >= -1e-9
@@ -174,17 +172,30 @@ def test_record_every_thins_trace():
     A, loss = _random_instance(320, 20, 8)
     cfg = BaselineConfig(kind="fw", radius=1.0, max_iters=10, gap_tol=1e-16,
                          record_every=3)
-    _, trace = solve_fw(A, loss, Regularizer(mu=0.5), cfg)
+    _, trace = solve_baseline(A, loss, Regularizer(mu=0.5), cfg)
     assert [r.iteration for r in trace.records] == [0, 3, 6, 9, 10]
 
 
 @pytest.mark.parametrize("kind", BASELINE_KINDS)
-def test_dispatch_matches_direct_call(kind):
+def test_dispatch_matches_direct_call(kind, monkeypatch):
+    # the run builds the step of cfg.kind's builder and of no other one
     A, loss = _random_instance(330, 15, 6)
     reg = Regularizer(mu=0.5)
     cfg = BaselineConfig(kind=kind, radius=1.0, max_iters=8, gap_tol=1e-16)
-    x_direct, tr_direct = _SOLVERS[kind](A, loss, reg, cfg)
+    x_direct, tr_direct = solve_baseline(A, loss, reg, cfg)
+    built = []
+
+    def spy(name, builder):
+        def build(*args):
+            built.append(name)
+            return builder(*args)
+        return build
+
+    for name in BASELINE_KINDS:
+        monkeypatch.setattr(baselines, f"_{name}",
+                            spy(name, getattr(baselines, f"_{name}")))
     x_disp, tr_disp = solve_baseline(A, loss, reg, cfg)
+    assert built == [kind]
     np.testing.assert_array_equal(x_direct, x_disp)
     assert [r.primal for r in tr_direct.records] == \
         [r.primal for r in tr_disp.records]
@@ -196,7 +207,7 @@ def test_sample_count_mismatch_raises(kind):
     loss = quadratic_loss(np.zeros(4))
     cfg = BaselineConfig(kind=kind, radius=1.0)
     with pytest.raises(ValueError, match="sample count"):
-        _SOLVERS[kind](A, loss, Regularizer(mu=1.0), cfg)
+        solve_baseline(A, loss, Regularizer(mu=1.0), cfg)
 
 
 def test_flops_grow_monotonically():
@@ -204,7 +215,7 @@ def test_flops_grow_monotonically():
     for kind in BASELINE_KINDS:
         cfg = BaselineConfig(kind=kind, radius=1.0, max_iters=10,
                              gap_tol=1e-16)
-        _, trace = _SOLVERS[kind](A, loss, Regularizer(mu=0.5), cfg)
+        _, trace = solve_baseline(A, loss, Regularizer(mu=0.5), cfg)
         flops = np.array([r.flops for r in trace.records])
         assert flops[0] == 0
         assert np.all(np.diff(flops) > 0)
@@ -306,6 +317,6 @@ def test_x_does_not_depend_on_record_every(design, kind):
         cfg = BaselineConfig(kind=kind, radius=1.0, max_iters=t, seed=3,
                              gap_tol=-1.0, record_every=every)
         x, trace = solve_baseline(A, loss, Regularizer(mu=0.05), cfg)
-        assert len(trace) == 1 + -(-t // every)
+        assert len(trace.records) == 1 + -(-t // every)
         xs.append(x)
     assert np.array_equal(xs[0].view(np.int64), xs[1].view(np.int64))

@@ -332,8 +332,25 @@ def test_nan_solver_parameters_exit_usage(tmp_path, capsys, flag, solvers,
     assert fragment in capsys.readouterr().err
 
 
+def test_infinite_noise_exits_usage(tmp_path, capsys):
+    out = str(tmp_path / "res")
+    assert main(_tiny_args(out, **{"--noise": "inf"})) == EXIT_USAGE
+    assert "noise level must be >= 0 and finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # Dataset-file runs
+
+
+def test_negative_forced_width_exits_usage(tmp_path, capsys):
+    path = tmp_path / "tiny.txt"
+    path.write_text("+1 1:0.9 2:0.1\n-1 1:-0.4 3:0.8\n")
+    out = str(tmp_path / "res")
+    assert main(["run", "--dataset", str(path), "--n-cols", "-1",
+                 "--radius", "2.0", "--output-dir", out]) == EXIT_USAGE
+    assert "n_cols must be >= 0" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_run_from_dataset_file_with_hinge(tmp_path, capsys):

@@ -206,6 +206,27 @@ def test_parse_errors_carry_line_numbers(text, lineno, fragment, n_cols):
     assert f"line {lineno}:" in str(exc.value)
 
 
+@pytest.mark.parametrize("n_cols, fragment", [
+    (True, "n_cols must be an integer"),
+    (2.5, "n_cols must be an integer"),
+    (3.0, "n_cols must be an integer"),
+    (-1, "n_cols must be >= 0"),
+])
+def test_parse_rejects_a_bad_forced_width(n_cols, fragment):
+    # checked before reading: not a ParseError on a line of the input
+    with pytest.raises(ValueError, match=fragment) as exc:
+        parse_libsvm(io.StringIO("+1 1:1\n"), n_cols=n_cols)
+    assert not isinstance(exc.value, ParseError)
+
+
+def test_parse_accepts_numpy_and_zero_forced_widths():
+    # zero is the width a file of labels alone would be given anyway
+    ds = parse_libsvm(io.StringIO("+1\n-1\n"), n_cols=0)
+    assert ds.matrix.shape == (2, 0)
+    ds = parse_libsvm(io.StringIO("+1 2:1\n"), n_cols=np.int64(3))
+    assert ds.matrix.shape == (1, 3)
+
+
 def test_parse_rejects_index_beyond_forced_width():
     # the error names the line that holds the index, not line 1
     with pytest.raises(ParseError, match="exceeds n_cols=2") as exc:
@@ -746,7 +767,29 @@ def test_synthetic_trace_shapes_and_rank():
      "exceeds"),
     (dict(kind="sparse_regression", n=5, d=5, noise_level=-0.1), ">= 0"),
     (dict(kind="sparse_regression", n=5, d=5, noise_level=np.nan), ">= 0"),
+    (dict(kind="sparse_regression", n=True, d=5), "n must be an integer"),
+    (dict(kind="sparse_regression", n=4.0, d=5), "n must be an integer"),
+    (dict(kind="sparse_regression", n=5, d=2.5), "d must be an integer"),
+    (dict(kind="sparse_regression", n=5, d=5, true_sparsity_or_rank=1.5),
+     "true_sparsity_or_rank must be an integer"),
+    (dict(kind="trace_sensing", n=5, d=5, c=3.0), "c must be an integer"),
+    (dict(kind="trace_sensing", n=5, d=5, c=True), "c must be an integer"),
+    (dict(kind="sparse_regression", n=5, d=5, seed=1.5),
+     "seed must be an integer"),
+    (dict(kind="sparse_regression", n=5, d=5, seed=False),
+     "seed must be an integer"),
+    (dict(kind="sparse_regression", n=5, d=5, noise_level=np.inf), ">= 0"),
+    (dict(kind="sparse_regression", n=5, d=5, noise_level=True), ">= 0"),
+    (dict(kind="sparse_regression", n=5, d=5, noise_level=np.True_), ">= 0"),
 ])
 def test_synthetic_spec_validation(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
         SyntheticSpec(**kwargs)
+
+
+def test_synthetic_spec_accepts_numpy_integers():
+    spec = SyntheticSpec(kind="trace_sensing", n=np.int64(6), d=np.int32(4),
+                         c=np.int64(3), true_sparsity_or_rank=np.int64(2),
+                         seed=np.int64(1))
+    ds, X0 = generate_synthetic(spec)
+    assert ds.labels.shape == (6, 3) and X0.shape == (4, 3)

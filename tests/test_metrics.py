@@ -42,7 +42,7 @@ def test_trace_append_and_accessors():
     tr = ConvergenceTrace()
     tr.append(0, 0.0, 3.0, 1.0, 10, 2)
     tr.append(5, 0.5, 2.0, 1.5, 30, 3)
-    assert len(tr) == 2
+    assert len(tr.records) == 2
     assert tr.final.iteration == 5
     assert tr.final.gap == pytest.approx(0.5, abs=0.0)
     assert [(r.iteration, r.elapsed_seconds, r.primal, r.dual, r.gap,
@@ -68,7 +68,7 @@ def test_trace_nonfinite_objective_raises_divergence_error():
     with pytest.raises(DivergenceError):
         tr.append(1, 0.1, 1.0, float("inf"), 1, 0)
     # the failed appends must not have grown the trace
-    assert len(tr) == 1
+    assert len(tr.records) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def test_solve_zero_problem_stops_immediately():
     x, y, trace = solve(A, loss, reg, SolverConfig(radius=1.0, s=1))
     np.testing.assert_array_equal(x, np.zeros(3))
     np.testing.assert_array_equal(y, np.zeros(3))
-    assert len(trace) == 1
+    assert len(trace.records) == 1
     assert trace.final.iteration == 0
     assert trace.final.gap == 0.0
 

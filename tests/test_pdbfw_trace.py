@@ -37,10 +37,15 @@ def _spectrum_matrix(rng, d, c, spectrum):
 
 
 def test_zero_factor():
-    f = LowRankFactor.zero(4, 3)
-    assert f.rank == 0
-    assert f.singular.sum() == 0.0
-    np.testing.assert_array_equal(f.to_dense(), np.zeros((4, 3)))
+    # a zero M gives the rank-0 factor, which hands its start block on
+    given = np.eye(3)
+    for start, block in ((None, pdbfw_trace._power_start(3, 3)),
+                         (given, given)):
+        f = approx_lowrank_prox(np.zeros((4, 3)), 1.0, 2, start)
+        assert f.rank == 0
+        assert f.singular.sum() == 0.0
+        np.testing.assert_array_equal(f.to_dense(), np.zeros((4, 3)))
+        assert f.block is block
 
 
 def test_factor_dense_reconstruction():
@@ -245,6 +250,26 @@ def test_primal_step_trace_rank_and_cache_maintenance():
     np.testing.assert_allclose(state.z, A.to_dense().T @ state.y, atol=1e-8)
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_primal_step_trace_zero_shift_adds_exact_zeros(sparse):
+    # at X = Z = 0 the rank-0 factor's empty products leave X and W +0.0,
+    # bit for bit, charge no flops and hand the start block on
+    n, d, c = 6, 5, 4
+    dense = PortableRng(255).normals(n * d).reshape(n, d)
+    if sparse:
+        dense[::2, 1::2] = 0.0  # not fully stored: the sparse route
+    A = SparseDesignMatrix(dense)
+    assert (A._dense_rows is None) == sparse
+    cfg = resolve(SolverConfig(radius=2.0, s=2), A, c)
+    state = SolverState.zeros(n, d, c)
+    start = pdbfw_trace._power_start(c, 4)
+    factor = primal_step_trace(state, cfg, A, Regularizer(mu=0.5), start)
+    assert factor.rank == 0 and factor.block is start
+    assert np.all(state.x.view(np.int64) == 0)
+    assert np.all(state.w.view(np.int64) == 0)
+    assert state.flops == 0
+
+
 def test_primal_step_trace_audit_against_exact_oracle(monkeypatch):
     n, d, c = 15, 8, 6
     rng = PortableRng(260)
@@ -348,10 +373,10 @@ def test_solve_trace_sketched_records_match_full_svd(monkeypatch, noise,
             assert len(misses) <= 2
     else:
         assert sketched.final.gap <= cfg.gap_tol
-        assert hits.count(True) == 2 * len(sketched)
+        assert hits.count(True) == 2 * len(sketched.records)
     np.testing.assert_array_equal(X, X_full)
     np.testing.assert_array_equal(Y, Y_full)
-    assert len(sketched) == len(full)
+    assert len(sketched.records) == len(full.records)
     for got, want in zip(sketched.records, full.records):
         assert (got.iteration, got.flops, got.support, got.primal) == \
             (want.iteration, want.flops, want.support, want.primal)
@@ -382,7 +407,7 @@ def test_record_sketches_narrow_to_the_rank_on_the_benchmark_shape(
     assert trace.final.gap <= cfg.gap_tol
     assert len(spectra) == 2
     for spectrum in spectra:
-        assert len(spectrum.calls) == len(trace)
+        assert len(spectrum.calls) == len(trace.records)
         assert spectrum.calls[0] == [(20, 0)]
         found = 0
         for call in spectrum.calls:
@@ -436,10 +461,31 @@ def test_solve_trace_runs_share_no_warm_block():
     again = run(13)
     np.testing.assert_array_equal(first[0], again[0])
     np.testing.assert_array_equal(first[1], again[1])
-    assert len(first[2]) == len(again[2])
+    assert len(first[2].records) == len(again[2].records)
     for got, want in zip(first[2].records, again[2].records):
         assert replace(got, elapsed_seconds=0.0) == \
             replace(want, elapsed_seconds=0.0)
+
+
+def test_solve_trace_draws_the_power_start_once(monkeypatch):
+    # the records' block starts the first prox; its zero shift hands the
+    # block on, so no later prox draws a start of its own
+    drawn = []
+    power_start = pdbfw_trace._power_start
+
+    def spy(c, b):
+        drawn.append((c, b))
+        return power_start(c, b)
+
+    monkeypatch.setattr(pdbfw_trace, "_power_start", spy)
+    spec = SyntheticSpec(kind="trace_sensing", n=40, d=12, c=9,
+                         true_sparsity_or_rank=2, seed=13)
+    ds, _ = generate_synthetic(spec)
+    _, _, trace = solve_trace(ds.matrix, MatrixQuadraticLoss(B=ds.labels),
+                              Regularizer(mu=0.25),
+                              SolverConfig(radius=5.0, s=3, max_iters=30))
+    assert trace.final.iteration >= 2
+    assert drawn == [(9, 7)]
 
 
 def test_solve_trace_zero_targets_stop_immediately():
@@ -447,7 +493,7 @@ def test_solve_trace_zero_targets_stop_immediately():
     loss = MatrixQuadraticLoss(B=np.zeros((4, 3)))
     _, _, trace = solve_trace(A, loss, Regularizer(mu=1.0),
                               SolverConfig(radius=1.0, s=1))
-    assert len(trace) == 1
+    assert len(trace.records) == 1
     assert trace.final.gap == 0.0
 
 

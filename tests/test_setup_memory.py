@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import scipy.sparse as sp
 
-from pdbfw.baselines import BaselineConfig, solve_acc_pgd, solve_svrg
+from pdbfw.baselines import BaselineConfig, solve_baseline
 from pdbfw.core_linalg import SparseDesignMatrix, apply_row_slice_transpose
 from pdbfw.data_io import (Dataset, SyntheticSpec, generate_synthetic,
                            normalize_rows, parse_libsvm)
@@ -72,9 +72,9 @@ def test_solvers_on_a_fully_stored_design_peak_below_one_megabyte():
     calls = [
         lambda: solve(A, loss, reg, SolverConfig(radius=5.0, s=100, k=100,
                                                  max_iters=20)),
-        lambda: solve_acc_pgd(A, loss, reg, BaselineConfig(
+        lambda: solve_baseline(A, loss, reg, BaselineConfig(
             kind="acc_pgd", radius=5.0, max_iters=20)),
-        lambda: solve_svrg(A, loss, reg, BaselineConfig(
+        lambda: solve_baseline(A, loss, reg, BaselineConfig(
             kind="svrg", radius=5.0, max_iters=2)),
     ]
     for call in calls:
