@@ -4,22 +4,26 @@
     python3 scripts/ab_interleaved.py --base ../parent --new . \\
         --workload trace_lowrank --seed 5 --pairs 60
 
-One child process runs per tree, for the whole session: this script run as
+One child process runs per tree at a time: this script run as
 `ab_interleaved.py serve TREE WORKLOAD SEED`, which reads solver names on
 standard input and answers each with one JSON line. Each child imports
 the tree's own `src/` and `perfbench/workloads.py` (which it only reads),
 builds the workload's problem once from `--seed`, and then runs one checked
 solver call per request: the call is timed, and its result must pass the
 checks of `workloads.check_result`, against the child's first call of that
-solver as perfbench does. After one untimed warm-up call per solver and
-side, each pair runs every solver of the workload once on each side, back
-to back; the side that goes first alternates from pair to pair. The summary
-gives, per solver, each side's median seconds, the median of the pairs'
-new/base ratios and the number of pairs the new side won (a tie counts for
-neither). When the workload runs solvers other than pdbfw, two more lines
-give each pair's geometric mean of their new/base ratios, the figure behind
-perfbench's `baseline_solve_s`, with its median and the pairs the new side
-won. The exit status is 1 when a call failed or a check did not hold.
+solver as perfbench does. Both children are started afresh for every block
+of `RESTART_EVERY` pairs, so a bias that one process keeps for its life
+(where its heap and arrays happen to land) is redrawn from block to block
+instead of tilting the whole session. After one untimed warm-up call per
+solver and side in each block, each pair runs every solver of the workload
+once on each side, back to back; the side that goes first alternates from
+pair to pair. The summary gives, per solver, each side's median seconds,
+the median of the pairs' new/base ratios and the number of pairs the new
+side won (a tie counts for neither). When the workload runs solvers other
+than pdbfw, two more lines give each pair's geometric mean of their
+new/base ratios, the figure behind perfbench's `baseline_solve_s`, with its
+median and the pairs the new side won. The exit status is 1 when a call
+failed or a check did not hold.
 
 Alternating calls between two processes that stay up shares every slow or
 fast phase of a busy machine between both sides, where separate benchmark
@@ -42,6 +46,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "new")
+# pairs timed by one pair of children before both are replaced
+RESTART_EVERY = 10
 # as perfbench/run.py: one BLAS thread unless the caller chose otherwise
 BLAS_THREAD_DEFAULTS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                         "MKL_NUM_THREADS": "1"}
@@ -167,24 +173,34 @@ def summarize_baselines(seconds: dict) -> list:
             f"{wins}/{len(ratios)}"]
 
 
-def run(children: dict, pairs: int) -> tuple:
-    """Warm-up, then the alternating pairs; returns (seconds, failures),
-    with None in place of the seconds of a call that failed."""
-    solvers = children["base"].header["solvers"]
-    failures = {side: list(children[side].header["failures"])
-                for side in SIDES}
-    seconds = {side: {solver: [] for solver in solvers} for side in SIDES}
-    for side in SIDES:
-        for solver in solvers:
-            failures[side] += children[side].call(solver)["failures"]
-    for pair in range(pairs):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for solver in solvers:
-            for side in order:
-                reply = children[side].call(solver)
-                failures[side] += reply["failures"]
-                seconds[side][solver].append(
-                    None if reply["failures"] else reply["seconds"])
+def run(spawn, pairs: int) -> tuple:
+    """The alternating pairs, in blocks of RESTART_EVERY that each start
+    both children with `spawn(side)`, warm them up and close them after;
+    returns (seconds, failures), with None in place of the seconds of a call
+    that failed."""
+    seconds = {side: {} for side in SIDES}
+    failures = {side: [] for side in SIDES}
+    for start in range(0, pairs, RESTART_EVERY):
+        children = {}
+        try:
+            for side in SIDES:
+                children[side] = spawn(side)
+            solvers = children["base"].header["solvers"]
+            for side in SIDES:
+                failures[side] += children[side].header["failures"]
+                for solver in solvers:
+                    failures[side] += children[side].call(solver)["failures"]
+            for pair in range(start, min(start + RESTART_EVERY, pairs)):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for solver in solvers:
+                    for side in order:
+                        reply = children[side].call(solver)
+                        failures[side] += reply["failures"]
+                        seconds[side].setdefault(solver, []).append(
+                            None if reply["failures"] else reply["seconds"])
+        finally:
+            for child in children.values():
+                child.close()
     return seconds, failures
 
 
@@ -209,19 +225,18 @@ def main(argv=None) -> int:
     for tree in (args.base, args.new):
         if not (tree / "perfbench" / "workloads.py").is_file():
             parser.error(f"no perfbench/workloads.py under {tree}")
-    children = {}
-    try:
-        for side in SIDES:
-            children[side] = Child(getattr(args, side).resolve(),
-                                   args.workload, args.seed)
-        seconds, failures = run(children, args.pairs)
-    finally:
-        for child in children.values():
-            child.close()
+    packages = {}
+
+    def spawn(side):
+        child = Child(getattr(args, side).resolve(), args.workload, args.seed)
+        packages[side] = child.header["package"]
+        return child
+
+    seconds, failures = run(spawn, args.pairs)
     print(f"## {args.workload}: seed {args.seed}, {args.pairs} pairs, "
           f"one call per solver and side in each")
     for side in SIDES:
-        print(f"# {side}: {children[side].header['package']}")
+        print(f"# {side}: {packages[side]}")
     print("\n".join(summarize(seconds) + summarize_baselines(seconds)))
     for side in SIDES:
         print(f"{side}: {len(failures[side])} failures")

@@ -107,7 +107,7 @@ def check_targets(loss, ndim: int) -> None:
 
 def run_to_gap(A: SparseDesignMatrix, loss, reg: Regularizer, state, step,
                certificate, support, max_iters: int, gap_tol: float,
-               record_every: int = 1) -> ConvergenceTrace:
+               record_every: int = 1, answer=None) -> ConvergenceTrace:
     """The iteration loop of every solver; returns its trace.
 
     Records iteration 0, then sets `state.iteration` to t and calls
@@ -116,6 +116,11 @@ def run_to_gap(A: SparseDesignMatrix, loss, reg: Regularizer, state, step,
     the last one. A record holds the primal value at (state.x, state.w),
     the dual value `certificate(state)`, state.flops and `support(state.x)`;
     its elapsed time is read after the certificate.
+
+    `answer(state, value, dual)`, when given, runs in each record after the
+    certificate, with value the mean loss at state.w. It may move state.x
+    and state.w to another point (and add to state.flops); it returns the
+    mean loss at state.w, which the record then reports.
     """
     check_targets(loss, state.x.ndim)
     if loss.n != A.n_rows:
@@ -124,10 +129,13 @@ def run_to_gap(A: SparseDesignMatrix, loss, reg: Regularizer, state, step,
     t0 = time.perf_counter()
 
     def record():
-        primal = loss.mean_value(state.w) + reg.value(state.x)
+        value = loss.mean_value(state.w)
         dual = certificate(state)
-        trace.append(state.iteration, time.perf_counter() - t0, primal, dual,
-                     state.flops, support(state.x))
+        if answer is not None:
+            value = answer(state, value, dual)
+        trace.append(state.iteration, time.perf_counter() - t0,
+                     value + reg.value(state.x), dual, state.flops,
+                     support(state.x))
         return trace.final.gap
 
     gap = record()
@@ -161,12 +169,15 @@ def _inner_value(a: np.ndarray, radius: float, mu: float) -> float:
 
 
 def dual_objective(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
-                   y: np.ndarray, radius: float, z: np.ndarray = None) -> float:
+                   y: np.ndarray, radius: float, z: np.ndarray = None,
+                   conj: float = None) -> float:
     """D(y) over the l1 ball of the given radius; -inf outside the conjugate box.
 
-    Pass z = A'y when it is already maintained to avoid the matrix product.
+    Pass z = A'y when it is already maintained to avoid the matrix product,
+    and conj = loss.conjugate_sum(y) when the caller needs it too.
     """
-    conj = loss.conjugate_sum(y)
+    if conj is None:
+        conj = loss.conjugate_sum(y)
     if np.isinf(conj):
         return -np.inf
     n = A.n_rows

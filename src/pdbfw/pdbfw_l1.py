@@ -9,7 +9,9 @@ to the nonzeros of the s columns and k rows actually touched.
 
 Only the steps, the dual certificate and the support count depend on the
 constraint set; `pdbfw_trace` supplies its own. Both solvers, and the
-reference solvers in `baselines`, run in `metrics.run_to_gap`.
+reference solvers in `baselines`, run in `metrics.run_to_gap`. The l1
+solver alone may stop on the certificate's own point instead of its
+iterate (see `solve`).
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core_linalg import (SparseDesignMatrix, SparseUpdate,
+from .core_linalg import (SparseDesignMatrix, SparseUpdate, _restricted_sum,
                           apply_row_slice_transpose, apply_sparse_col_product,
-                          sparse_l1_prox, top_k_by_magnitude)
+                          project_l1_ball, sparse_l1_prox, top_k_by_magnitude)
 from .losses import LossModel, Regularizer
 from .metrics import (check_integer, check_run_settings, dual_objective,
                       run_to_gap)
@@ -149,6 +151,15 @@ def solve(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
           cfg: SolverConfig):
     """Run the block primal-dual solver until gap <= gap_tol or max_iters.
 
+    Each record splits the gap of x against D(y) as G(x) = FY + the inner
+    gap of x, with FY = (1/n) sum_i f_i(w_i) + f_i*(y_i) - y_i w_i the
+    loss's Fenchel-Young gap at (w, y). The certificate's own point
+    x_hat = proj(-z/(n mu)), the minimizer of the inner problem, has no
+    inner gap, so when FY <= gap_tol the record builds x_hat, forms A x_hat
+    over its support (charging those flops) and, if x_hat certifies the
+    gap against the same D(y), reports x_hat instead of x and the run
+    stops there. A record whose x_hat does not certify is left as it was.
+
     Parameters
     ----------
     A : SparseDesignMatrix
@@ -163,21 +174,42 @@ def solve(A: SparseDesignMatrix, loss: LossModel, reg: Regularizer,
     Returns
     -------
     x : ndarray, shape (d,)
+        The certified point x_hat when one certified, else the iterate;
+        the final record's primal, gap and support describe it.
     y : ndarray, shape (n,)
     trace : ConvergenceTrace
         One record per iteration including iteration 0; flop counts cover
         the column/row-restricted products only.
     """
     rc = resolve(cfg, A)
-    state = SolverState.zeros(A.n_rows, A.n_cols)
+    n = A.n_rows
+    state = SolverState.zeros(n, A.n_cols)
+    conj = None  # the certificate's conjugate sum, read by `answer`
 
     def step(st):
         primal_step(st, rc, A, reg)
         dual_step(st, rc, A, loss)
 
     def certificate(st):
-        return dual_objective(A, loss, reg, st.y, rc.radius, st.z)
+        nonlocal conj
+        conj = loss.conjugate_sum(st.y)
+        return dual_objective(A, loss, reg, st.y, rc.radius, st.z, conj)
+
+    def answer(st, value, dual):
+        # FY = G(x) less the inner gap, which x_hat removes (<y, w> = <z, x>)
+        if not value + (conj - float(np.dot(st.y, st.w))) / n <= rc.gap_tol:
+            return value
+        x_hat = project_l1_ball(st.z * (-1.0 / (n * reg.mu)), rc.radius)
+        support = np.flatnonzero(x_hat)
+        w_hat = _restricted_sum(A, False, support, x_hat[support])
+        st.flops += int(A.col_nnz[support].sum())
+        value_hat = loss.mean_value(w_hat)
+        if not value_hat + reg.value(x_hat) - dual <= rc.gap_tol:
+            return value
+        st.x, st.w = x_hat, w_hat
+        return value_hat
 
     trace = run_to_gap(A, loss, reg, state, step, certificate,
-                       np.count_nonzero, rc.max_iters, rc.gap_tol)
+                       np.count_nonzero, rc.max_iters, rc.gap_tol,
+                       answer=answer)
     return state.x, state.y, trace

@@ -56,12 +56,15 @@ def test_baseline_summary_gives_each_pairs_geometric_mean_and_wins():
 
 
 class _Fake:
-    """A child that logs its calls; its `fail`-th call (counting from 1)
-    fails its checks."""
+    """A child that logs its calls and its closing; its `fail`-th call
+    (counting from 1) fails its checks."""
 
     def __init__(self, side, log, fail=0):
         self.side, self.log, self.fail, self.calls = side, log, fail, 0
         self.header = {"solvers": ["a", "b"], "failures": []}
+
+    def close(self):
+        self.log.append((self.side, "closed"))
 
     def call(self, solver):
         self.calls += 1
@@ -74,10 +77,11 @@ class _Fake:
 def test_run_warms_up_then_alternates_the_first_side():
     log = []
     children = {"base": _Fake("base", log), "new": _Fake("new", log, fail=2)}
-    seconds, failures = ab_interleaved.run(children, pairs=2)
+    seconds, failures = ab_interleaved.run(children.get, pairs=2)
     assert log == [("base", "a"), ("base", "b"), ("new", "a"), ("new", "b"),
                    ("base", "a"), ("new", "a"), ("base", "b"), ("new", "b"),
-                   ("new", "a"), ("base", "a"), ("new", "b"), ("base", "b")]
+                   ("new", "a"), ("base", "a"), ("new", "b"), ("base", "b"),
+                   ("base", "closed"), ("new", "closed")]
     # the warm-up calls are checked but not timed
     assert seconds == {"base": {"a": [1.0, 1.0], "b": [1.0, 1.0]},
                        "new": {"a": [0.5, 0.5], "b": [0.5, 0.5]}}
@@ -86,10 +90,36 @@ def test_run_warms_up_then_alternates_the_first_side():
 
 def test_run_times_no_call_that_failed():
     children = {"base": _Fake("base", []), "new": _Fake("new", [], fail=4)}
-    seconds, failures = ab_interleaved.run(children, pairs=1)
+    seconds, failures = ab_interleaved.run(children.get, pairs=1)
     assert seconds == {"base": {"a": [1.0], "b": [1.0]},
                        "new": {"a": [0.5], "b": [None]}}
     assert failures == {"base": [], "new": ["b: wrong"]}
+
+
+def test_run_restarts_and_rewarms_both_children_every_block(monkeypatch):
+    monkeypatch.setattr(ab_interleaved, "RESTART_EVERY", 2)
+    log, spawned = [], []
+
+    def spawn(side):
+        spawned.append(side)
+        return _Fake(side, log)
+
+    seconds, failures = ab_interleaved.run(spawn, pairs=5)
+    # blocks of pairs 0-1, 2-3 and 4, each with fresh children
+    assert spawned == ["base", "new"] * 3
+    assert log.count(("base", "closed")) == log.count(("new", "closed")) == 3
+    # per block: one warm-up call per solver and side, then 2 calls per pair
+    assert len(log) == 3 * (4 + 2) + 5 * 4
+    first_pair = [("base", "a"), ("new", "a"), ("base", "b"), ("new", "b")]
+    assert log[4:8] == first_pair
+    # the block of pairs 2-3 warms up afresh; pair 2 starts with base again
+    third = log.index(("new", "closed")) + 1
+    assert log[third:third + 4] == [("base", "a"), ("base", "b"),
+                                    ("new", "a"), ("new", "b")]
+    assert log[third + 4:third + 8] == first_pair
+    assert seconds == {"base": {"a": [1.0] * 5, "b": [1.0] * 5},
+                       "new": {"a": [0.5] * 5, "b": [0.5] * 5}}
+    assert failures == {"base": [], "new": []}
 
 
 def test_a_live_session_times_both_trees(capsys):

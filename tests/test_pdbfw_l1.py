@@ -3,8 +3,11 @@ examples, invariants of the iterates, cache maintenance, and equivalence to a
 dense full-budget reference implementation.
 """
 
+import functools
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +19,13 @@ from pdbfw.core_linalg import SparseDesignMatrix, project_l1_ball
 from pdbfw.data_io import PortableRng, SyntheticSpec, generate_synthetic
 from pdbfw.losses import (MatrixQuadraticLoss, Regularizer, quadratic_loss,
                           smooth_hinge_loss)
-from pdbfw.metrics import DivergenceError
+from pdbfw.metrics import DivergenceError, dual_objective
 from pdbfw.pdbfw_l1 import (ETA, SolverConfig, SolverState, dual_step,
                             primal_step, resolve, solve)
 from pdbfw.pdbfw_trace import primal_step_trace, solve_trace
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (perfbench/ is not a package)
 
 
 def _random_instance(seed, n, d, kind="quadratic"):
@@ -247,6 +253,150 @@ def test_recorded_gaps_never_materially_negative():
     cfg = SolverConfig(radius=1.0, s=3, max_iters=150, gap_tol=0.0)
     _, _, trace = solve(A, loss, reg, cfg)
     assert min(r.gap for r in trace.records) >= -1e-9
+
+
+# ---------------------------------------------------------------------------
+# Stopping on the certificate's point x_hat = proj(-z/(n mu))
+
+
+@functools.lru_cache(maxsize=None)
+def _workload_problem(name, seed):
+    """The benchmark workload's problem and its pdbfw config for one seed."""
+    wl = workloads.WORKLOADS[name]
+    problem = workloads.load(wl, workloads.generate_inputs(wl, seed))
+    cfg = SolverConfig(radius=wl.radius, s=wl.s, k=wl.k, delta=wl.delta,
+                       gap_tol=wl.gap_tol)
+    return problem.matrix, problem.loss, problem.reg, cfg
+
+
+def _solve_counting_x_hat(monkeypatch, name, seed):
+    """solve() on a workload; also returns the iteration of each record
+    that formed an A x_hat product."""
+    A, loss, reg, cfg = _workload_problem(name, seed)
+    steps, products = [], []
+    dual = pdbfw_l1.dual_step
+    product = pdbfw_l1._restricted_sum
+
+    def counted_step(*args):
+        steps.append(None)
+        return dual(*args)
+
+    def spy(*args):
+        products.append(len(steps))
+        return product(*args)
+
+    monkeypatch.setattr(pdbfw_l1, "dual_step", counted_step)
+    monkeypatch.setattr(pdbfw_l1, "_restricted_sum", spy)
+    return (*solve(A, loss, reg, cfg), products)
+
+
+@pytest.mark.parametrize("seed", [1, 5, 11])
+def test_l1_dense_stops_on_x_hat_at_iteration_15(monkeypatch, seed):
+    # x's own gap reaches 1e-8 only at iteration 21 or 22: old steps leave
+    # mass that decays as 2^-t, which x_hat does not carry
+    _, _, trace, products = _solve_counting_x_hat(monkeypatch, "l1_dense",
+                                                  seed)
+    assert trace.final.iteration == 15
+    assert products == [15]
+    assert trace.final.gap <= 1e-8
+
+
+def test_sparse_hinge_forms_x_hat_only_at_the_stopping_record(monkeypatch):
+    _, _, trace, products = _solve_counting_x_hat(
+        monkeypatch, "l1_sparse_hinge", 5)
+    assert products == [trace.final.iteration]
+
+
+@pytest.mark.parametrize("name", ["l1_dense", "l1_sparse_hinge"])
+def test_records_before_the_stop_keep_their_bits(monkeypatch, name):
+    A, loss, reg, cfg = _workload_problem(name, 5)
+    _, _, trace = solve(A, loss, reg, cfg)
+    # an A x_hat shifted by 1e3 never certifies, at the same flop charge
+    product = pdbfw_l1._restricted_sum
+    monkeypatch.setattr(pdbfw_l1, "_restricted_sum",
+                        lambda *args: product(*args) + 1e3)
+    x_iterate, _, kept = solve(A, loss, reg, cfg)
+
+    def fields(r):
+        return (r.iteration, r.primal, r.dual, r.gap, r.flops, r.support)
+
+    assert len(kept.records) >= len(trace.records)
+    assert ([fields(r) for r in trace.records[:-1]]
+            == [fields(r) for r in kept.records[:len(trace.records) - 1]])
+    # the iterate carries more coordinates than x_hat at the same gap
+    assert kept.final.support == np.count_nonzero(x_iterate)
+    assert kept.final.support > trace.final.support
+
+
+def _split_gaps(A, loss, reg, radius, steps, s, k):
+    """(G, FY, inner gap, |P| + |D|) at each of `steps` iterates of the
+    solver's own steps: G = P(x) - D(y), FY = (1/n) sum_i f_i(w_i) +
+    f_i*(y_i) - y_i w_i, inner gap = g(x) + <z, x>/n - min over the ball."""
+    rc = resolve(SolverConfig(radius=radius, s=s, k=k), A)
+    state = SolverState.zeros(A.n_rows, A.n_cols)
+    n = A.n_rows
+    out = []
+    for _ in range(steps):
+        primal_step(state, rc, A, reg)
+        dual_step(state, rc, A, loss)
+        value = loss.mean_value(state.w)
+        P = value + reg.value(state.x)
+        D = dual_objective(A, loss, reg, state.y, radius, state.z)
+        fy = value + (loss.conjugate_sum(state.y)
+                      - np.dot(state.y, state.w)) / n
+        x_hat = project_l1_ball(-state.z / (n * reg.mu), radius)
+        inner = (reg.value(state.x) + np.dot(state.z, state.x) / n
+                 - reg.value(x_hat) - np.dot(state.z, x_hat) / n)
+        out.append((P - D, fy, inner, abs(P) + abs(D)))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "hinge"])
+@pytest.mark.parametrize("radius", [0.5, 50.0])
+def test_gap_splits_into_fenchel_young_and_inner_gaps(kind, radius):
+    # <y, w>/n = <z, x>/n in exact arithmetic, so G = FY + inner gap; the
+    # caches w = Ax and z = A'y, the threshold's sums and the dots each
+    # round to a few ulps of |P| + |D|, well inside a thousand
+    A, loss = _random_instance(31, 60, 40, kind)
+    reg = Regularizer(mu=0.2)
+    for gap, fy, inner, scale in _split_gaps(A, loss, reg, radius, 40, 8, 15):
+        bound = 1e3 * np.finfo(float).eps * scale
+        assert abs(gap - fy - inner) <= bound
+        assert fy >= -bound and inner >= -bound
+
+
+@pytest.mark.parametrize("name, seed", [("l1_dense", 1), ("l1_dense", 5),
+                                        ("l1_dense", 11),
+                                        ("l1_sparse_hinge", 5)])
+def test_returned_x_is_the_certified_point_the_final_record_describes(
+        name, seed):
+    A, loss, reg, cfg = _workload_problem(name, seed)
+    x, _, trace = solve(A, loss, reg, cfg)
+    final = trace.final
+    assert np.abs(x).sum() <= cfg.radius * (1.0 + x.size * np.finfo(float).eps)
+    assert final.gap <= cfg.gap_tol
+    assert final.support == np.count_nonzero(x)
+    primal = loss.mean_value(A.matvec(x)) + reg.value(x)
+    assert primal == pytest.approx(final.primal, rel=1e-14)
+
+
+@pytest.mark.parametrize("name, seed", [("l1_dense", 5), ("l1_dense", 11),
+                                        ("l1_sparse_hinge", 5)])
+def test_support_holds_every_feature_the_gap_resolves(name, seed):
+    # P is mu-strongly convex, so ||x - x*|| <= sqrt(2 G / mu) for a point
+    # certified at gap G; a reference x_ref at gap G_ref is as close. Every
+    # feature with |x_ref_j| above the sum is nonzero in x. (Not every
+    # reference feature is: at seed 11 on l1_dense one lies below it.)
+    A, loss, reg, cfg = _workload_problem(name, seed)
+    x, _, trace = solve(A, loss, reg, cfg)
+    x_ref, ref = solve_baseline(A, loss, reg, BaselineConfig(
+        kind="acc_pgd", radius=cfg.radius, max_iters=5000, gap_tol=1e-12))
+    assert ref.final.gap <= 1e-12
+    resolution = (math.sqrt(2.0 * max(trace.final.gap, 0.0) / reg.mu)
+                  + math.sqrt(2.0 * max(ref.final.gap, 0.0) / reg.mu))
+    resolved = np.abs(x_ref) > resolution * (1.0 + 1e-6)
+    assert resolved.sum() > 100
+    assert np.all(x[resolved] != 0.0)
 
 
 # ---------------------------------------------------------------------------
